@@ -244,17 +244,11 @@ def small_time_asymptote(
         )
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
+    constant = small_time_constant(alpha, geometry, sup_mean)
     phi_1t = float(spec(1.0 / t))
     if regime is Regime.SUPERCRITICAL:
-        if sup_mean is None:
-            sup_mean = FROZEN_SUP_MEAN.get(alpha)
-        if sup_mean is None:
-            raise ValidationError(
-                f"supercritical asymptote needs the running-supremum mean for alpha={alpha}"
-            )
         return (
-            geometry.boundary_measure
-            * sup_mean
+            constant
             * _gamma(1.0 + 1.0 / alpha)
             / _gamma(1.0 + beta / alpha)
             * phi_1t ** (-1.0 / alpha)
@@ -264,18 +258,8 @@ def small_time_asymptote(
             raise ValidationError(
                 f"critical asymptote needs phi(1/t) > 1 (log factor), got {phi_1t}"
             )
-        return (
-            geometry.boundary_measure
-            / (math.pi * _gamma(1.0 + beta))
-            * math.log(phi_1t)
-            / phi_1t
-        )
-    per = geometry.per_alpha
-    if per is None:
-        if geometry.interval_length is None:
-            raise ValidationError("subcritical asymptote needs per_alpha (d >= 2)")
-        per = frac_perimeter_interval(alpha, geometry.interval_length)
-    return per / _gamma(1.0 + beta) / phi_1t
+        return constant / _gamma(1.0 + beta) * math.log(phi_1t) / phi_1t
+    return constant / _gamma(1.0 + beta) / phi_1t
 
 
 def subordinate_log_rate(spec: LaplaceExponent, lambda1: float) -> float:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import ShcLabError, ValidationError
@@ -51,11 +52,12 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         config = parse_config_file(args.config, args.overrides)
+        if args.out is not None:
+            config = dataclasses.replace(config, out=args.out)
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         result = run_experiment(config, workers=args.workers)
-        out_dir = args.out if args.out is not None else config.out
-        csv_path, json_path = write_outputs(result, out_dir)
+        csv_path, json_path = write_outputs(result, config.out)
     except ValidationError as exc:
         print(f"shc-lab: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, asdict
+import typing
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -40,7 +41,7 @@ from .heat_content import (
     monte_carlo_heat_content,
 )
 from .spectral import IntervalDomain, bm_interval_eigensystem, load_eigensystem
-from .special import mittag_leffler
+from .special import laplace_invert, mittag_leffler
 from .stable_motion import estimate_sup_mean
 from .subordinators import (
     DriftExponent,
@@ -50,7 +51,6 @@ from .subordinators import (
     expected_functional,
     inverse_time_transform,
 )
-from .special import laplace_invert
 
 __all__ = [
     "ExperimentConfig",
@@ -80,42 +80,6 @@ _TRANSFORM_AS = (0.5, 1.0, 5.0)
 # ---------------------------------------------------------------------------
 # Config
 # ---------------------------------------------------------------------------
-
-_SCHEMA: dict[str, type] = {
-    "experiment": str,
-    "alpha": float,
-    "phi": str,  # stable | tempered | sum | drift
-    "beta": float,
-    "kappa": float,
-    "a": float,
-    "b": float,
-    "domain_a": float,
-    "domain_b": float,
-    "t_min": float,
-    "t_max": float,
-    "t_points": int,
-    "n_paths": int,
-    "dt": float,
-    "n_steps": int,
-    "truncation": int,
-    "tolerance": float,
-    "seed": int,
-    "delta": float,
-    "eigen_table": str,
-    "out": str,
-}
-
-_DEFAULTS = {
-    "domain_a": 0.0,
-    "domain_b": math.pi,
-    "t_points": 9,
-    "n_paths": 100_000,
-    "n_steps": 128,
-    "truncation": 2001,
-    "tolerance": 1e-8,
-    "delta": 1.0,
-    "out": ".",
-}
 
 
 @dataclass(frozen=True)
@@ -157,6 +121,7 @@ class ExperimentConfig:
             raise ValidationError("tolerance must be positive")
         if self.n_paths < 1 or self.n_steps < 1 or self.truncation < 1:
             raise ValidationError("n_paths, n_steps, truncation must be >= 1")
+        self.exponent  # a bad phi or exponent parameter fails here, not mid-run
 
     @property
     def domain(self) -> IntervalDomain:
@@ -181,6 +146,26 @@ class ExperimentConfig:
         return np.logspace(math.log10(self.t_min), math.log10(self.t_max), self.t_points)
 
 
+def _scalar_type(hint) -> type:
+    """The type a config value parses to: ``float | None`` -> float."""
+    return next(t for t in (*typing.get_args(hint), hint) if t is not type(None))
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_SCHEMA: dict[str, type] = {f.name: _scalar_type(_HINTS[f.name]) for f in fields(ExperimentConfig)}
+
+
+def _parse_int(v: str) -> int:
+    """An integral value; spellings such as '1e5' parse, '1.5' does not."""
+    try:
+        return int(v)
+    except ValueError:
+        x = float(v)
+    if not x.is_integer():
+        raise ValueError(f"{v!r} is not integral")
+    return int(x)
+
+
 def parse_config_file(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Flat key=value config with '#' comments, then --set overrides."""
     pairs: dict[str, str] = {}
@@ -203,7 +188,7 @@ def parse_config_file(path: str | Path, overrides: Sequence[str] = ()) -> Experi
             raise ValidationError(f"unknown config key {k!r}")
         typ = _SCHEMA[k]
         try:
-            kwargs[k] = typ(v) if typ is not int else int(float(v))
+            kwargs[k] = _parse_int(v) if typ is int else typ(v)
         except ValueError as exc:
             raise ValidationError(f"config key {k}={v!r} is not a valid {typ.__name__}") from exc
     if "experiment" not in kwargs:
@@ -270,6 +255,11 @@ def fit_loglog(rows: Sequence[tuple[float, float]]) -> FitResult:
                      low_confidence=len(rows) == 2)
 
 
+def _json_number(x: float) -> float | None:
+    """JSON has no NaN: a ratio without a nonzero reference is written as null."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     config: dict
@@ -278,6 +268,9 @@ class ExperimentResult:
     wall_clock: float
 
     def to_json(self) -> str:
+        summary = dict(self.summary)
+        if "final_ratio" in summary:
+            summary["final_ratio"] = _json_number(summary["final_ratio"])
         payload = {
             "config": self.config,
             "rows": [
@@ -285,16 +278,16 @@ class ExperimentResult:
                     "t": r.t,
                     "computed": r.computed,
                     "reference": r.reference,
-                    "ratio": r.ratio,
+                    "ratio": _json_number(r.ratio),
                     "error_bound": r.error_bound,
                     "method": r.method,
                 }
                 for r in self.rows
             ],
-            "summary": self.summary,
+            "summary": summary,
             "wall_clock": self.wall_clock,
         }
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
     def to_csv(self) -> str:
         lines = ["t,computed,reference,ratio,error_bound,method"]
@@ -382,10 +375,11 @@ def _small_time_abscissa(config: ExperimentConfig, t: float) -> float:
 
 
 def _sup_mean_for(config: ExperimentConfig) -> float | None:
+    """An estimated E[sup]; None where the asymptote needs none or has a frozen one."""
     if classify_regime(config.alpha) is not Regime.SUPERCRITICAL:
         return None
     if config.alpha in FROZEN_SUP_MEAN:
-        return FROZEN_SUP_MEAN[config.alpha]
+        return None  # small_time_asymptote looks the frozen value up
     # no frozen constant for this alpha: estimate one (documented cost)
     return estimate_sup_mean(config.alpha, 200_000, 4096, seed=config.seed).value
 

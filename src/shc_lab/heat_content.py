@@ -25,14 +25,8 @@ from .errors import ValidationError
 from .seeding import derive_rng
 from .spectral import EigenSystem, IntervalDomain, weighted_series
 from .stable_motion import walk_exit_steps
-from .subordinators import (
-    DriftExponent,
-    LaplaceExponent,
-    StableExponent,
-    expected_laplace,
-    sample_increments,
-    sample_positive_stable,
-)
+from .subordinators import LaplaceExponent, expected_laplace, sample_increments
+from .subordinators import sample_positive_stable  # noqa: F401 (bench/tracing.py wraps it)
 
 __all__ = [
     "HeatContentValue",
@@ -124,7 +118,7 @@ class InverseTime:
     """Run the outer motion up to E_t (inverse-subordinator time change).
 
     ``delta_u`` is the first-passage grid used when the exponent has no
-    exact inverse sampler (anything but the stable family).
+    exact sampler of E_t; the stable family and the drift have one.
     """
 
     spec: LaplaceExponent
@@ -146,18 +140,9 @@ def _horizon_matrix(
     ts = np.asarray(ts, dtype=float)
     if time_change is None:
         return np.repeat(ts[:, None], size, axis=1)
-    spec = time_change.spec
-    if isinstance(spec, DriftExponent):
-        return np.repeat(ts[:, None], size, axis=1)
     if isinstance(time_change, InverseTime):
-        if isinstance(spec, StableExponent):
-            s = sample_positive_stable(rng, spec.beta, size)
-            return (ts[:, None] / s[None, :]) ** spec.beta
-        return _first_passage_matrix(time_change, ts, size, rng)
+        return time_change.spec.inverse_times(ts, size, rng, time_change.delta_u)
     if isinstance(time_change, SubordinatorTime):
-        if isinstance(spec, StableExponent):
-            s = sample_positive_stable(rng, spec.beta, size)
-            return ts[:, None] ** (1.0 / spec.beta) * s[None, :]
         # independent increments over grid gaps keep D_t coupled and monotone
         out = np.zeros((ts.size, size))
         prev_t = 0.0
@@ -167,32 +152,11 @@ def _horizon_matrix(
             if gap < 0.0:
                 raise ValidationError("t grid must be nondecreasing")
             if gap > 0.0:
-                acc = acc + sample_increments(spec, gap, size, rng)
+                acc = acc + sample_increments(time_change.spec, gap, size, rng)
             out[i] = acc
             prev_t = float(t)
         return out
     raise ValidationError(f"unsupported time change {time_change!r}")
-
-
-def _first_passage_matrix(
-    tc: InverseTime, ts: np.ndarray, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """E_t per (t, path) from per-path discretized subordinator paths."""
-    horizon = float(ts.max())
-    out = np.empty((ts.size, size))
-    block = 1024
-    for p in range(size):
-        # grow one path until it clears the horizon
-        chunks = [np.zeros(1)]
-        total = 0.0
-        while total <= horizon:
-            inc = sample_increments(tc.spec, tc.delta_u, block, rng)
-            chunks.append(inc)
-            total += float(inc.sum())
-        values = np.concatenate(chunks).cumsum()
-        ks = np.searchsorted(values, ts, side="right")
-        out[:, p] = ks * tc.delta_u
-    return out
 
 
 def _replica_sizes(n_paths: int) -> list[int]:

@@ -1,15 +1,15 @@
-"""Laplace-exponent algebra, subordinator path sampling, and
-inverse-subordinator evaluation.
+"""Laplace exponents, subordinator path sampling, and inverse-subordinator
+evaluation.
 
 The supported Laplace exponents are the three concrete families the
 analysis needs (stable, tempered stable, sum of two stables) plus a
 degenerate pure-drift exponent used as a test double.  Each exponent
 knows its regular-variation indices at 0+ and at infinity, which drive
-the asymptotic laws downstream.
-
-The inverse process E_t = inf{u : D_u > t} is sampled two ways: by
-first passage across a discretized path, and (for the stable family)
-exactly through the identity E_t =d (t / D_1)^beta.  Expectations
+the asymptotic laws downstream, and owns its sampler of increments, its
+Laplace functional E[exp(-a E_t)] of the inverse E_t = inf{u : D_u > t}
+and its sampler of E_t.  The shared base falls back to numerical
+inversion and to first passage across a discretized path; the stable
+family (E_t =d (t / D_1)^beta) and the drift are exact.  Expectations
 E[g(E_t)] for the stable family are computed by deterministic nested
 quadrature in the Kanter representation
 E_t =d t^beta (W / A(U))^(1-beta), U ~ Uniform(0, pi), W ~ Exp(1).
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _REJECTION_CAP = 1_000_000
+_FIRST_PASSAGE_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +58,46 @@ _REJECTION_CAP = 1_000_000
 # ---------------------------------------------------------------------------
 
 
+def _check_stable_index(beta: float) -> None:
+    if not 0.0 < beta < 1.0:
+        raise ValidationError(f"stable index must be in (0, 1), got {beta}")
+
+
+class LaplaceExponent:
+    """Base of the exponents: subclasses define phi (``__call__``), its two
+    indices and :meth:`increments`, and override the numerical fallbacks
+    for E_t where they have a closed form."""
+
+    def increments(self, delta: float, size, rng: np.random.Generator) -> np.ndarray:
+        """i.i.d. increments D_delta, exact in distribution."""
+        raise NotImplementedError
+
+    def laplace_functional(self, a: float, t: float, tol: float) -> float:
+        """E[exp(-a E_t)] by numerical inversion of the double Laplace transform."""
+        value = laplace_invert(inverse_time_transform(self, a), t, tol=tol)
+        # the exact value is >= 0 and the inversion agrees with it to tol,
+        # so a value in [-tol, 0) is round-off of an underflowing weight
+        return 0.0 if -tol <= value < 0.0 else value
+
+    def inverse_times(self, ts: np.ndarray, size: int, rng, delta_u: float) -> np.ndarray:
+        """E_t per (t, path), shape (len(ts), size), coupled across the grid:
+        first passage of one path per column on the grid k * delta_u."""
+        horizon = float(ts.max())
+        out = np.empty((ts.size, size))
+        for p in range(size):
+            values = _grow_path(self, horizon, delta_u, _FIRST_PASSAGE_BLOCK, rng)
+            out[:, p] = np.searchsorted(values, ts, side="right") * delta_u
+        return out
+
+
 @dataclass(frozen=True)
-class StableExponent:
+class StableExponent(LaplaceExponent):
     """phi(lam) = lam^beta, the beta-stable subordinator."""
 
     beta: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValidationError(f"stable index must be in (0, 1), got {self.beta}")
+        _check_stable_index(self.beta)
 
     def __call__(self, lam):
         return lam ** self.beta
@@ -78,17 +110,28 @@ class StableExponent:
     def index_at_infinity(self) -> float:
         return self.beta
 
+    def increments(self, delta, size, rng):
+        return delta ** (1.0 / self.beta) * sample_positive_stable(rng, self.beta, size)
+
+    def laplace_functional(self, a, t, tol):
+        """The Mittag-Leffler closed form E_beta(-a t^beta)."""
+        return mittag_leffler(self.beta, -a * t ** self.beta)
+
+    def inverse_times(self, ts, size, rng, delta_u):
+        """Exact: E_t =d (t / D_1)^beta with one D_1 per path (self-similarity)."""
+        s = sample_positive_stable(rng, self.beta, size)
+        return (ts[:, None] / s[None, :]) ** self.beta
+
 
 @dataclass(frozen=True)
-class TemperedStableExponent:
+class TemperedStableExponent(LaplaceExponent):
     """phi(lam) = (lam + kappa)^beta - kappa^beta, tempered stable."""
 
     beta: float
     kappa: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValidationError(f"stable index must be in (0, 1), got {self.beta}")
+        _check_stable_index(self.beta)
         if self.kappa <= 0.0:
             raise ValidationError(f"tempering rate must be > 0, got {self.kappa}")
 
@@ -103,9 +146,41 @@ class TemperedStableExponent:
     def index_at_infinity(self) -> float:
         return self.beta
 
+    def increments(self, delta, size, rng):
+        """Exponential tilting by rejection.
+
+        Propose stable increments, accept with probability
+        exp(-kappa * X).  Overall acceptance is exp(-delta * kappa^beta),
+        so large delta is chopped into pieces with acceptance around
+        exp(-0.7) each; the result is exact in distribution by infinite
+        divisibility.
+        """
+        beta, kappa = self.beta, self.kappa
+        budget = delta * kappa ** beta
+        n_chunks = max(1, math.ceil(budget / 0.7))
+        piece = delta / n_chunks
+        scale = piece ** (1.0 / beta)
+        out = np.zeros(size)
+        for _ in range(n_chunks):
+            pending = np.arange(size)
+            vals = np.empty(size)
+            rejections = 0
+            while pending.size:
+                cand = scale * sample_positive_stable(rng, beta, pending.size)
+                accept = rng.uniform(size=pending.size) <= np.exp(-kappa * cand)
+                vals[pending[accept]] = cand[accept]
+                rejections += int(np.count_nonzero(~accept))
+                if rejections > _REJECTION_CAP:
+                    raise RejectionBudgetError(
+                        f"tempering rejection cap exceeded (kappa={kappa}, delta={delta})"
+                    )
+                pending = pending[~accept]
+            out += vals
+        return out
+
 
 @dataclass(frozen=True)
-class SumOfStablesExponent:
+class SumOfStablesExponent(LaplaceExponent):
     """phi(lam) = lam^a + lam^b, sum of independent stable subordinators.
 
     Requires 0 < a < b <= 1.  (a = 0 would force phi(0+) = 1, breaking
@@ -131,9 +206,15 @@ class SumOfStablesExponent:
     def index_at_infinity(self) -> float:
         return self.b
 
+    def increments(self, delta, size, rng):
+        first = delta ** (1.0 / self.a) * sample_positive_stable(rng, self.a, size)
+        if self.b == 1.0:
+            return first + delta
+        return first + delta ** (1.0 / self.b) * sample_positive_stable(rng, self.b, size)
+
 
 @dataclass(frozen=True)
-class DriftExponent:
+class DriftExponent(LaplaceExponent):
     """phi(lam) = lam: deterministic time D_t = t.
 
     Degenerate test double (the Levy measure is zero, not infinite);
@@ -151,10 +232,14 @@ class DriftExponent:
     def index_at_infinity(self) -> float:
         return 1.0
 
+    def increments(self, delta, size, rng):
+        return np.full(size, delta)
 
-LaplaceExponent = Union[
-    StableExponent, TemperedStableExponent, SumOfStablesExponent, DriftExponent
-]
+    def laplace_functional(self, a, t, tol):
+        return math.exp(-a * t)
+
+    def inverse_times(self, ts, size, rng, delta_u):
+        return np.repeat(ts[:, None], size, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +256,7 @@ def sample_positive_stable(rng: np.random.Generator, beta: float, size) -> np.nd
         S = sin(beta U) / sin(U)^(1/beta)
             * (sin((1-beta) U) / W)^((1-beta)/beta).
     """
-    if not 0.0 < beta < 1.0:
-        raise ValidationError(f"stable index must be in (0, 1), got {beta}")
+    _check_stable_index(beta)
     u = rng.uniform(0.0, math.pi, size)
     w = rng.exponential(1.0, size)
     return (
@@ -187,58 +271,13 @@ def sample_unit_stable_subordinator(beta: float, seed: int) -> float:
     return float(sample_positive_stable(derive_rng(seed), beta, None))
 
 
-def _sample_tempered(
-    rng: np.random.Generator, beta: float, kappa: float, delta: float, size: int
-) -> np.ndarray:
-    """Tempered-stable increments over operational time ``delta``.
-
-    Exponential tilting by rejection: propose stable increments,
-    accept with probability exp(-kappa * X).  Overall acceptance is
-    exp(-delta * kappa^beta), so large delta is chopped into pieces
-    with acceptance around exp(-0.7) each; the result is exact in
-    distribution by infinite divisibility.
-    """
-    budget = delta * kappa ** beta
-    n_chunks = max(1, math.ceil(budget / 0.7))
-    piece = delta / n_chunks
-    scale = piece ** (1.0 / beta)
-    out = np.zeros(size)
-    for _ in range(n_chunks):
-        pending = np.arange(size)
-        vals = np.empty(size)
-        rejections = 0
-        while pending.size:
-            cand = scale * sample_positive_stable(rng, beta, pending.size)
-            accept = rng.uniform(size=pending.size) <= np.exp(-kappa * cand)
-            vals[pending[accept]] = cand[accept]
-            rejections += int(np.count_nonzero(~accept))
-            if rejections > _REJECTION_CAP:
-                raise RejectionBudgetError(
-                    f"tempering rejection cap exceeded (kappa={kappa}, delta={delta})"
-                )
-            pending = pending[~accept]
-        out += vals
-    return out
-
-
 def sample_increments(
     spec: LaplaceExponent, delta: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """i.i.d. increments D_{delta} for the given exponent, exact in distribution."""
     if delta <= 0.0:
         raise ValidationError(f"delta must be > 0, got {delta}")
-    if isinstance(spec, StableExponent):
-        return delta ** (1.0 / spec.beta) * sample_positive_stable(rng, spec.beta, size)
-    if isinstance(spec, TemperedStableExponent):
-        return _sample_tempered(rng, spec.beta, spec.kappa, delta, size)
-    if isinstance(spec, SumOfStablesExponent):
-        first = delta ** (1.0 / spec.a) * sample_positive_stable(rng, spec.a, size)
-        if spec.b == 1.0:
-            return first + delta
-        return first + delta ** (1.0 / spec.b) * sample_positive_stable(rng, spec.b, size)
-    if isinstance(spec, DriftExponent):
-        return np.full(size, delta)
-    raise ValidationError(f"unsupported Laplace exponent {spec!r}")
+    return spec.increments(delta, size, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -265,26 +304,37 @@ class SubordinatorPath:
             raise ValidationError("path values must be strictly increasing")
 
 
+def _grow_path(
+    spec: LaplaceExponent,
+    horizon: float,
+    delta_u: float,
+    block: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Path values D_{k delta_u}, k = 0, 1, ..., drawn ``block`` increments
+    at a time until the last value exceeds ``horizon``."""
+    chunks = [np.zeros(1)]
+    total = 0.0
+    while total <= horizon:
+        inc = sample_increments(spec, delta_u, block, rng)
+        # resample floating-point ties (zero increments); draws nothing
+        # unless an increment is exactly 0
+        while not inc.all():
+            bad = inc == 0.0
+            inc[bad] = sample_increments(spec, delta_u, int(bad.sum()), rng)
+        chunks.append(inc)
+        total += float(inc.sum())
+    return np.concatenate(chunks).cumsum()
+
+
 def sample_path(
     spec: LaplaceExponent, horizon: float, delta_u: float, seed: int
 ) -> SubordinatorPath:
     """Sample a path until it first exceeds ``horizon`` (physical time)."""
     if horizon <= 0.0 or delta_u <= 0.0:
         raise ValidationError("horizon and delta_u must be > 0")
-    rng = derive_rng(seed)
     block = max(64, int(math.ceil(horizon / max(delta_u, 1e-12))) // 8 + 1)
-    chunks = [np.zeros(1)]
-    total = 0.0
-    while total <= horizon:
-        inc = sample_increments(spec, delta_u, block, rng)
-        # reject floating-point ties (zero increments) and resample
-        bad = inc <= 0.0
-        while np.any(bad):
-            inc[bad] = sample_increments(spec, delta_u, int(bad.sum()), rng)
-            bad = inc <= 0.0
-        chunks.append(inc)
-        total += float(inc.sum())
-    values = np.concatenate(chunks).cumsum()
+    values = _grow_path(spec, horizon, delta_u, block, derive_rng(seed))
     return SubordinatorPath(delta_u=delta_u, values=values, horizon=horizon, seed=seed)
 
 
@@ -345,18 +395,14 @@ def expected_laplace(
 ) -> float:
     """E[exp(-a E_t)] for the inverse subordinator of ``spec``.
 
-    Stable exponents route to the Mittag-Leffler closed form
-    E_beta(-a t^beta); the drift double gives exp(-a t); everything
-    else goes through numerical inversion of the double Laplace
-    transform.
+    Each exponent evaluates its own functional: the Mittag-Leffler
+    closed form E_beta(-a t^beta) for the stable family, exp(-a t) for
+    the drift double, numerical inversion of the double Laplace
+    transform otherwise.
     """
     if a <= 0.0 or t <= 0.0:
         raise ValidationError("a and t must be > 0")
-    if isinstance(spec, StableExponent):
-        return mittag_leffler(spec.beta, -a * t ** spec.beta)
-    if isinstance(spec, DriftExponent):
-        return math.exp(-a * t)
-    return laplace_invert(inverse_time_transform(spec, a), t, tol=tol)
+    return spec.laplace_functional(a, t, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +447,7 @@ def expected_functional(
     integrand jumps.  ``n_quadrature`` caps the adaptive subdivision
     of each level.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValidationError(f"beta must be in (0, 1), got {beta}")
+    _check_stable_index(beta)
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
     if not 0.0 <= lower < upper:

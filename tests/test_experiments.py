@@ -10,6 +10,7 @@ import pytest
 
 from shc_lab import (
     ExperimentConfig,
+    ExperimentResult,
     ValidationError,
     fit_loglog,
     parse_config_file,
@@ -74,6 +75,22 @@ class TestConfig:
         p.write_text("experiment = large_time\nt_min = 1\nt_max = 2\n")
         with pytest.raises(ValidationError):
             parse_config_file(p)
+
+    def test_non_integral_int_rejected(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text("experiment = large_time\nseed = 1.5\nt_min = 1\nt_max = 2\n")
+        with pytest.raises(ValidationError):
+            parse_config_file(p)
+        cfg = parse_config_file(p, overrides=["seed=7", "n_paths=1e5"])
+        assert (cfg.seed, cfg.n_paths) == (7, 100_000)
+
+    def test_unknown_phi_fails_at_parse(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text("experiment = large_time\nseed = 1\nt_min = 1\nt_max = 2\nphi = bogus\n")
+        with pytest.raises(ValidationError):
+            parse_config_file(p)
+        with pytest.raises(ValidationError):
+            parse_config_file(p, overrides=["phi=stable", "beta=1.5"])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
@@ -174,6 +191,21 @@ class TestOutputs:
             assert float(ratio) == jr["ratio"]
             assert method == jr["method"]
 
+    def test_nan_ratio_written_as_null(self):
+        from shc_lab.experiments import ExperimentRow
+
+        res = ExperimentResult(
+            config={"experiment": "large_time"},
+            rows=(ExperimentRow(1.0, 0.5, 0.0, 0.0, "series"),),
+            summary={"final_ratio": math.nan},
+            wall_clock=0.0,
+        )
+        text = res.to_json()
+        assert "NaN" not in text
+        payload = json.loads(text)
+        assert payload["rows"][0]["ratio"] is None
+        assert payload["summary"]["final_ratio"] is None
+
     def test_rerun_byte_identical(self, tmp_path):
         a = run_experiment(self._cfg())
         b = run_experiment(self._cfg())
@@ -221,6 +253,13 @@ class TestCli:
         assert code == 0
         payload = json.loads((out / "large_time.json").read_text())
         assert payload["config"]["beta"] == 0.3
+
+    def test_out_echo_names_directory_used(self, tmp_path):
+        p = self._write_cfg(tmp_path)
+        out = tmp_path / "out3"
+        assert cli_main(["run", str(p), "--out", str(out)]) == 0
+        payload = json.loads((out / "large_time.json").read_text())
+        assert payload["config"]["out"] == str(out)
 
     def test_validation_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"

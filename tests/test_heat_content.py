@@ -85,6 +85,14 @@ class TestSeriesEvaluators:
         assert hv.value == pytest.approx(2.7492108021550323, abs=1e-7)
         assert hv.value <= math.pi
 
+    @pytest.mark.parametrize("t", [1e2, 1e6])
+    def test_inverse_tempered_underflowing_weights(self, eig, t):
+        # every weight is below 1e-79 here; Gaver-Stehfest returns about
+        # -1e-16 for the first one, which must read as 0, not as an error
+        hv = heat_content_inverse(eig, TemperedStableExponent(0.5, 2.0), t, tol=1e-8)
+        assert hv.value == 0.0
+        assert hv.error == 0.0
+
     def test_inverse_drift_equals_plain(self, eig):
         for t in (0.5, 2.0):
             a = heat_content(eig, t, tol=1e-12).value

@@ -1,0 +1,127 @@
+"""Property tests: config round-trip, increment samplers, series certificate."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shc_lab import (
+    DriftExponent,
+    ExperimentConfig,
+    IntervalDomain,
+    StableExponent,
+    SumOfStablesExponent,
+    TemperedStableExponent,
+    bm_interval_eigensystem,
+    parse_config_file,
+    sample_increments,
+    weighted_series,
+)
+from shc_lab.experiments import EXPERIMENTS
+from shc_lab.seeding import derive_rng
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-300, max_value=1e300)
+index = st.floats(min_value=0.05, max_value=0.95)
+# values survive the key=value format: no comment marker, no line break,
+# no surrounding blanks
+word = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-/", min_size=1, max_size=12)
+
+
+@st.composite
+def configs(draw) -> ExperimentConfig:
+    t_min = draw(positive)
+    a = draw(index)
+    return ExperimentConfig(
+        experiment=draw(st.sampled_from(sorted(EXPERIMENTS))),
+        seed=draw(st.integers(min_value=-(2 ** 70), max_value=2 ** 70)),
+        t_min=t_min,
+        t_max=t_min * draw(st.floats(min_value=1.0, max_value=1e6)),
+        t_points=draw(st.integers(min_value=1, max_value=10 ** 6)),
+        alpha=draw(finite),
+        phi=draw(st.sampled_from(["stable", "tempered", "sum", "drift"])),
+        beta=draw(index),
+        kappa=draw(positive),
+        a=a,
+        b=draw(st.one_of(st.just(1.0), st.floats(min_value=a, max_value=1.0, exclude_min=True))),
+        domain_a=draw(finite),
+        domain_b=draw(finite),
+        n_paths=draw(st.integers(min_value=1, max_value=10 ** 12)),
+        dt=draw(st.none() | positive),
+        n_steps=draw(st.integers(min_value=1, max_value=10 ** 6)),
+        truncation=draw(st.integers(min_value=1, max_value=10 ** 6)),
+        tolerance=draw(positive),
+        delta=draw(finite),
+        eigen_table=draw(st.none() | word),
+        out=draw(word),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=configs())
+def test_config_round_trip(tmp_path_factory, cfg):
+    # every field written as key = value (None means: leave the key out)
+    lines = [
+        f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}"
+        for k, v in vars(cfg).items()
+        if v is not None
+    ]
+    path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert parse_config_file(path) == cfg
+
+
+exponents = st.one_of(
+    st.builds(StableExponent, index),
+    st.builds(TemperedStableExponent, index, st.floats(min_value=0.1, max_value=10.0)),
+    index.flatmap(
+        lambda a: st.builds(
+            SumOfStablesExponent,
+            st.just(a),
+            st.one_of(st.just(1.0), st.floats(min_value=a, max_value=1.0, exclude_min=True)),
+        )
+    ),
+    st.just(DriftExponent()),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=exponents,
+    delta=st.floats(min_value=1e-4, max_value=10.0),
+    size=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2 ** 32),
+)
+def test_increments_finite_positive(spec, delta, size, seed):
+    inc = sample_increments(spec, delta, size, derive_rng(seed))
+    assert inc.shape == (size,)
+    assert np.all(np.isfinite(inc))
+    assert np.all(inc > 0.0)
+
+
+# masses 8L/(n pi)^2 on odd n: far past any truncation below
+_FAR = np.arange(1, 200_001, dtype=float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    length=st.floats(min_value=0.5, max_value=5.0),
+    n_modes=st.integers(min_value=1, max_value=300),
+    kind=st.sampled_from(["exp", "power"]),
+    scale=st.floats(min_value=1e-3, max_value=10.0),
+)
+def test_series_bracket_contains_longer_sum(length, n_modes, kind, scale):
+    # the exact sum lies in [value, value + tail_bound]; so does any longer
+    # partial sum, which is a lower bound of the exact sum
+    if kind == "exp":
+        weights = lambda lam: np.exp(-lam * scale)
+    else:
+        weights = lambda lam: (1.0 + lam) ** -scale
+    eig = bm_interval_eigensystem(IntervalDomain(0.0, length), n_modes)
+    sv = weighted_series(eig, lambda lam: float(weights(lam)))
+    lam = (_FAR * math.pi / length) ** 2
+    msq = np.where(_FAR % 2 == 1, 8.0 * length / (_FAR ** 2 * math.pi ** 2), 0.0)
+    longer = float(np.sum(weights(lam) * msq))
+    slack = 1e-12 * length
+    assert sv.value - slack <= longer <= sv.value + sv.tail_bound + slack

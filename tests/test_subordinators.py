@@ -315,6 +315,17 @@ class TestExpectedLaplace:
         bias = 2e-3
         assert abs(vals.mean() - ref) <= 3 * se + bias
 
+    def test_inversion_round_off_below_zero(self, monkeypatch):
+        # the exact functional is >= 0: inversion noise in [-tol, 0) reads
+        # as 0, anything further below zero is passed on for callers to reject
+        import shc_lab.subordinators as sub
+
+        spec, tol = TemperedStableExponent(0.5, 2.0), 1e-9
+        monkeypatch.setattr(sub, "laplace_invert", lambda *a, **k: -0.5 * tol)
+        assert expected_laplace(spec, 1.0, 1.0, tol=tol) == 0.0
+        monkeypatch.setattr(sub, "laplace_invert", lambda *a, **k: -2.0 * tol)
+        assert expected_laplace(spec, 1.0, 1.0, tol=tol) == -2.0 * tol
+
 
 class TestExpectedFunctional:
     def test_normalization(self):
