@@ -53,7 +53,7 @@ from .heat_content import (
     monte_carlo_heat_content,
     monte_carlo_heat_content_grid,
 )
-from .special import TransformFunction, gaver_stehfest, laplace_invert, mittag_leffler
+from .special import fixed_talbot, laplace_invert, mittag_leffler
 from .spectral import (
     EigenSystem,
     IntervalDomain,

@@ -141,7 +141,7 @@ def jump_kernel_constant(alpha: float) -> float:
 
 
 def frac_perimeter_interval(alpha: float, length: float) -> float:
-    """Fractional perimeter of an interval of the given length:
+    """The fractional perimeter of an interval of the given length:
 
         Per_alpha((0, L)) = c(1, alpha) * 2 L^(1-alpha) / (alpha (1-alpha)).
     """

@@ -68,7 +68,7 @@ EXPERIMENTS = {
     "large_time": "inverse-time-changed heat content vs the polynomial large-time law",
     "subordinate_rate": "subordinate heat content log-rate vs -phi(lambda_1)",
     "small_time_mc": "Monte Carlo small-time deficit slope vs the three-regime law",
-    "transform_consistency": "numerical Laplace inversion vs the Mittag-Leffler closed form",
+    "transform_consistency": "Talbot inversion of the double Laplace transform vs the Mittag-Leffler oracle",
     "moment_laws": "quadrature moments of E_t vs the exact stable moment formula",
     "tail_probe": "first-passage tail exponent -beta/(1-beta) by Monte Carlo regression",
 }
@@ -438,7 +438,7 @@ def _run_transform_consistency(config: ExperimentConfig, workers: int) -> tuple[
             ref = mittag_leffler(spec.beta, -a * float(t) ** spec.beta)
             worst = max(worst, abs(inv - ref))
             rows.append(
-                ExperimentRow(float(t), inv, ref, config.tolerance, f"stehfest[a={a:g}]")
+                ExperimentRow(float(t), inv, ref, config.tolerance, f"talbot[a={a:g}]")
             )
     summary = {"max_abs_diff": worst}
     return rows, summary

@@ -1,6 +1,8 @@
 """The three spectral heat contents: plain, subordinate, and
-inverse-time-changed, each by eigen series / Laplace transform, plus a
-Monte Carlo evaluator driven by exit-time simulation.
+inverse-time-changed, each by one eigen series whose weights are
+computed a block of eigenvalues at a time (closed forms for the first
+two, Talbot inversion of the double Laplace transform for the third),
+plus a Monte Carlo evaluator driven by exit-time simulation.
 
 Series evaluators refuse small t when the truncation budget cannot
 certify the requested tolerance; Monte Carlo is the intended tool in
@@ -66,7 +68,7 @@ def heat_content(eig: EigenSystem, t: float, tol: float = 1e-10) -> HeatContentV
     """Q(t) = sum_n exp(-lambda_n t) m_n^2 with a certified tail."""
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
-    sv = weighted_series(eig, lambda lam: math.exp(-lam * t), tol=tol)
+    sv = weighted_series(eig, lambda lams: np.exp(-lams * t), tol=tol)
     return HeatContentValue(t=t, value=sv.value, method="series", error=sv.tail_bound)
 
 
@@ -76,7 +78,7 @@ def heat_content_subordinate(
     """Q(t) for the subordinate process: weights exp(-t phi(lambda_n))."""
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
-    sv = weighted_series(eig, lambda lam: math.exp(-t * float(spec(lam))), tol=tol)
+    sv = weighted_series(eig, lambda lams: np.exp(-t * spec(lams)), tol=tol)
     return HeatContentValue(t=t, value=sv.value, method="series", error=sv.tail_bound)
 
 
@@ -89,14 +91,15 @@ def heat_content_inverse(
 ) -> HeatContentValue:
     """Q(t) for the inverse time change: weights E[exp(-lambda_n E_t)].
 
-    Each weight is a Laplace functional of the inverse subordinator;
-    they are nonincreasing in lambda and bounded by 1, so the usual
-    tail certificate applies.
+    The weights are Laplace functionals of the inverse subordinator,
+    computed for a whole block of eigenvalues per call; they are
+    nonincreasing in lambda and bounded by 1, so the usual tail
+    certificate applies.
     """
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
     sv = weighted_series(
-        eig, lambda lam: expected_laplace(spec, lam, t, tol=inversion_tol), tol=tol
+        eig, lambda lams: expected_laplace(spec, lams, t, tol=inversion_tol), tol=tol
     )
     return HeatContentValue(t=t, value=sv.value, method="transform", error=sv.tail_bound)
 

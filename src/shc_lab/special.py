@@ -5,39 +5,39 @@ Two workhorses live here:
 * :func:`mittag_leffler` evaluates E_beta(x) for beta in (0, 1] and
   x <= 0, switching between the power series, the large-argument
   asymptotic series, and a completely-monotone integral representation
-  depending on which is numerically trustworthy.
+  depending on which is numerically trustworthy.  It is the independent
+  oracle for the inversion.
 * :func:`laplace_invert` inverts a Laplace transform on the real line
-  with the Gaver-Stehfest scheme, using exact rational weights and
-  extended-precision accumulation, with the order doubled until two
-  consecutive orders agree.
+  with the fixed-Talbot contour rule (Abate & Whitt, INFORMS J. Comput.
+  18(4), 2006) in double precision.  The transform is evaluated once per
+  contour node on whole arrays, so the transforms of many functions (one
+  per eigenvalue) invert in one call; two fixed node counts must agree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
-import mpmath as mp
+import numpy as np
 from scipy.integrate import quad
 
 from .errors import InversionError, ValidationError
 
-__all__ = ["mittag_leffler", "TransformFunction", "gaver_stehfest", "laplace_invert"]
+__all__ = ["mittag_leffler", "fixed_talbot", "laplace_invert"]
 
 
 # ---------------------------------------------------------------------------
 # Mittag-Leffler function on the negative half line
 # ---------------------------------------------------------------------------
 
-# Largest tolerated peak term of the alternating power series.  Kahan
-# summation keeps the rounding error near eps * peak, so a 1e6 peak
-# still leaves ~1e-10 absolute accuracy.
-_SERIES_PEAK_CAP = 1.0e6
+# Largest tolerated peak term of the alternating power series.  Its
+# absolute rounding error is a few eps * peak, so a 1e3 peak leaves about
+# 1e-12 (a 1e6 peak cost up to 1e-8 against erfcx at beta = 1/2).
+_SERIES_PEAK_CAP = 1.0e3
 # Acceptable optimal-truncation error of the asymptotic series.
 _ASYMPTOTIC_TOL = 1.0e-12
+_QUAD = dict(epsabs=1e-15, epsrel=1e-13, limit=300)
 
 
 def _series_peak(beta: float, a: float) -> float:
@@ -59,15 +59,19 @@ def _series_peak(beta: float, a: float) -> float:
 
 def _series(beta: float, x: float) -> float:
     # Kahan-compensated partial sums of sum_k x^k / Gamma(beta k + 1).
+    # |x|^k / Gamma directly while both are finite: exp of the difference
+    # of logarithms would carry eps times their size into every term
+    la = math.log(abs(x))
     total, comp = 1.0, 0.0
     k = 0
     while k < 100_000:
         k += 1
-        log_t = k * math.log(abs(x)) - math.lgamma(beta * k + 1.0)
-        if log_t < -745.0:
-            term = 0.0
+        g = beta * k + 1.0
+        if g < 170.0 and k * la < 700.0:
+            term = abs(x) ** k / math.gamma(g)
         else:
-            term = math.exp(log_t)
+            log_t = k * la - math.lgamma(g)
+            term = 0.0 if log_t < -745.0 else math.exp(log_t)
         if k % 2 == 1:
             term = -term
         y = term - comp
@@ -116,23 +120,40 @@ def _cm_integral(beta: float, a: float) -> float:
         E_beta(-a) = sin(beta pi)/(beta pi)
                      * int_0^inf exp(-(a u)^(1/beta)) / (u^2 + 2 u cos(beta pi) + 1) du
 
-    The integrand is positive, so there is no cancellation.
+    The integrand is positive, so there is no cancellation.  For beta > 1/2
+    the kernel 1 / ((u + cos(beta pi))^2 + sin(beta pi)^2) peaks at
+    u = -cos(beta pi) with width sin(beta pi), which tends to 0 as
+    beta -> 1.  On the window |u + cos(beta pi)| < |cos(beta pi)| / 2 the
+    substitution u + cos(beta pi) = sin(beta pi) tan(v) turns kernel times
+    sin(beta pi) du into dv, a bounded integrand on a finite interval.
     """
-    c = math.cos(beta * math.pi)
+    c, s = math.cos(beta * math.pi), math.sin(beta * math.pi)
     p = 1.0 / beta
+    cap = 700.0 ** beta  # exp(-(a u)^p) underflows for a u above it
 
-    def f(u: float) -> float:
-        arg = (a * u) ** p
-        if arg > 700.0:
-            return 0.0
-        return math.exp(-arg) / (u * (u + 2.0 * c) + 1.0)
+    def in_u(u: float) -> float:
+        # outside the window the denominator is at least 1/4: no cancellation
+        au = a * u
+        return 0.0 if au > cap else math.exp(-(au ** p)) / (u * (u + 2.0 * c) + 1.0)
+
+    def in_v(v: float) -> float:
+        au = a * max(s * math.tan(v) - c, 0.0)
+        return 0.0 if au > cap else math.exp(-(au ** p))
 
     # The exponential support lives at u ~ 1/a; split so quad sees it.
-    cut = min(1.0, 5.0 / a) if a > 5.0 else 1.0
-    v1, _ = quad(f, 0.0, cut, epsabs=1e-15, epsrel=1e-13, limit=300)
-    v2, _ = quad(f, cut, 1.0, epsabs=1e-15, epsrel=1e-13, limit=300) if cut < 1.0 else (0.0, 0.0)
-    v3, _ = quad(f, 1.0, math.inf, epsabs=1e-15, epsrel=1e-13, limit=300)
-    return math.sin(beta * math.pi) / (beta * math.pi) * (v1 + v2 + v3)
+    cuts = (0.0, 5.0 / a, 1.0, math.inf) if a > 5.0 else (0.0, 1.0, math.inf)
+    win = (-0.5 * c, -1.5 * c) if c < 0.0 else (math.inf, math.inf)
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        # the parts of [lo, hi] below, inside and above the window
+        w_lo, w_hi = (min(max(w, lo), hi) for w in win)
+        if lo < w_lo:
+            total += s * quad(in_u, lo, w_lo, **_QUAD)[0]
+        if w_lo < w_hi:
+            total += quad(in_v, math.atan2(w_lo + c, s), math.atan2(w_hi + c, s), **_QUAD)[0]
+        if w_hi < hi:
+            total += s * quad(in_u, w_hi, hi, **_QUAD)[0]
+    return total / (beta * math.pi)
 
 
 def mittag_leffler(beta: float, x: float) -> float:
@@ -154,112 +175,66 @@ def mittag_leffler(beta: float, x: float) -> float:
     if _series_peak(beta, a) <= _SERIES_PEAK_CAP:
         return _series(beta, x)
     val, err = _asymptotic(beta, a)
-    if err <= _ASYMPTOTIC_TOL:
+    # the asymptotic series expands the integral's kernel in powers of u and
+    # misses its peak near u = 1 (sharp as beta -> 1), worth about
+    # exp(-a^(1/beta)): accept it only where that is below tolerance too
+    if err <= _ASYMPTOTIC_TOL and a >= (-math.log(_ASYMPTOTIC_TOL)) ** beta:
         return val
     return _cm_integral(beta, a)
 
 
 # ---------------------------------------------------------------------------
-# Gaver-Stehfest inversion
+# Fixed-Talbot inversion
 # ---------------------------------------------------------------------------
 
+# Node counts of the two inversions whose agreement certifies a result.
+# The contour weights grow like e^(2M/5), which amplifies round-off in
+# double precision, so doubling M is no check.  Against
+# E_{1/2}(-a t^{1/2}) = erfcx(a t^{1/2}) over a in [1e-2, 1e3] and t in
+# [1e-2, 1e6], M = 16 is off by 6e-12, 24 by 8e-13, 48 by 1e-8, 64 by 4e-6.
+_TALBOT_NODES = (16, 24)
 
-@dataclass(frozen=True)
-class TransformFunction:
-    """A Laplace transform F(s) on a declared real domain.
 
-    The evaluator must accept generic numeric input (floats or mpmath
-    floats built from +, *, **), because high inversion orders evaluate
-    F at extended precision.  ``sup_bound``, when given, asserts the
-    transform of a bounded nonnegative function: 0 <= s F(s) <= bound.
+def fixed_talbot(transform: Callable, t: float, nodes: int):
+    """Fixed-Talbot inversion of ``transform`` at ``t`` with ``nodes`` nodes.
+
+    With r = 2 nodes / (5 t) and theta_k = k pi / nodes, the contour is
+    s_k = r theta_k (cot theta_k + i) (s_0 = r) and
+
+        f(t) ~ (r / nodes) Re sum_k g_k e^(t s_k) F(s_k),
+        g_0 = 1/2,  g_k = 1 + i (theta_k + (theta_k cot theta_k - 1) cot theta_k).
+
+    ``transform`` maps the 1-d complex array of nodes to values with the
+    nodes on the last axis; leading axes (one per function) are kept.
     """
-
-    evaluator: Callable
-    s_min: float = 0.0
-    s_max: float = math.inf
-    sup_bound: float | None = None
-
-    def __call__(self, s):
-        if s <= self.s_min or s > self.s_max:
-            raise ValidationError(f"s={s} outside declared domain ({self.s_min}, {self.s_max}]")
-        v = self.evaluator(s)
-        if self.sup_bound is not None:
-            sv = float(s * v)
-            if sv < -1e-12 or sv > self.sup_bound * (1.0 + 1e-9):
-                raise ValidationError(
-                    f"s*F(s)={sv} violates the declared bound [0, {self.sup_bound}]"
-                )
-        return v
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValidationError(f"t must be finite and > 0, got {t}")
+    if not isinstance(nodes, int) or nodes < 2:
+        raise ValidationError(f"nodes must be an integer >= 2, got {nodes!r}")
+    r = 2.0 * nodes / (5.0 * t)
+    theta = math.pi * np.arange(1, nodes) / nodes
+    cot = 1.0 / np.tan(theta)
+    s = np.concatenate(([r], r * theta * (cot + 1j)))
+    g = np.concatenate(([0.5], 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)))
+    return np.real(transform(s) @ (g * np.exp(t * s))) * (r / nodes)
 
 
-@lru_cache(maxsize=None)
-def _stehfest_weights(order: int) -> tuple[Fraction, ...]:
-    """Exact rational Stehfest weights V_1..V_order (order must be even)."""
-    m = order // 2
-    weights = []
-    for i in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range((i + 1) // 2, min(i, m) + 1):
-            num = Fraction(k ** m) * math.factorial(2 * k)
-            den = (
-                math.factorial(m - k)
-                * math.factorial(k)
-                * math.factorial(k - 1)
-                * math.factorial(i - k)
-                * math.factorial(2 * k - i)
-            )
-            acc += Fraction(num, den)
-        weights.append((-1) ** (m + i) * acc)
-    return tuple(weights)
+def laplace_invert(transform: Callable, t: float, tol: float = 1.0e-9):
+    """Invert a Laplace transform at ``t > 0`` (array-valued transforms
+    invert elementwise, see :func:`fixed_talbot`).
 
-
-def gaver_stehfest(transform: Callable, t: float, order: int) -> float:
-    """Fixed-order Gaver-Stehfest inversion of ``transform`` at ``t``.
-
-    Accumulates in mpmath arithmetic sized to the order; the weights
-    alternate with magnitudes around 10^(0.6 * order), so double
-    precision is unusable above order ~14.
-    """
-    if t <= 0.0:
-        raise ValidationError(f"t must be > 0, got {t}")
-    if order < 2 or order % 2:
-        raise ValidationError(f"order must be a positive even integer, got {order}")
-    weights = _stehfest_weights(order)
-    with mp.workdps(max(30, int(2.2 * order))):
-        ln2_t = mp.ln(2) / mp.mpf(t)
-        total = mp.mpf(0)
-        for i, w in enumerate(weights, start=1):
-            total += mp.mpf(w.numerator) / mp.mpf(w.denominator) * transform(i * ln2_t)
-        return float(ln2_t * total)
-
-
-def laplace_invert(
-    transform: Callable,
-    t: float,
-    order: int = 8,
-    tol: float = 1.0e-9,
-    max_order: int = 64,
-) -> float:
-    """Invert a Laplace transform at ``t > 0``.
-
-    Starts at ``order`` and doubles until two consecutive orders agree
-    within ``tol`` (absolute); returns the higher-order value.  Raises
-    :class:`InversionError` when ``max_order`` is reached without
-    agreement, which signals an ill-conditioned inversion for this
-    transform/t combination.
+    Returns the 24-node value and raises :class:`InversionError` when it
+    differs from the 16-node value by more than ``tol`` (absolute), which
+    signals a transform the contour does not resolve at this t (a
+    discontinuous original, or a singularity outside the contour).
 
     Intended for transforms of smooth bounded functions (here:
-    completely monotone Laplace functionals of inverse subordinators),
-    the regime where the Gaver-Stehfest family is reliable.
+    completely monotone Laplace functionals of inverse subordinators).
     """
-    prev = gaver_stehfest(transform, t, order)
-    n = 2 * order
-    while n <= max_order:
-        cur = gaver_stehfest(transform, t, n)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-        n *= 2
-    raise InversionError(
-        f"Gaver-Stehfest orders up to {max_order} disagree beyond tol={tol} at t={t}"
-    )
+    coarse, fine = (fixed_talbot(transform, t, m) for m in _TALBOT_NODES)
+    gap = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if not gap <= tol:
+        raise InversionError(
+            f"Talbot inversions with {_TALBOT_NODES} nodes differ by {gap:.3g} > tol={tol} at t={t}"
+        )
+    return fine

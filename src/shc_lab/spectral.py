@@ -107,6 +107,11 @@ def bm_interval_eigensystem(domain: IntervalDomain, n_modes: int) -> EigenSystem
     return EigenSystem(lambdas=lam, masses_sq=msq, total_mass=L)
 
 
+# Nonzero-mass modes per weight evaluation in weighted_series: bounds its
+# memory whatever the eigen table size.
+_BLOCK = 512
+
+
 @dataclass(frozen=True)
 class SeriesValue:
     """A partial eigen sum together with its certified tail bound.
@@ -122,41 +127,49 @@ class SeriesValue:
 
 def weighted_series(
     eig: EigenSystem,
-    weight: Callable[[float], float],
+    weights: Callable[[np.ndarray], np.ndarray],
     tol: float | None = None,
 ) -> SeriesValue:
-    """sum_n weight(lambda_n) m_n^2 with a certified truncation bound.
+    """sum_n w(lambda_n) m_n^2 with a certified truncation bound.
 
-    ``weight`` must be nonincreasing and nonnegative (checked on the
+    ``weights`` maps an array of eigenvalues to the array of their
+    weights, which must be nonincreasing and nonnegative (checked on the
     evaluated sequence).  After the last evaluated term the tail obeys
 
-        tail <= weight(lambda_N) * (total_mass - partial_mass_N).
+        tail <= w(lambda_N) * (total_mass - partial_mass_N).
 
-    With ``tol`` given, evaluation stops early once the certificate
-    drops below ``tol`` and raises :class:`TruncationBudgetError` if the
-    budget runs out first.  Zero-mass modes never cost a weight
-    evaluation (their certificate is inherited from the previous mode).
+    Weights are evaluated on blocks of ``_BLOCK`` nonzero-mass modes (a
+    zero-mass mode never costs a weight evaluation).  With ``tol`` given,
+    evaluation stops at the first mode whose certificate drops below
+    ``tol``, and only the weights up to that mode are checked and summed;
+    :class:`TruncationBudgetError` is raised if the budget runs out first.
     """
-    lam = eig.lambdas
-    msq = eig.masses_sq
-    total = 0.0
-    mass_used = 0.0
-    prev_w = math.inf
-    cert = math.inf
-    n_used = 0
-    for i in range(eig.size):
-        if msq[i] == 0.0:
-            continue
-        w = float(weight(float(lam[i])))
-        if not math.isfinite(w) or w < 0.0:
-            raise ValidationError(f"weight({lam[i]}) = {w} is not a finite nonnegative value")
-        if w > prev_w * (1.0 + 1e-9) + 1e-12:
+    (nonzero,) = np.nonzero(eig.masses_sq)
+    total, mass_used, prev_w = 0.0, 0.0, math.inf
+    cert, n_used = math.inf, 0
+    for start in range(0, nonzero.size, _BLOCK):
+        idx = nonzero[start:start + _BLOCK]
+        w = np.asarray(weights(eig.lambdas[idx]), dtype=float)
+        msq = eig.masses_sq[idx]
+        # running sums in mode order, carried across blocks
+        mass = np.cumsum(np.concatenate(([mass_used], msq)))[1:]
+        certs = w * np.maximum(eig.total_mass - mass, 0.0)
+        if tol is not None:
+            (done,) = np.nonzero(certs <= tol)
+            if done.size:
+                w = w[:done[0] + 1]
+        bad = ~np.isfinite(w) | (w < 0.0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            lam = eig.lambdas[idx[k]]
+            raise ValidationError(f"weight({lam}) = {w[k]} is not a finite nonnegative value")
+        steps = np.concatenate(([prev_w], w))
+        if np.any(np.diff(steps) > steps[:-1] * 1e-9 + 1e-12):
             raise ValidationError("weight must be nonincreasing in lambda")
-        prev_w = w
-        total += w * msq[i]
-        mass_used += msq[i]
-        n_used = i + 1
-        cert = w * max(eig.total_mass - mass_used, 0.0)
+        n = w.size
+        total = float(np.cumsum(np.concatenate(([total], w * msq[:n])))[-1])
+        mass_used, prev_w = float(mass[n - 1]), float(w[-1])
+        cert, n_used = float(certs[n - 1]), int(idx[n - 1]) + 1
         if tol is not None and cert <= tol:
             return SeriesValue(value=total, tail_bound=cert, n_terms=n_used)
     if tol is not None and cert > tol:

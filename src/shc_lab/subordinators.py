@@ -7,9 +7,12 @@ degenerate pure-drift exponent used as a test double.  Each exponent
 knows its regular-variation indices at 0+ and at infinity, which drive
 the asymptotic laws downstream, and owns its sampler of increments, its
 Laplace functional E[exp(-a E_t)] of the inverse E_t = inf{u : D_u > t}
-and its sampler of E_t.  The shared base falls back to numerical
-inversion and to first passage across a discretized path; the stable
-family (E_t =d (t / D_1)^beta) and the drift are exact.  Expectations
+and its sampler of E_t.  The functional takes a whole array of a (one per
+eigenvalue): the shared base inverts the double Laplace transform
+phi(s) / (s (phi(s) + a)) on one Talbot contour, evaluating phi once per
+node, and only the drift double (exp(-a t)) overrides it.  E_t falls back
+to first passage across a discretized path; the stable family
+(E_t =d (t / D_1)^beta) and the drift sample it exactly.  Expectations
 E[g(E_t)] for the stable family are computed by deterministic nested
 quadrature in the Kanter representation
 E_t =d t^beta (W / A(U))^(1-beta), U ~ Uniform(0, pi), W ~ Exp(1).
@@ -24,9 +27,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import HorizonError, RejectionBudgetError, ValidationError
+from .errors import HorizonError, InversionError, RejectionBudgetError, ValidationError
 from .seeding import derive_rng
-from .special import TransformFunction, laplace_invert, mittag_leffler
+from .special import laplace_invert
 
 __all__ = [
     "StableExponent",
@@ -72,12 +75,16 @@ class LaplaceExponent:
         """i.i.d. increments D_delta, exact in distribution."""
         raise NotImplementedError
 
-    def laplace_functional(self, a: float, t: float, tol: float) -> float:
-        """E[exp(-a E_t)] by numerical inversion of the double Laplace transform."""
+    def laplace_functional(self, a, t: float, tol: float):
+        """E[exp(-a E_t)] for each entry of ``a``, by numerical inversion of
+        the double Laplace transform; a scalar ``a`` gives a scalar."""
         value = laplace_invert(inverse_time_transform(self, a), t, tol=tol)
-        # the exact value is >= 0 and the inversion agrees with it to tol,
-        # so a value in [-tol, 0) is round-off of an underflowing weight
-        return 0.0 if -tol <= value < 0.0 else value
+        # the exact value lies in [0, 1] and the inversion agrees with it to
+        # tol, so a value in [-tol, 0) is round-off of an underflowing weight
+        value = np.where((-tol <= value) & (value < 0.0), 0.0, value)
+        if np.any(value > 1.0 + tol):
+            raise InversionError(f"E[exp(-a E_t)] inverted to {value.max()!r} > 1 at t={t}")
+        return value[()]
 
     def inverse_times(self, ts: np.ndarray, size: int, rng, delta_u: float) -> np.ndarray:
         """E_t per (t, path), shape (len(ts), size), coupled across the grid:
@@ -112,10 +119,6 @@ class StableExponent(LaplaceExponent):
 
     def increments(self, delta, size, rng):
         return delta ** (1.0 / self.beta) * sample_positive_stable(rng, self.beta, size)
-
-    def laplace_functional(self, a, t, tol):
-        """The Mittag-Leffler closed form E_beta(-a t^beta)."""
-        return mittag_leffler(self.beta, -a * t ** self.beta)
 
     def inverse_times(self, ts, size, rng, delta_u):
         """Exact: E_t =d (t / D_1)^beta with one D_1 per path (self-similarity)."""
@@ -236,7 +239,7 @@ class DriftExponent(LaplaceExponent):
         return np.full(size, delta)
 
     def laplace_functional(self, a, t, tol):
-        return math.exp(-a * t)
+        return np.exp(-np.asarray(a, dtype=float) * t)[()]
 
     def inverse_times(self, ts, size, rng, delta_u):
         return np.repeat(ts[:, None], size, axis=1)
@@ -372,35 +375,34 @@ def sample_inverse_stable(beta: float, t: float, rng: np.random.Generator, size=
 # ---------------------------------------------------------------------------
 
 
-def inverse_time_transform(spec: LaplaceExponent, a: float) -> TransformFunction:
+def inverse_time_transform(spec: LaplaceExponent, a) -> Callable:
     """Laplace transform (in t) of t -> E[exp(-a E_t)]:
 
-        F(s) = phi(s) / (s (phi(s) + a)),  s > 0.
+        F(s) = phi(s) / (s (phi(s) + a)),  Re s > 0 and on the Talbot contour.
 
-    The original function is bounded by 1, recorded in the transform's
-    sup bound.
+    For an array ``a`` the transform of nodes ``s`` has shape
+    ``a.shape + s.shape``: phi is evaluated once per node and broadcast
+    over every ``a``.
     """
-    if a <= 0.0:
-        raise ValidationError(f"a must be > 0, got {a}")
+    a = np.asarray(a, dtype=float)
+    if np.any(a <= 0.0):
+        raise ValidationError(f"a must be > 0, got {a.min()!r}")
 
-    def evaluator(s):
+    def transform(s):
         ph = spec(s)
-        return ph / (s * (ph + a))
+        return ph / (s * np.add.outer(a, ph))
 
-    return TransformFunction(evaluator=evaluator, s_min=0.0, sup_bound=1.0)
+    return transform
 
 
-def expected_laplace(
-    spec: LaplaceExponent, a: float, t: float, tol: float = 1.0e-9
-) -> float:
-    """E[exp(-a E_t)] for the inverse subordinator of ``spec``.
+def expected_laplace(spec: LaplaceExponent, a, t: float, tol: float = 1.0e-9):
+    """E[exp(-a E_t)] for the inverse subordinator of ``spec``, for each
+    entry of ``a`` (a scalar ``a`` gives a scalar).
 
-    Each exponent evaluates its own functional: the Mittag-Leffler
-    closed form E_beta(-a t^beta) for the stable family, exp(-a t) for
-    the drift double, numerical inversion of the double Laplace
-    transform otherwise.
+    The exponent evaluates its own functional: exp(-a t) for the drift
+    double, Talbot inversion of the double Laplace transform otherwise.
     """
-    if a <= 0.0 or t <= 0.0:
+    if np.any(np.asarray(a) <= 0.0) or t <= 0.0:
         raise ValidationError("a and t must be > 0")
     return spec.laplace_functional(a, t, tol)
 

@@ -228,7 +228,7 @@ def test_04_inversion_consistency():
                 inv = laplace_invert(transform, float(t), tol=1e-9)
                 ref = mittag_leffler(beta, -a * float(t) ** beta)
                 worst = max(worst, abs(inv - ref))
-    ok = worst <= 1e-6
+    ok = worst <= 1e-10
     report("4 [inversion consistency]", ok, f"max |invert - closed form| = {worst:.2e}")
     assert ok
 

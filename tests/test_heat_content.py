@@ -87,11 +87,12 @@ class TestSeriesEvaluators:
 
     @pytest.mark.parametrize("t", [1e2, 1e6])
     def test_inverse_tempered_underflowing_weights(self, eig, t):
-        # every weight is below 1e-79 here; Gaver-Stehfest returns about
-        # -1e-16 for the first one, which must read as 0, not as an error
+        # every weight is below 1e-79 here; the inversion returns round-off
+        # of either sign near 1e-14 (a small negative one reads as 0), which
+        # must not raise: the value lies in [0, inversion tol]
         hv = heat_content_inverse(eig, TemperedStableExponent(0.5, 2.0), t, tol=1e-8)
-        assert hv.value == 0.0
-        assert hv.error == 0.0
+        assert 0.0 <= hv.value <= 1e-9
+        assert 0.0 <= hv.error <= 1e-8
 
     def test_inverse_drift_equals_plain(self, eig):
         for t in (0.5, 2.0):

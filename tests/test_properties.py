@@ -1,4 +1,5 @@
-"""Property tests: config round-trip, increment samplers, series certificate."""
+"""Property tests: config round-trip, increment samplers, series certificate,
+Mittag-Leffler range and monotonicity."""
 
 import math
 
@@ -14,6 +15,7 @@ from shc_lab import (
     SumOfStablesExponent,
     TemperedStableExponent,
     bm_interval_eigensystem,
+    mittag_leffler,
     parse_config_file,
     sample_increments,
     weighted_series,
@@ -119,9 +121,26 @@ def test_series_bracket_contains_longer_sum(length, n_modes, kind, scale):
     else:
         weights = lambda lam: (1.0 + lam) ** -scale
     eig = bm_interval_eigensystem(IntervalDomain(0.0, length), n_modes)
-    sv = weighted_series(eig, lambda lam: float(weights(lam)))
+    sv = weighted_series(eig, weights)
     lam = (_FAR * math.pi / length) ** 2
     msq = np.where(_FAR % 2 == 1, 8.0 * length / (_FAR ** 2 * math.pi ** 2), 0.0)
     longer = float(np.sum(weights(lam) * msq))
     slack = 1e-12 * length
     assert sv.value - slack <= longer <= sv.value + sv.tail_bound + slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    beta=st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+    log_a=st.floats(min_value=-3.0, max_value=4.0),
+    step=st.floats(min_value=1e-6, max_value=1.0),
+)
+def test_mittag_leffler_bounded_and_monotone(beta, log_a, step):
+    # |x| from 1e-3 to 1e4 crosses the series / integral / asymptotic
+    # switch points for every beta.  Steps stay above the rounding of the
+    # value (an ulp step can go either way), and beta = 1 is exp(x), which
+    # underflows to 0 past |x| = 745.
+    a = 10.0 ** log_a
+    near = mittag_leffler(beta, -a)
+    far = mittag_leffler(beta, -a * (1.0 + step))
+    assert 0.0 < far <= near <= 1.0

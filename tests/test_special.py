@@ -1,4 +1,4 @@
-"""Mittag-Leffler evaluation and Gaver-Stehfest inversion."""
+"""Mittag-Leffler evaluation and fixed-Talbot inversion."""
 
 import math
 
@@ -8,9 +8,12 @@ from scipy.special import erfcx
 
 from shc_lab import (
     InversionError,
-    TransformFunction,
+    StableExponent,
+    TemperedStableExponent,
     ValidationError,
-    gaver_stehfest,
+    expected_laplace,
+    fixed_talbot,
+    inverse_time_transform,
     laplace_invert,
     mittag_leffler,
 )
@@ -49,6 +52,23 @@ class TestMittagLeffler:
     def test_erfc_identity_all_branches(self, a):
         # sweeps the series / asymptotic / integral switch points
         assert mittag_leffler(0.5, -a) == pytest.approx(float(erfcx(a)), rel=1e-9)
+
+    def test_erfc_identity_dense_grid(self):
+        # absolute accuracy on every branch, across each switch point: the
+        # power series is capped where its rounding error stays below 1e-11
+        zs = np.logspace(-3, 3, 2001)
+        err = max(abs(mittag_leffler(0.5, -float(z)) - float(erfcx(z))) for z in zs)
+        assert err <= 1e-11
+
+    @pytest.mark.parametrize("beta", [0.999, 0.99999, 1.0 - 2.0 ** -45])
+    def test_near_one_matches_inversion(self, beta):
+        # as beta -> 1 the integral's kernel tends to a point mass at u = 1,
+        # which the asymptotic series cannot see; Talbot inversion of
+        # s^(beta-1) / (s^beta + a) is the independent reference
+        a = np.logspace(-2, 3, 60)
+        ref = expected_laplace(StableExponent(beta), a, 1.0)
+        vals = np.array([mittag_leffler(beta, -float(x)) for x in a])
+        assert np.max(np.abs(vals - ref)) <= 1e-11
 
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 0.95])
     def test_bounds_and_monotonicity(self, beta):
@@ -100,39 +120,76 @@ class TestLaplaceInvert:
         )
 
     def test_fixed_order_consistency(self):
-        v8 = gaver_stehfest(lambda s: 1 / (s + 2), 0.5, 8)
-        v16 = gaver_stehfest(lambda s: 1 / (s + 2), 0.5, 16)
+        # both node counts resolve e^{-2t} far below the default tol, and
+        # laplace_invert returns the 24-node value
+        F = lambda s: 1 / (s + 2)
+        v16 = fixed_talbot(F, 0.5, 16)
+        v24 = fixed_talbot(F, 0.5, 24)
         exact = math.exp(-1.0)
-        assert v8 == pytest.approx(exact, abs=5e-3)
-        assert abs(v16 - exact) < abs(v8 - exact)
+        assert v16 == pytest.approx(exact, abs=1e-11)
+        assert v24 == pytest.approx(exact, abs=1e-12)
+        assert laplace_invert(F, 0.5) == v24
+
+    def test_array_transform_inverts_elementwise(self):
+        # nodes on the last axis, one row per function: e^{-a t} for each a
+        a = np.array([0.5, 1.0, 5.0])
+        v = laplace_invert(lambda s: 1 / np.add.outer(a, s), 1.0)
+        assert v.shape == (3,)
+        assert np.allclose(v, np.exp(-a), rtol=0, atol=1e-11)
 
     def test_ill_conditioning_signal(self):
-        # transform of a unit step at t=1; discontinuity defeats the scheme
-        def F(s):
-            import mpmath as mp
-            return mp.exp(-s) / s
-
+        # transform of a unit step at t=1; the discontinuity defeats the
+        # contour, so the two node counts disagree
         with pytest.raises(InversionError):
-            laplace_invert(F, 1.0, tol=1e-12, max_order=32)
+            laplace_invert(lambda s: np.exp(-s) / s, 1.0)
 
     def test_order_validation(self):
-        with pytest.raises(ValidationError):
-            gaver_stehfest(lambda s: 1 / s, 1.0, 7)
-        with pytest.raises(ValidationError):
-            gaver_stehfest(lambda s: 1 / s, -1.0, 8)
+        F = lambda s: 1 / s
+        for nodes in (1, 0, 16.0, True):
+            with pytest.raises(ValidationError):
+                fixed_talbot(F, 1.0, nodes)
+        for t in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                fixed_talbot(F, t, 16)
+            with pytest.raises(ValidationError):
+                laplace_invert(F, t)
 
 
 class TestTransformFunction:
-    def test_domain_enforced(self):
-        tf = TransformFunction(evaluator=lambda s: 1 / s, s_min=0.0, s_max=10.0)
-        with pytest.raises(ValidationError):
-            tf(11.0)
+    """The double Laplace transform phi(s) / (s (phi(s) + a)) of the
+    inverse time change, and the bound on what its inversion may return."""
 
-    def test_sup_bound_enforced(self):
-        tf = TransformFunction(evaluator=lambda s: 2.0 / s, sup_bound=1.0)
+    spec = TemperedStableExponent(0.5, 2.0)
+
+    def test_domain_enforced(self):
         with pytest.raises(ValidationError):
-            tf(1.0)
+            inverse_time_transform(self.spec, np.array([1.0, 0.0]))
+        with pytest.raises(ValidationError):
+            inverse_time_transform(self.spec, -1.0)
+
+    def test_sup_bound_enforced(self, monkeypatch):
+        # the exact E[exp(-a E_t)] is at most 1: an inverted value above
+        # 1 + tol is an inversion failure, not a weight
+        import shc_lab.subordinators as sub
+
+        tol = 1e-9
+        a = np.array([1.0, 2.0])
+        monkeypatch.setattr(sub, "laplace_invert", lambda *x, **k: np.array([1.0 + 0.5 * tol, 0.5]))
+        assert np.array_equal(expected_laplace(self.spec, a, 1.0, tol=tol), [1.0 + 0.5 * tol, 0.5])
+        monkeypatch.setattr(sub, "laplace_invert", lambda *x, **k: np.array([1.0 + 2.0 * tol, 0.5]))
+        with pytest.raises(InversionError):
+            expected_laplace(self.spec, a, 1.0, tol=tol)
 
     def test_passthrough(self):
-        tf = TransformFunction(evaluator=lambda s: 1.0 / (s + 1.0), sup_bound=1.0)
-        assert tf(1.0) == pytest.approx(0.5)
+        # an array of a broadcasts over the nodes: row i is the scalar transform of a[i]
+        s = np.array([0.5 + 0.0j, 1.0 + 2.0j, -3.0 + 1.0j])
+        a = np.array([0.5, 1.0, 5.0])
+        rows = inverse_time_transform(self.spec, a)(s)
+        assert rows.shape == (3, 3)
+        for i, ai in enumerate(a):
+            ph = self.spec(s)
+            assert np.allclose(rows[i], ph / (s * (ph + ai)), rtol=1e-15, atol=0)
+            assert np.array_equal(rows[i], inverse_time_transform(self.spec, ai)(s))
+        assert inverse_time_transform(self.spec, 1.0)(1.0) == pytest.approx(
+            self.spec(1.0) / (self.spec(1.0) + 1.0)
+        )

@@ -65,13 +65,13 @@ class TestWeightedSeries:
         self.eig = bm_interval_eigensystem(IntervalDomain(0.0, math.pi), 2001)
 
     def test_unit_weight_recovers_mass(self):
-        sv = weighted_series(self.eig, lambda lam: 1.0)
+        sv = weighted_series(self.eig, np.ones_like)
         assert sv.value + sv.tail_bound >= math.pi - 1e-12
         assert sv.value <= math.pi
 
     def test_single_mode_dominance(self):
         t = 30.0
-        sv = weighted_series(self.eig, lambda lam: math.exp(-lam * t))
+        sv = weighted_series(self.eig, lambda lam: np.exp(-lam * t))
         lead = math.exp(-t) * 8.0 / math.pi
         assert sv.value == pytest.approx(lead, rel=1e-10)
 
@@ -80,7 +80,7 @@ class TestWeightedSeries:
         t = 0.5
         n = np.arange(1, 400, 2, dtype=float)
         direct = float(np.sum(np.exp(-(n ** 2) * t) * 8.0 / (math.pi * n ** 2)))
-        sv = weighted_series(self.eig, lambda lam: math.exp(-lam * t))
+        sv = weighted_series(self.eig, lambda lam: np.exp(-lam * t))
         assert sv.value == pytest.approx(direct, abs=1e-12)
 
     def test_tail_certificate_windows_nest(self):
@@ -95,9 +95,69 @@ class TestWeightedSeries:
             prev = sv
 
     def test_early_stop_certificate(self):
-        sv = weighted_series(self.eig, lambda lam: math.exp(-lam), tol=1e-10)
+        sv = weighted_series(self.eig, lambda lam: np.exp(-lam), tol=1e-10)
         assert sv.tail_bound <= 1e-10
         assert sv.n_terms < self.eig.size
+
+    @pytest.mark.parametrize("tol", [None, 1e-3, 1e-8, 1e-13])
+    @pytest.mark.parametrize("kind", ["exp", "power"])
+    def test_matches_mode_by_mode_loop(self, tol, kind):
+        # the running sums are sequential, as in a loop over the modes, so
+        # the blocked evaluation must agree with one bit for bit
+        eig = bm_interval_eigensystem(IntervalDomain(0.0, math.pi), 3001)
+        w = (lambda lam: np.exp(-1e-3 * lam)) if kind == "exp" else (lambda lam: (1.0 + lam) ** -0.6)
+        total, mass_used, cert, n_used = 0.0, 0.0, math.inf, 0
+        for i in range(eig.size):
+            if eig.masses_sq[i] == 0.0:
+                continue
+            wi = float(w(eig.lambdas[i:i + 1])[0])
+            total += wi * eig.masses_sq[i]
+            mass_used += eig.masses_sq[i]
+            n_used = i + 1
+            cert = wi * max(eig.total_mass - mass_used, 0.0)
+            if tol is not None and cert <= tol:
+                break
+        if tol is not None and cert > tol:
+            with pytest.raises(TruncationBudgetError):
+                weighted_series(eig, w, tol=tol)
+            return
+        sv = weighted_series(eig, w, tol=tol)
+        assert (sv.value, sv.tail_bound, sv.n_terms) == (total, cert, n_used)
+
+    def test_blocks_bound_memory_and_stop_early(self):
+        # weights are asked for in blocks of nonzero-mass modes only, and
+        # evaluation stops at the first block holding a certifying mode
+        from shc_lab import spectral
+
+        eig = bm_interval_eigensystem(IntervalDomain(0.0, math.pi), 10 * spectral._BLOCK + 1)
+        sizes = []
+
+        def w(lam):
+            sizes.append(lam.size)
+            return 1.0 / (1.0 + lam)
+
+        weighted_series(eig, w)
+        assert max(sizes) == spectral._BLOCK
+        assert sum(sizes) == np.count_nonzero(eig.masses_sq)
+        sizes.clear()
+        sv = weighted_series(eig, w, tol=1e-3)
+        assert sizes == [spectral._BLOCK]
+        assert sv.n_terms < 2 * spectral._BLOCK
+
+    def test_only_certified_prefix_is_checked(self):
+        # a weight past the mode that meets tol is never summed or checked,
+        # as it was never evaluated by a mode-by-mode loop
+        def w(lam):
+            out = np.exp(-lam)
+            out[5:] = np.nan
+            return out
+
+        sv = weighted_series(self.eig, w, tol=1e-10)
+        ref = weighted_series(self.eig, lambda lam: np.exp(-lam), tol=1e-10)
+        assert sv == ref
+        assert sv.n_terms < 10
+        with pytest.raises(ValidationError):
+            weighted_series(self.eig, w, tol=1e-60)
 
     def test_truncation_budget_error(self):
         eig = bm_interval_eigensystem(IntervalDomain(0.0, math.pi), 11)
@@ -113,8 +173,8 @@ class TestWeightedSeries:
         c, t = 2.5, 0.35
         eL = bm_interval_eigensystem(IntervalDomain(0.0, 1.0), 1001)
         eCL = bm_interval_eigensystem(IntervalDomain(0.0, c), 1001)
-        qL = weighted_series(eL, lambda lam: math.exp(-lam * t)).value
-        qCL = weighted_series(eCL, lambda lam: math.exp(-lam * c * c * t)).value
+        qL = weighted_series(eL, lambda lam: np.exp(-lam * t)).value
+        qCL = weighted_series(eCL, lambda lam: np.exp(-lam * c * c * t)).value
         assert qCL == pytest.approx(c * qL, abs=1e-10)
 
 

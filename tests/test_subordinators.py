@@ -264,9 +264,15 @@ class TestInverseTimeTransform:
 
 
 class TestExpectedLaplace:
-    def test_stable_routes_to_mittag_leffler(self):
-        v = expected_laplace(StableExponent(0.5), 1.0, 1.0)
-        assert v == pytest.approx(mittag_leffler(0.5, -1.0), abs=1e-15)
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 0.95])
+    def test_stable_matches_mittag_leffler(self, beta):
+        # the Talbot inversion against the independent closed form
+        # E_beta(-a t^beta), one array of a per t
+        a = np.logspace(-2, 4, 25)
+        for t in (1e-2, 1.0, 1e2, 1e6):
+            v = expected_laplace(StableExponent(beta), a, t)
+            ref = [mittag_leffler(beta, -x * t ** beta) for x in a]
+            assert np.max(np.abs(v - ref)) <= 1e-11
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_short_time_limit(self, spec):
@@ -290,15 +296,14 @@ class TestExpectedLaplace:
     @pytest.mark.parametrize("a", [0.5, 1.0, 5.0])
     def test_drift_inversion_consistency(self, a):
         # the drift double has the closed form e^{-a t}; the numerical
-        # inversion of its transform must match to 1e-6 on t in [0.01, 10]
+        # inversion of its transform must match to 1e-10 on t in [0.01, 10]
+        # (the 16- and 24-node values agree to 2e-11 there)
         from shc_lab import laplace_invert
 
-        # tol=1e-7: tighter requests trip the ill-conditioning signal once
-        # e^{-a t} falls below the scheme's absolute noise floor (~1e-9)
         tf = inverse_time_transform(DriftExponent(), a)
         for t in np.logspace(-2, 1, 9):
-            v = laplace_invert(tf, float(t), tol=1e-7)
-            assert v == pytest.approx(math.exp(-a * float(t)), abs=1e-6)
+            v = laplace_invert(tf, float(t), tol=1e-10)
+            assert v == pytest.approx(math.exp(-a * float(t)), abs=1e-10)
 
     @pytest.mark.parametrize(
         "spec", [TemperedStableExponent(0.5, 2.0), SumOfStablesExponent(0.3, 0.9)]
@@ -321,10 +326,13 @@ class TestExpectedLaplace:
         import shc_lab.subordinators as sub
 
         spec, tol = TemperedStableExponent(0.5, 2.0), 1e-9
-        monkeypatch.setattr(sub, "laplace_invert", lambda *a, **k: -0.5 * tol)
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        inverted = np.array([0.5, -0.5 * tol, -tol, -2.0 * tol])
+        monkeypatch.setattr(sub, "laplace_invert", lambda *x, **k: inverted.copy())
+        v = expected_laplace(spec, a, 1.0, tol=tol)
+        assert np.array_equal(v, [0.5, 0.0, 0.0, -2.0 * tol])
+        monkeypatch.setattr(sub, "laplace_invert", lambda *x, **k: np.float64(-0.5 * tol))
         assert expected_laplace(spec, 1.0, 1.0, tol=tol) == 0.0
-        monkeypatch.setattr(sub, "laplace_invert", lambda *a, **k: -2.0 * tol)
-        assert expected_laplace(spec, 1.0, 1.0, tol=tol) == -2.0 * tol
 
 
 class TestExpectedFunctional:
