@@ -7,13 +7,15 @@ each experiment produces a CSV table with the fixed header
 
 and a JSON sidecar carrying the config echo, per-row data, and a
 summary (fitted slope/intercept/R^2 where applicable).  Reruns of the
-same config are byte-identical.
+same config are byte-identical in both; the run's wall clock and the
+python/numpy/scipy versions go to a separate ``<exp>.run.json``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import platform
 import time
 import typing
 from dataclasses import dataclass, asdict, fields
@@ -21,6 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy
 
 from .asymptotics import (
     Regime,
@@ -285,7 +288,6 @@ class ExperimentResult:
                 for r in self.rows
             ],
             "summary": summary,
-            "wall_clock": self.wall_clock,
         }
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
@@ -300,6 +302,8 @@ class ExperimentResult:
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, Path]:
+    """Write ``<exp>.csv`` and ``<exp>.json`` (deterministic results) and
+    ``<exp>.run.json`` (wall clock and versions); returns the first two."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = result.config["experiment"]
@@ -307,6 +311,14 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, 
     json_path = out / f"{name}.json"
     csv_path.write_text(result.to_csv())
     json_path.write_text(result.to_json())
+    record = {
+        "experiment": name,
+        "wall_clock": result.wall_clock,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    (out / f"{name}.run.json").write_text(json.dumps(record, indent=2, sort_keys=True))
     return csv_path, json_path
 
 

@@ -11,7 +11,11 @@ replicas with derived seeds, so results are independent of worker
 count, and draws its randomness in a fixed per-replica order, so a
 common seed yields common random numbers across a whole t-grid (which
 makes the estimates exactly monotone in t for the supported time
-changes).
+changes).  With a fixed dt, each path walks only up to its largest
+grid budget: the walk's budget-ordered layout (paths sorted by
+decreasing budget, step j drawn for the paths whose budget is at least
+j) ties a path's variates to the budgets alone, so a path that has
+used up its budget draws nothing more.
 """
 
 from __future__ import annotations
@@ -173,7 +177,6 @@ def _replica_task(args) -> np.ndarray:
     rng = derive_rng(seed, replica)
     x0 = rng.uniform(a, b, size)
     horizons = _horizon_matrix(time_change, np.asarray(ts, float), size, rng)
-    max_h = float(horizons.max())
     if dt is None:
         # per-path steps: dt_i = horizon_i / n_steps (single-t mode only)
         if len(ts) != 1:
@@ -182,14 +185,13 @@ def _replica_task(args) -> np.ndarray:
         scales = (h / n_steps) ** (1.0 / alpha)
         steps = walk_exit_steps(alpha, a, b, x0, scales, n_steps, rng)
         return np.array([int(np.count_nonzero(steps > n_steps))])
-    n_cols = int(math.floor(max_h / dt + 1e-9))
-    ks = np.minimum(np.floor(horizons / dt + 1e-9), n_cols).astype(np.int64)
-    if n_cols == 0:
-        return np.full(len(ts), size)
+    # each path walks up to its largest grid budget; a survivor's exit
+    # step is that budget + 1, so it exceeds every budget of the grid
+    ks = np.floor(horizons / dt + 1e-9).astype(np.int64)
     steps = walk_exit_steps(
-        alpha, a, b, x0, np.float64(dt ** (1.0 / alpha)), n_cols, rng
+        alpha, a, b, x0, np.float64(dt ** (1.0 / alpha)), ks.max(axis=0), rng
     )
-    return np.array([int(np.count_nonzero(steps > ks[i])) for i in range(len(ts))])
+    return np.count_nonzero(steps > ks, axis=1)
 
 
 def _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, workers):

@@ -3,19 +3,34 @@
 All samplers take a 64-bit master seed.  Independent streams (per
 replica, per experiment row) are derived with a counter-based spawn key
 so that results are reproducible and independent of worker count or
-completion order.
+completion order.  Seeds and keys must be nonnegative integers (Python
+or numpy); anything else, bools included, raises ValidationError rather
+than being truncated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["derive_rng", "derive_seed_sequence"]
+
+
+def _check_entropy(name: str, value) -> int:
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value}")
+    return int(value)
 
 
 def derive_seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     """SeedSequence for (seed, key) with a stable counter-based split."""
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.SeedSequence(
+        entropy=_check_entropy("seed", seed),
+        spawn_key=tuple(_check_entropy("key", k) for k in key),
+    )
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

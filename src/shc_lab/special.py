@@ -140,8 +140,14 @@ def _cm_integral(beta: float, a: float) -> float:
         au = a * max(s * math.tan(v) - c, 0.0)
         return 0.0 if au > cap else math.exp(-(au ** p))
 
-    # The exponential support lives at u ~ 1/a; split so quad sees it.
-    cuts = (0.0, 5.0 / a, 1.0, math.inf) if a > 5.0 else (0.0, 1.0, math.inf)
+    # The exponential cuts off at u ~ 1/a, sharply for small beta (it is
+    # near a step there); split so quad sees it.
+    if a > 5.0:
+        cuts = (0.0, 5.0 / a, 1.0, math.inf)
+    elif 0.0 < a < 1.0:
+        cuts = (0.0, 1.0, 1.0 / a, math.inf)
+    else:
+        cuts = (0.0, 1.0, math.inf)
     win = (-0.5 * c, -1.5 * c) if c < 0.0 else (math.inf, math.inf)
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):

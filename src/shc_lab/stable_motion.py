@@ -69,36 +69,60 @@ def walk_exit_steps(
     b: float,
     x0: np.ndarray,
     scales: np.ndarray,
-    n_steps: int,
+    n_steps: int | np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized Euler walk; returns the 1-based step index of first exit.
 
-    ``scales`` is the per-path increment scale dt_i^(1/alpha) (scalar
-    broadcast allowed).  Paths that never leave (a, b) get the sentinel
-    n_steps + 1.  A jump landing outside [a, b] counts as an exit (zero
-    exterior condition).
+    ``scales`` is the per-path increment scale dt_i^(1/alpha) and
+    ``n_steps`` the per-path step budget (a scalar of either broadcasts).
+    A path that does not leave (a, b) within its budget gets the
+    sentinel budget + 1, so a budget of 0 never moves.  A jump landing
+    outside [a, b] counts as an exit (zero exterior condition).
 
-    One standard-stable column is drawn per step for *all* paths, alive
-    or not, so the stream layout is identical across different horizons
-    and step counts: common random numbers by construction.
+    Budget-ordered layout: paths are stably sorted by decreasing budget,
+    and step j draws one standard-stable variate for each path in the
+    prefix whose budget is at least j, whether that path is still inside
+    or not.  Which variates a path sees therefore depends only on the
+    budgets, never on other paths' exits: two walks with the same
+    budgets and one rng stream see common random numbers, and a scalar
+    budget draws one full column per step.  The walk stops at the first
+    step whose prefix holds no path still inside, since the remaining
+    exit steps are then settled.
     """
     n = x0.shape[0]
-    x = x0.astype(float).copy()
-    exit_step = np.full(n, n_steps + 1, dtype=np.int64)
+    budgets = np.asarray(n_steps)
+    if not np.issubdtype(budgets.dtype, np.integer) or np.any(budgets < 0):
+        raise ValidationError(f"step budgets must be integers >= 0, got {n_steps!r}")
+    budgets = np.broadcast_to(budgets.astype(np.int64), (n,))
+    order = np.argsort(-budgets, kind="stable")
+    sorted_budgets = budgets[order]
+    x = np.asarray(x0, dtype=float)[order]
+    scales = np.broadcast_to(np.asarray(scales, dtype=float), (n,))[order]
+    exit_sorted = sorted_budgets + 1
     alive = np.ones(n, dtype=bool)
-    scales = np.asarray(scales, dtype=float)
-    for j in range(1, n_steps + 1):
-        z = sample_symmetric_stable(rng, alpha, n)
-        inc = scales * z
-        x[alive] += inc[alive]
-        out = alive & ~((x > a) & (x < b))
-        exit_step[out] = j
-        alive &= ~out
-        if not alive.any():
-            # keep consuming columns? no: remaining t-horizons only ask
-            # whether exit_step exceeds them, already determined.
+    # budgets can be huge (heavy-tailed time changes), so the prefix length
+    # m = #{budget >= j} is advanced step by step, never tabulated
+    budget_list = sorted_budgets.tolist()
+    n_max = budget_list[0] if n else 0
+    m = n
+    for j in range(1, n_max + 1):
+        while budget_list[m - 1] < j:
+            m -= 1
+        live = alive[:m]
+        if not live.any():
             break
+        z = sample_symmetric_stable(rng, alpha, m)
+        inc = scales[:m] * z
+        xm = x[:m]
+        # a path that has left stays put; adding 0.0 is cheaper than a
+        # masked update and leaves every live position bit-identical
+        xm += np.where(live, inc, 0.0)
+        out = live & ~((xm > a) & (xm < b))
+        exit_sorted[:m][out] = j
+        live &= ~out
+    exit_step = np.empty(n, dtype=np.int64)
+    exit_step[order] = exit_sorted
     return exit_step
 
 

@@ -210,6 +210,19 @@ class TestOutputs:
         a = run_experiment(self._cfg())
         b = run_experiment(self._cfg())
         assert a.to_csv() == b.to_csv()
+        assert a.to_json() == b.to_json()
+
+    def test_run_record_kept_apart(self, tmp_path):
+        res = run_experiment(self._cfg())
+        csv_path, json_path = write_outputs(res, tmp_path)
+        assert "wall_clock" not in json.loads(json_path.read_text())
+        record = json.loads((tmp_path / "large_time.run.json").read_text())
+        assert record["wall_clock"] == res.wall_clock
+        assert record["experiment"] == "large_time"
+        assert {"python", "numpy", "scipy"} <= set(record)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "large_time.csv", "large_time.json", "large_time.run.json",
+        ]
 
     def test_eigen_table_input(self, tmp_path):
         # an externally supplied eigen table drives the same experiment

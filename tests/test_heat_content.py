@@ -136,6 +136,14 @@ class TestMonteCarlo:
         assert hv.value == pytest.approx(math.pi, abs=1e-15)
         assert hv.error == 0.0
 
+    def test_t_zero_fixed_dt_returns_mass_exactly(self):
+        # a zero step budget survives without a single draw
+        vals = monte_carlo_heat_content_grid(
+            1.5, DOMAIN_PI, InverseTime(StableExponent(0.5)), [0.0, 0.0],
+            n_paths=5000, dt=0.01, seed=1,
+        )
+        assert [v.value for v in vals] == [math.pi, math.pi]
+
     def test_matches_series_alpha2(self, eig):
         t = 0.2
         hv = monte_carlo_heat_content(
@@ -218,3 +226,17 @@ class TestMonteCarlo:
             monte_carlo_heat_content_grid(
                 1.5, DOMAIN_PI, None, [0.2, 0.1], n_paths=10, dt=0.01, seed=0
             )
+
+    @pytest.mark.parametrize("seed", [2.9, 2.0, -1, True, "2", None])
+    def test_bad_seed_rejected(self, seed):
+        # a float seed used to be truncated silently (2.9 ran as 2)
+        with pytest.raises(ValidationError):
+            monte_carlo_heat_content(
+                1.5, DOMAIN_PI, None, 0.1, n_paths=10, dt=0.01, seed=seed
+            )
+
+    def test_numpy_integer_seed_accepted(self):
+        kw = dict(t=0.1, n_paths=100, dt=0.01)
+        a = monte_carlo_heat_content(1.5, DOMAIN_PI, None, seed=np.int64(2), **kw)
+        b = monte_carlo_heat_content(1.5, DOMAIN_PI, None, seed=2, **kw)
+        assert a.value == b.value

@@ -1,5 +1,5 @@
 """Property tests: config round-trip, increment samplers, series certificate,
-Mittag-Leffler range and monotonicity."""
+Mittag-Leffler range and monotonicity, and the exit walk's budget layout."""
 
 import math
 
@@ -22,6 +22,7 @@ from shc_lab import (
 )
 from shc_lab.experiments import EXPERIMENTS
 from shc_lab.seeding import derive_rng
+from shc_lab.stable_motion import walk_exit_steps
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-300, max_value=1e300)
@@ -144,3 +145,29 @@ def test_mittag_leffler_bounded_and_monotone(beta, log_a, step):
     near = mittag_leffler(beta, -a)
     far = mittag_leffler(beta, -a * (1.0 + step))
     assert 0.0 < far <= near <= 1.0
+
+
+@st.composite
+def permuted_budgets(draw):
+    budgets = draw(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=30, unique=True))
+    return np.array(budgets), np.array(draw(st.permutations(range(len(budgets)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=permuted_budgets(),
+    alpha=st.sampled_from([0.7, 1.0, 1.5, 2.0]),
+    seed=st.integers(min_value=0, max_value=2 ** 32),
+)
+def test_walk_permutation_equivariant(case, alpha, seed):
+    # with distinct budgets the budget order fixes which variates each path
+    # sees, so relabelling the paths relabels their exit steps
+    budgets, perm = case
+    rng = derive_rng(seed)
+    x0 = rng.uniform(0.0, 1.0, budgets.size)
+    scales = rng.uniform(0.01, 0.2, budgets.size)
+    es = walk_exit_steps(alpha, 0.0, 1.0, x0, scales, budgets, derive_rng(seed, 1))
+    es_perm = walk_exit_steps(
+        alpha, 0.0, 1.0, x0[perm], scales[perm], budgets[perm], derive_rng(seed, 1)
+    )
+    assert np.array_equal(es_perm, es[perm])

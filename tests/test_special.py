@@ -60,6 +60,25 @@ class TestMittagLeffler:
         err = max(abs(mittag_leffler(0.5, -float(z)) - float(erfcx(z))) for z in zs)
         assert err <= 1e-11
 
+    def test_cm_integral_small_beta(self):
+        # for small beta the factor exp(-(a u)^(1/beta)) is nearly a step at
+        # u = 1/a; there the power series (a < 1) is benign and exact
+        from shc_lab.special import _cm_integral
+
+        def series(beta, a):
+            terms, k = [], 0
+            while not terms or abs(terms[-1]) >= 1e-18:
+                terms.append((-a) ** k / math.gamma(beta * k + 1.0))
+                k += 1
+            return math.fsum(terms)
+
+        err = max(
+            abs(_cm_integral(beta, float(a)) - series(beta, float(a)))
+            for beta in (0.005, 0.01, 0.02, 0.05)
+            for a in np.logspace(-4, math.log10(0.9), 25)
+        )
+        assert err <= 1e-12
+
     @pytest.mark.parametrize("beta", [0.999, 0.99999, 1.0 - 2.0 ** -45])
     def test_near_one_matches_inversion(self, beta):
         # as beta -> 1 the integral's kernel tends to a point mass at u = 1,

@@ -130,15 +130,89 @@ class TestSimulateExit:
         survs = [float(np.mean(es * dt > t)) for t in (0.1, 0.3, 0.6, 0.9)]
         assert all(a >= b for a, b in zip(survs, survs[1:]))
 
-    @pytest.mark.parametrize("alpha", [1.5, 2.0])
-    def test_domain_monotonicity_common_numbers(self, alpha):
+    @pytest.mark.parametrize(
+        "alpha,per_path",
+        [
+            pytest.param(1.5, False, id="1.5"),
+            pytest.param(2.0, False, id="2.0"),
+            pytest.param(1.5, True, id="1.5-per-path-budgets"),
+        ],
+    )
+    def test_domain_monotonicity_common_numbers(self, alpha, per_path):
         n = 20_000
         x0 = derive_rng(67).uniform(0.2, 0.8, n)
         dt = 1e-3
         scale = np.float64(dt ** (1.0 / alpha))
-        small = walk_exit_steps(alpha, 0.0, 1.0, x0, scale, 200, derive_rng(68))
-        large = walk_exit_steps(alpha, -0.5, 1.5, x0, scale, 200, derive_rng(68))
+        steps = derive_rng(69).integers(0, 201, n) if per_path else 200
+        small = walk_exit_steps(alpha, 0.0, 1.0, x0, scale, steps, derive_rng(68))
+        large = walk_exit_steps(alpha, -0.5, 1.5, x0, scale, steps, derive_rng(68))
         assert np.all(large >= small)
+
+
+class TestWalkBudgets:
+    """Per-path step budgets: paths sorted by decreasing budget, and step j
+    draws only for the paths whose budget is at least j."""
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
+    def test_equal_budgets_match_scalar(self, alpha):
+        x0 = derive_rng(90).uniform(0.0, 1.0, 3000)
+        scales = derive_rng(91).uniform(1e-3, 3e-2, 3000)
+        scalar = walk_exit_steps(alpha, 0.0, 1.0, x0, scales, 150, derive_rng(92))
+        array = walk_exit_steps(
+            alpha, 0.0, 1.0, x0, scales, np.full(3000, 150), derive_rng(92)
+        )
+        assert np.array_equal(scalar, array)
+
+    def test_survivor_exit_is_budget_plus_one(self):
+        budgets = derive_rng(93).integers(0, 60, 2000)
+        budgets[:50] = 0
+        x0 = derive_rng(94).uniform(0.0, 1.0, 2000)
+        es = walk_exit_steps(1.5, 0.0, 1.0, x0, np.float64(0.05), budgets, derive_rng(95))
+        exited = es <= budgets
+        assert exited.any() and not exited.all()
+        assert np.array_equal(es[~exited], budgets[~exited] + 1)
+        assert np.all(es[:50] == 1)  # a zero budget never moves
+        # far from the boundary nothing exits: every path survives its budget
+        far = walk_exit_steps(1.5, -1e9, 1e9, x0, np.float64(0.05), budgets, derive_rng(95))
+        assert np.array_equal(far, budgets + 1)
+
+    def test_no_draws_past_a_budget(self, monkeypatch):
+        import shc_lab.stable_motion as sm
+
+        sizes = []
+        original = sm.sample_symmetric_stable
+
+        def counting(rng, alpha, size):
+            sizes.append(size)
+            return original(rng, alpha, size)
+
+        monkeypatch.setattr(sm, "sample_symmetric_stable", counting)
+        budgets = derive_rng(96).integers(0, 40, 500)
+        x0 = derive_rng(97).uniform(0.0, 1.0, 500)
+        walk_exit_steps(2.0, -1e9, 1e9, x0, np.float64(0.01), budgets, derive_rng(98))
+        # nothing exits, so every step is walked: step j draws one variate
+        # for each path whose budget is at least j, and no more
+        assert sizes == [int(np.count_nonzero(budgets >= j)) for j in range(1, budgets.max() + 1)]
+        sizes.clear()
+        es = walk_exit_steps(2.0, 0.0, 1.0, x0, np.float64(0.05), budgets, derive_rng(98))
+        assert len(sizes) <= budgets.max()
+        for j, size in enumerate(sizes, start=1):
+            assert size == np.count_nonzero(budgets >= j)
+        assert sum(sizes) <= budgets.sum()
+        assert np.all((es <= budgets) | (es == budgets + 1))
+
+    def test_huge_budget_stops_at_exit(self):
+        # heavy-tailed time changes give budgets far beyond any walk; the
+        # walk still ends once every path in the prefix has left
+        x0 = np.full(100, 0.5)
+        budgets = np.array([10 ** 15, 3] * 50)
+        es = walk_exit_steps(2.0, 0.0, 1.0, x0, np.float64(0.1), budgets, derive_rng(99))
+        assert es.max() < 10 ** 4
+
+    @pytest.mark.parametrize("budgets", [np.array([3, -1]), np.array([3.0, 2.5]), 2.5])
+    def test_bad_budget_rejected(self, budgets):
+        with pytest.raises(ValidationError):
+            walk_exit_steps(2.0, 0.0, 1.0, np.array([0.5, 0.5]), 0.1, budgets, derive_rng(0))
 
 
 class TestSupEstimate:
@@ -168,3 +242,16 @@ class TestSupEstimate:
             estimate_sup_mean(1.0, 1000, 100, seed=0)
         with pytest.raises(ValidationError):
             estimate_sup_mean(1.5, 1, 100, seed=0)
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("bad", [1.5, 1.0, -1, False, np.float64(3.0), "3"])
+    def test_bad_seed_or_key_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            derive_rng(bad)
+        with pytest.raises(ValidationError):
+            derive_rng(0, bad)
+
+    def test_numpy_integers_accepted(self):
+        a = derive_rng(np.int64(5), np.uint32(2)).random()
+        assert a == derive_rng(5, 2).random()
