@@ -25,7 +25,6 @@ from .asymptotics import (
     xlog_asymptote,
 )
 from .errors import (
-    HorizonError,
     InversionError,
     RejectionBudgetError,
     ShcLabError,
@@ -66,29 +65,21 @@ from .spectral import (
 from .stable_motion import (
     SupEstimate,
     estimate_sup_mean,
-    sample_increment,
     sample_symmetric_stable,
-    simulate_exit,
 )
 from .subordinators import (
     DriftExponent,
-    FirstPassageTime,
     LaplaceExponent,
     QuadratureResult,
     StableExponent,
-    SubordinatorPath,
     SumOfStablesExponent,
     TemperedStableExponent,
     expected_functional,
     expected_laplace,
-    inverse_at,
     inverse_time_transform,
-    kanter_angular,
     sample_increments,
     sample_inverse_stable,
-    sample_path,
     sample_positive_stable,
-    sample_unit_stable_subordinator,
 )
 
 __version__ = "0.1.0"

@@ -152,9 +152,7 @@ def frac_perimeter_interval(alpha: float, length: float) -> float:
     return jump_kernel_constant(alpha) * 2.0 * length ** (1.0 - alpha) / (alpha * (1.0 - alpha))
 
 
-def frac_perimeter_numeric(
-    domain: IntervalDomain, alpha: float, n_quadrature: int = 200
-) -> float:
+def frac_perimeter_numeric(domain: IntervalDomain, alpha: float) -> float:
     """Per_alpha(domain) by quadrature of the double jump integral.
 
     The inner integral over the complement is a power-law tail with the
@@ -168,7 +166,7 @@ def frac_perimeter_numeric(
     def outer(x: float) -> float:
         return ((x - domain.a) ** (-alpha) + (domain.b - x) ** (-alpha)) / alpha
 
-    val, _ = quad(outer, domain.a, domain.b, epsabs=1e-13, epsrel=1e-11, limit=n_quadrature)
+    val, _ = quad(outer, domain.a, domain.b, epsabs=1e-13, epsrel=1e-11, limit=200)
     return c * val
 
 
@@ -288,23 +286,18 @@ def monotonized_xlog(x: float) -> float:
     return _PLATEAU
 
 
-def expected_monotonized_xlog(beta: float, t: float, n_quadrature: int = 200) -> float:
+def expected_monotonized_xlog(beta: float, t: float) -> float:
     """E[V(E_t)] for the inverse beta-stable time change (V = capped x ln(1/x))."""
     low = expected_functional(
-        beta, t, lambda x: x * math.log(1.0 / x) if x > 0 else 0.0,
-        n_quadrature=n_quadrature, upper=_PLATEAU,
+        beta, t, lambda x: x * math.log(1.0 / x) if x > 0 else 0.0, upper=_PLATEAU
     )
-    tail_mass = expected_functional(
-        beta, t, lambda x: 1.0, n_quadrature=n_quadrature, lower=_PLATEAU
-    )
+    tail_mass = expected_functional(beta, t, lambda x: 1.0, lower=_PLATEAU)
     return low.value + _PLATEAU * tail_mass.value
 
 
-def expected_xlog(beta: float, t: float, n_quadrature: int = 200) -> float:
+def expected_xlog(beta: float, t: float) -> float:
     """E[E_t ln(1/E_t)] for the inverse beta-stable time change."""
-    return expected_functional(
-        beta, t, lambda x: -x * math.log(x) if x > 0 else 0.0, n_quadrature=n_quadrature
-    ).value
+    return expected_functional(beta, t, lambda x: -x * math.log(x) if x > 0 else 0.0).value
 
 
 def xlog_asymptote(beta: float, t: float) -> float:

@@ -19,10 +19,6 @@ class InversionError(ShcLabError):
     orders disagree beyond the requested tolerance."""
 
 
-class HorizonError(ShcLabError):
-    """A first-passage query exceeded the sampled path horizon."""
-
-
 class RejectionBudgetError(ShcLabError):
     """A rejection sampler exceeded its resampling cap."""
 

@@ -76,6 +76,8 @@ EXPERIMENTS = {
     "tail_probe": "first-passage tail exponent -beta/(1-beta) by Monte Carlo regression",
 }
 
+# experiments whose references are closed forms of the stable exponent
+_STABLE_ONLY = ("transform_consistency", "moment_laws", "tail_probe")
 _MOMENT_PS = (1.0 / 1.5, 1.0, 2.0)
 _TRANSFORM_AS = (0.5, 1.0, 5.0)
 
@@ -116,6 +118,8 @@ class ExperimentConfig:
             )
         if self.seed is None:
             raise ValidationError("seed is mandatory (reproducibility; no entropy default)")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.t_min > 0.0 or not self.t_max >= self.t_min:
             raise ValidationError("need 0 < t_min <= t_max")
         if self.t_points < 1:
@@ -125,6 +129,8 @@ class ExperimentConfig:
         if self.n_paths < 1 or self.n_steps < 1 or self.truncation < 1:
             raise ValidationError("n_paths, n_steps, truncation must be >= 1")
         self.exponent  # a bad phi or exponent parameter fails here, not mid-run
+        if self.experiment in _STABLE_ONLY and self.phi != "stable":
+            raise ValidationError(f"{self.experiment} needs phi = stable, got {self.phi!r}")
 
     @property
     def domain(self) -> IntervalDomain:
@@ -439,8 +445,6 @@ def _run_small_time_mc(config: ExperimentConfig, workers: int) -> tuple[list, di
 
 def _run_transform_consistency(config: ExperimentConfig, workers: int) -> tuple[list, dict]:
     spec = config.exponent
-    if not isinstance(spec, StableExponent):
-        raise ValidationError("transform_consistency compares against the stable closed form")
     rows = []
     worst = 0.0
     for a in _TRANSFORM_AS:
@@ -458,8 +462,6 @@ def _run_transform_consistency(config: ExperimentConfig, workers: int) -> tuple[
 
 def _run_moment_laws(config: ExperimentConfig, workers: int) -> tuple[list, dict]:
     spec = config.exponent
-    if not isinstance(spec, StableExponent):
-        raise ValidationError("moment_laws applies to the stable exponent")
     rows = []
     worst = 0.0
     for p in _MOMENT_PS:
@@ -476,8 +478,6 @@ def _run_moment_laws(config: ExperimentConfig, workers: int) -> tuple[list, dict
 
 def _run_tail_probe(config: ExperimentConfig, workers: int) -> tuple[list, dict]:
     spec = config.exponent
-    if not isinstance(spec, StableExponent):
-        raise ValidationError("tail_probe applies to the stable exponent")
     probe = tail_decay_probe(
         spec.beta, [config.delta], config.t_grid, config.n_paths, config.seed
     )

@@ -6,7 +6,10 @@ plus a Monte Carlo evaluator driven by exit-time simulation.
 
 Series evaluators refuse small t when the truncation budget cannot
 certify the requested tolerance; Monte Carlo is the intended tool in
-that regime.  The Monte Carlo engine splits paths into fixed-size
+that regime.  Each time change samples its own operational-time
+budgets with its ``horizons`` method: D_t for ``SubordinatorTime``, E_t
+(by the exponent's ``inverse_times``) for ``InverseTime``, and t itself
+when there is none.  The Monte Carlo engine splits paths into fixed-size
 replicas with derived seeds, so results are independent of worker
 count, and draws its randomness in a fixed per-replica order, so a
 common seed yields common random numbers across a whole t-grid (which
@@ -32,7 +35,6 @@ from .seeding import derive_rng
 from .spectral import EigenSystem, IntervalDomain, weighted_series
 from .stable_motion import walk_exit_steps
 from .subordinators import LaplaceExponent, expected_laplace, sample_increments
-from .subordinators import sample_positive_stable  # noqa: F401 (bench/tracing.py wraps it)
 
 __all__ = [
     "HeatContentValue",
@@ -91,7 +93,6 @@ def heat_content_inverse(
     spec: LaplaceExponent,
     t: float,
     tol: float = 1e-10,
-    inversion_tol: float = 1e-9,
 ) -> HeatContentValue:
     """Q(t) for the inverse time change: weights E[exp(-lambda_n E_t)].
 
@@ -102,9 +103,7 @@ def heat_content_inverse(
     """
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
-    sv = weighted_series(
-        eig, lambda lams: expected_laplace(spec, lams, t, tol=inversion_tol), tol=tol
-    )
+    sv = weighted_series(eig, lambda lams: expected_laplace(spec, lams, t), tol=tol)
     return HeatContentValue(t=t, value=sv.value, method="transform", error=sv.tail_bound)
 
 
@@ -119,6 +118,20 @@ class SubordinatorTime:
 
     spec: LaplaceExponent
 
+    def horizons(self, ts: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+        """D_t per (t, path) on a nondecreasing grid: independent increments
+        over the grid gaps keep D_t coupled and monotone along each path."""
+        out = np.zeros((ts.size, size))
+        prev_t = 0.0
+        acc = np.zeros(size)
+        for i, t in enumerate(ts):
+            gap = float(t - prev_t)
+            if gap > 0.0:
+                acc = acc + sample_increments(self.spec, gap, size, rng)
+            out[i] = acc
+            prev_t = float(t)
+        return out
+
 
 @dataclass(frozen=True)
 class InverseTime:
@@ -130,6 +143,10 @@ class InverseTime:
 
     spec: LaplaceExponent
     delta_u: float = 1e-4
+
+    def horizons(self, ts: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+        """E_t per (t, path), coupled across the grid by the exponent's sampler."""
+        return self.spec.inverse_times(ts, size, rng, self.delta_u)
 
 
 TimeChange = Union[None, SubordinatorTime, InverseTime]
@@ -144,26 +161,9 @@ def _horizon_matrix(
     each path's budget is nondecreasing in t; together with the fixed
     column order of the walk this makes grid estimates monotone.
     """
-    ts = np.asarray(ts, dtype=float)
     if time_change is None:
         return np.repeat(ts[:, None], size, axis=1)
-    if isinstance(time_change, InverseTime):
-        return time_change.spec.inverse_times(ts, size, rng, time_change.delta_u)
-    if isinstance(time_change, SubordinatorTime):
-        # independent increments over grid gaps keep D_t coupled and monotone
-        out = np.zeros((ts.size, size))
-        prev_t = 0.0
-        acc = np.zeros(size)
-        for i, t in enumerate(ts):
-            gap = float(t - prev_t)
-            if gap < 0.0:
-                raise ValidationError("t grid must be nondecreasing")
-            if gap > 0.0:
-                acc = acc + sample_increments(time_change.spec, gap, size, rng)
-            out[i] = acc
-            prev_t = float(t)
-        return out
-    raise ValidationError(f"unsupported time change {time_change!r}")
+    return time_change.horizons(ts, size, rng)
 
 
 def _replica_sizes(n_paths: int) -> list[int]:
@@ -208,7 +208,9 @@ def _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, wo
     return np.sum(counts, axis=0)
 
 
-def _validate_mc_args(domain, t_grid, n_paths, dt, n_steps):
+def _validate_mc_args(time_change, t_grid, n_paths, dt, n_steps):
+    if time_change is not None and not isinstance(time_change, (SubordinatorTime, InverseTime)):
+        raise ValidationError(f"unsupported time change {time_change!r}")
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
     if any(t < 0.0 for t in t_grid):
@@ -218,6 +220,17 @@ def _validate_mc_args(domain, t_grid, n_paths, dt, n_steps):
             raise ValidationError("adaptive mode needs n_steps >= 1")
     elif dt <= 0.0:
         raise ValidationError(f"dt must be > 0, got {dt}")
+
+
+def _mc_values(domain, ts, counts, n_paths) -> list[HeatContentValue]:
+    """|Omega| times the survivor fraction at each t, with its 95% CI."""
+    vol = domain.volume
+    out = []
+    for t, c in zip(ts, counts):
+        p = c / n_paths
+        ci = 1.96 * vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
+        out.append(HeatContentValue(t=float(t), value=vol * p, method="monte_carlo", error=ci))
+    return out
 
 
 def monte_carlo_heat_content(
@@ -241,14 +254,11 @@ def monte_carlo_heat_content(
     by step-halving).  The 95% CI half width is reported as the error;
     the dt bias is documented, not signaled.
     """
-    _validate_mc_args(domain, [t], n_paths, dt, n_steps)
+    _validate_mc_args(time_change, [t], n_paths, dt, n_steps)
     counts = _run_replicas(
         alpha, domain, time_change, [t], n_paths, dt, n_steps, seed, workers
     )
-    p = counts[0] / n_paths
-    vol = domain.volume
-    ci = 1.96 * vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
-    return HeatContentValue(t=t, value=vol * p, method="monte_carlo", error=ci)
+    return _mc_values(domain, [t], counts, n_paths)[0]
 
 
 def monte_carlo_heat_content_grid(
@@ -270,12 +280,6 @@ def monte_carlo_heat_content_grid(
     ts = list(ts)
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t grid must be nondecreasing")
-    _validate_mc_args(domain, ts, n_paths, dt, None)
+    _validate_mc_args(time_change, ts, n_paths, dt, None)
     counts = _run_replicas(alpha, domain, time_change, ts, n_paths, dt, None, seed, workers)
-    vol = domain.volume
-    out = []
-    for t, c in zip(ts, counts):
-        p = c / n_paths
-        ci = 1.96 * vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
-        out.append(HeatContentValue(t=float(t), value=vol * p, method="monte_carlo", error=ci))
-    return out
+    return _mc_values(domain, ts, counts, n_paths)

@@ -69,6 +69,9 @@ class EigenSystem:
         object.__setattr__(self, "masses_sq", msq)
         if lam.ndim != 1 or lam.shape != msq.shape or lam.size == 0:
             raise ValidationError("lambdas and masses_sq must be equal-length 1-d arrays")
+        finite = np.isfinite(lam).all() and np.isfinite(msq).all()
+        if not (finite and math.isfinite(self.total_mass)):
+            raise ValidationError("eigenvalues, masses and total mass must be finite")
         if not lam[0] > 0.0:
             raise ValidationError("eigenvalues must be positive")
         if np.any(np.diff(lam) < 0.0):

@@ -24,8 +24,6 @@ from .seeding import derive_rng
 
 __all__ = [
     "sample_symmetric_stable",
-    "sample_increment",
-    "simulate_exit",
     "walk_exit_steps",
     "SupEstimate",
     "estimate_sup_mean",
@@ -54,13 +52,6 @@ def sample_symmetric_stable(rng: np.random.Generator, alpha: float, size) -> np.
     t1 = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
     t2 = (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
     return t1 * t2
-
-
-def sample_increment(alpha: float, dt: float, seed: int) -> float:
-    """Single increment over time dt; deterministic given seed."""
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
-    return float(dt ** (1.0 / alpha) * sample_symmetric_stable(derive_rng(seed), alpha, None))
 
 
 def walk_exit_steps(
@@ -126,32 +117,8 @@ def walk_exit_steps(
     return exit_step
 
 
-def simulate_exit(
-    alpha: float,
-    interval: tuple[float, float],
-    x0: float,
-    dt: float,
-    t_max: float,
-    seed: int,
-) -> tuple[bool, float]:
-    """Walk one path until it leaves ``interval`` or reaches ``t_max``.
-
-    Returns (exited, tau_estimate); tau is resolved to the step grid,
-    and equals t_max when the path survives.
-    """
-    a, b = interval
-    if not a < x0 < b:
-        raise ValidationError(f"x0={x0} must lie inside ({a}, {b})")
-    if dt <= 0.0 or t_max <= 0.0:
-        raise ValidationError("dt and t_max must be > 0")
-    n_steps = int(math.ceil(t_max / dt))
-    rng = derive_rng(seed)
-    step = walk_exit_steps(
-        alpha, a, b, np.array([x0]), np.float64(dt ** (1.0 / alpha)), n_steps, rng
-    )[0]
-    if step > n_steps:
-        return False, t_max
-    return True, float(step * dt)
+# paths per block of estimate_sup_mean: bounds its memory at n_steps * 4096
+_SUP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -174,7 +141,6 @@ def estimate_sup_mean(
     n_paths: int,
     n_steps: int,
     seed: int,
-    chunk: int = 4096,
 ) -> SupEstimate:
     """Estimate E[sup_{s<=1} Y_s] on an n_steps grid over [0, 1].
 
@@ -193,7 +159,7 @@ def estimate_sup_mean(
     total_sq = 0.0
     done = 0
     while done < n_paths:
-        m = min(chunk, n_paths - done)
+        m = min(_SUP_CHUNK, n_paths - done)
         z = sample_symmetric_stable(rng, alpha, (n_steps, m))
         sup = np.maximum(np.cumsum(z, axis=0).max(axis=0), 0.0) * scale
         total += float(sup.sum())

@@ -1,5 +1,4 @@
-"""Laplace exponents, subordinator path sampling, and inverse-subordinator
-evaluation.
+"""Laplace exponents and inverse-subordinator evaluation.
 
 The supported Laplace exponents are the three concrete families the
 analysis needs (stable, tempered stable, sum of two stables) plus a
@@ -27,8 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import HorizonError, InversionError, RejectionBudgetError, ValidationError
-from .seeding import derive_rng
+from .errors import InversionError, RejectionBudgetError, ValidationError
 from .special import laplace_invert
 
 __all__ = [
@@ -38,18 +36,12 @@ __all__ = [
     "DriftExponent",
     "LaplaceExponent",
     "sample_positive_stable",
-    "sample_unit_stable_subordinator",
     "sample_increments",
-    "SubordinatorPath",
-    "sample_path",
-    "FirstPassageTime",
-    "inverse_at",
     "sample_inverse_stable",
     "inverse_time_transform",
     "expected_laplace",
     "QuadratureResult",
     "expected_functional",
-    "kanter_angular",
 ]
 
 _REJECTION_CAP = 1_000_000
@@ -92,7 +84,7 @@ class LaplaceExponent:
         horizon = float(ts.max())
         out = np.empty((ts.size, size))
         for p in range(size):
-            values = _grow_path(self, horizon, delta_u, _FIRST_PASSAGE_BLOCK, rng)
+            values = _grow_path(self, horizon, delta_u, rng)
             out[:, p] = np.searchsorted(values, ts, side="right") * delta_u
         return out
 
@@ -269,11 +261,6 @@ def sample_positive_stable(rng: np.random.Generator, beta: float, size) -> np.nd
     )
 
 
-def sample_unit_stable_subordinator(beta: float, seed: int) -> float:
-    """Single variate D_1 of the beta-stable subordinator; deterministic in seed."""
-    return float(sample_positive_stable(derive_rng(seed), beta, None))
-
-
 def sample_increments(
     spec: LaplaceExponent, delta: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -284,42 +271,19 @@ def sample_increments(
 
 
 # ---------------------------------------------------------------------------
-# Paths and first passage
+# First passage
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubordinatorPath:
-    """Discretized subordinator path on the operational-time grid k*delta_u.
-
-    values[k] = D_{k delta_u}, values[0] = 0, strictly increasing.
-    """
-
-    delta_u: float
-    values: np.ndarray
-    horizon: float
-    seed: int
-
-    def __post_init__(self):
-        if self.values[0] != 0.0:
-            raise ValidationError("path must start at 0")
-        if not np.all(np.diff(self.values) > 0.0):
-            raise ValidationError("path values must be strictly increasing")
-
-
 def _grow_path(
-    spec: LaplaceExponent,
-    horizon: float,
-    delta_u: float,
-    block: int,
-    rng: np.random.Generator,
+    spec: LaplaceExponent, horizon: float, delta_u: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Path values D_{k delta_u}, k = 0, 1, ..., drawn ``block`` increments
-    at a time until the last value exceeds ``horizon``."""
+    """Path values D_{k delta_u}, k = 0, 1, ..., drawn ``_FIRST_PASSAGE_BLOCK``
+    increments at a time until the last value exceeds ``horizon``."""
     chunks = [np.zeros(1)]
     total = 0.0
     while total <= horizon:
-        inc = sample_increments(spec, delta_u, block, rng)
+        inc = sample_increments(spec, delta_u, _FIRST_PASSAGE_BLOCK, rng)
         # resample floating-point ties (zero increments); draws nothing
         # unless an increment is exactly 0
         while not inc.all():
@@ -328,34 +292,6 @@ def _grow_path(
         chunks.append(inc)
         total += float(inc.sum())
     return np.concatenate(chunks).cumsum()
-
-
-def sample_path(
-    spec: LaplaceExponent, horizon: float, delta_u: float, seed: int
-) -> SubordinatorPath:
-    """Sample a path until it first exceeds ``horizon`` (physical time)."""
-    if horizon <= 0.0 or delta_u <= 0.0:
-        raise ValidationError("horizon and delta_u must be > 0")
-    block = max(64, int(math.ceil(horizon / max(delta_u, 1e-12))) // 8 + 1)
-    values = _grow_path(spec, horizon, delta_u, block, derive_rng(seed))
-    return SubordinatorPath(delta_u=delta_u, values=values, horizon=horizon, seed=seed)
-
-
-@dataclass(frozen=True)
-class FirstPassageTime:
-    """E_t located on a path grid; exact value lies in (value - bracket, value]."""
-
-    t: float
-    value: float
-    bracket: float
-
-
-def inverse_at(path: SubordinatorPath, t: float) -> FirstPassageTime:
-    """First passage E_t = inf{u : D_u > t} by binary search on the grid."""
-    if t >= path.values[-1]:
-        raise HorizonError(f"t={t} is beyond the sampled path (max {path.values[-1]})")
-    k = int(np.searchsorted(path.values, t, side="right"))
-    return FirstPassageTime(t=t, value=k * path.delta_u, bracket=path.delta_u)
 
 
 def sample_inverse_stable(beta: float, t: float, rng: np.random.Generator, size=None):
@@ -413,6 +349,8 @@ def expected_laplace(spec: LaplaceExponent, a, t: float, tol: float = 1.0e-9):
 
 # exp(-w) contributes nothing representable beyond this width
 _W_SUPPORT = 800.0
+# subintervals per adaptive quadrature level
+_QUAD_LIMIT = 200
 
 
 def kanter_angular(u: float, beta: float) -> float:
@@ -437,7 +375,6 @@ def expected_functional(
     beta: float,
     t: float,
     g: Callable[[float], float],
-    n_quadrature: int = 200,
     lower: float = 0.0,
     upper: float = math.inf,
 ) -> QuadratureResult:
@@ -446,8 +383,8 @@ def expected_functional(
     Integrates g(t^beta (w / A(u))^(1-beta)) e^-w over the Kanter
     variables (u, w); the region restriction on E_t maps to exact
     w-limits per u-node, so indicator weights never appear as
-    integrand jumps.  ``n_quadrature`` caps the adaptive subdivision
-    of each level.
+    integrand jumps.  ``_QUAD_LIMIT`` caps the adaptive subdivision of
+    each level.
     """
     _check_stable_index(beta)
     if t <= 0.0:
@@ -471,11 +408,11 @@ def expected_functional(
         def f(v: float) -> float:
             return g(tb * ((v + wlo) / A) ** pw) * math.exp(-v)
 
-        val, err = quad(f, 0.0, width, epsabs=1e-14, epsrel=1e-12, limit=n_quadrature)
+        val, err = quad(f, 0.0, width, epsabs=1e-14, epsrel=1e-12, limit=_QUAD_LIMIT)
         inner_err_max = max(inner_err_max, err)
         return math.exp(-wlo) * val
 
-    val, outer_err = quad(inner, 0.0, math.pi, epsabs=1e-13, epsrel=1e-11, limit=n_quadrature)
+    val, outer_err = quad(inner, 0.0, math.pi, epsabs=1e-13, epsrel=1e-11, limit=_QUAD_LIMIT)
     if not math.isfinite(val):
         raise ValidationError("integrand is not integrable for this g")
     return QuadratureResult(value=val / math.pi, error=(outer_err + inner_err_max) / math.pi)

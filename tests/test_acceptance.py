@@ -35,6 +35,7 @@ from shc_lab import (
     ExperimentConfig,
     IntervalDomain,
     InverseTime,
+    LaplaceExponent,
     StableExponent,
     SumOfStablesExponent,
     TemperedStableExponent,
@@ -46,7 +47,6 @@ from shc_lab import (
     heat_content,
     heat_content_inverse,
     heat_content_subordinate,
-    inverse_at,
     inverse_time_transform,
     laplace_invert,
     mittag_leffler,
@@ -54,7 +54,6 @@ from shc_lab import (
     monte_carlo_heat_content_grid,
     run_experiment,
     sample_inverse_stable,
-    sample_path,
     sample_symmetric_stable,
     tail_decay_probe,
     weighted_series,
@@ -438,13 +437,11 @@ def test_08d_sampler_ks_cross_checks():
     exact = sample_inverse_stable(0.5, 1.0, derive_rng(82), 10_000)
     ks_exact = kstest(exact, cdf).statistic
 
-    spec = StableExponent(0.5)
-    fp = np.array(
-        [
-            inverse_at(sample_path(spec, 1.0, 1e-3, seed=83_000 + i), 1.0).value
-            for i in range(10_000)
-        ]
-    )
+    # first passage on the grid k * 1e-3 by the base sampler (the stable
+    # exponent overrides it with the exact one)
+    fp = LaplaceExponent.inverse_times(
+        StableExponent(0.5), np.array([1.0]), 10_000, derive_rng(83_000), 1e-3
+    )[0]
     ks_fp = kstest(fp, cdf).statistic
 
     a = 0.37 ** (1.0 / 1.5) * sample_symmetric_stable(derive_rng(84), 1.5, 10_000)

@@ -92,6 +92,21 @@ class TestConfig:
         with pytest.raises(ValidationError):
             parse_config_file(p, overrides=["phi=stable", "beta=1.5"])
 
+    def test_negative_seed_fails_at_parse(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text("experiment = large_time\nseed = 1\nt_min = 1\nt_max = 2\n")
+        with pytest.raises(ValidationError):
+            parse_config_file(p, overrides=["seed=-1"])
+        assert parse_config_file(p, overrides=["seed=0"]).seed == 0
+
+    @pytest.mark.parametrize("experiment", ["transform_consistency", "moment_laws", "tail_probe"])
+    def test_stable_only_experiment_fails_at_parse(self, tmp_path, experiment):
+        p = tmp_path / "exp.cfg"
+        p.write_text(f"experiment = {experiment}\nseed = 1\nt_min = 1\nt_max = 2\n")
+        with pytest.raises(ValidationError):
+            parse_config_file(p, overrides=["phi=tempered"])
+        assert parse_config_file(p).phi == "stable"
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(

@@ -226,6 +226,8 @@ class TestMonteCarlo:
             monte_carlo_heat_content_grid(
                 1.5, DOMAIN_PI, None, [0.2, 0.1], n_paths=10, dt=0.01, seed=0
             )
+        with pytest.raises(ValidationError):
+            monte_carlo_heat_content(1.5, DOMAIN_PI, "bogus", 0.1, n_paths=10, dt=0.01)
 
     @pytest.mark.parametrize("seed", [2.9, 2.0, -1, True, "2", None])
     def test_bad_seed_rejected(self, seed):

@@ -20,7 +20,7 @@ from shc_lab import (
     sample_increments,
     weighted_series,
 )
-from shc_lab.experiments import EXPERIMENTS
+from shc_lab.experiments import _STABLE_ONLY, EXPERIMENTS
 from shc_lab.seeding import derive_rng
 from shc_lab.stable_motion import walk_exit_steps
 
@@ -36,14 +36,16 @@ word = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-/", min_size=1, 
 def configs(draw) -> ExperimentConfig:
     t_min = draw(positive)
     a = draw(index)
+    experiment = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    phis = ["stable"] if experiment in _STABLE_ONLY else ["stable", "tempered", "sum", "drift"]
     return ExperimentConfig(
-        experiment=draw(st.sampled_from(sorted(EXPERIMENTS))),
-        seed=draw(st.integers(min_value=-(2 ** 70), max_value=2 ** 70)),
+        experiment=experiment,
+        seed=draw(st.integers(min_value=0, max_value=2 ** 70)),
         t_min=t_min,
         t_max=t_min * draw(st.floats(min_value=1.0, max_value=1e6)),
         t_points=draw(st.integers(min_value=1, max_value=10 ** 6)),
         alpha=draw(finite),
-        phi=draw(st.sampled_from(["stable", "tempered", "sum", "drift"])),
+        phi=draw(st.sampled_from(phis)),
         beta=draw(index),
         kappa=draw(positive),
         a=a,

@@ -206,3 +206,20 @@ class TestEigenTableFile:
         p.write_text("#mass 2.0\n1.0 1.5 9.9\n")
         with pytest.raises(ValidationError):
             load_eigensystem(p)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            "#mass nan\n1.0 0.2\n4.0 0.1\n",  # value with error nan
+            "#mass inf\n1.0 0.2\n4.0 0.1\n",
+            "#mass 1.0\n1.0 nan\n4.0 0.1\n",  # value nan with error 1.0
+            "#mass 1.0\n1.0 0.2\nnan 0.1\n",
+        ],
+        ids=["mass-nan", "mass-inf", "row-mass-nan", "row-lambda-nan"],
+    )
+    def test_non_finite_data_rejected(self, tmp_path, table):
+        # such tables used to load and give uncertified series values
+        p = tmp_path / "eig.txt"
+        p.write_text(table)
+        with pytest.raises(ValidationError):
+            load_eigensystem(p)

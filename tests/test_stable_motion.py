@@ -9,9 +9,7 @@ from scipy.stats import ks_2samp
 from shc_lab import (
     ValidationError,
     estimate_sup_mean,
-    sample_increment,
     sample_symmetric_stable,
-    simulate_exit,
 )
 from shc_lab.seeding import derive_rng
 from shc_lab.stable_motion import walk_exit_steps
@@ -60,9 +58,11 @@ class TestIncrements:
         assert ks_2samp(a, b).statistic < 0.02
 
     def test_scalar_increment_deterministic(self):
-        assert sample_increment(1.5, 0.1, seed=1) == sample_increment(1.5, 0.1, seed=1)
+        a = 0.1 ** (1.0 / 1.5) * sample_symmetric_stable(derive_rng(1), 1.5, None)
+        b = 0.1 ** (1.0 / 1.5) * sample_symmetric_stable(derive_rng(1), 1.5, None)
+        assert a == b
         with pytest.raises(ValidationError):
-            sample_increment(2.5, 0.1, seed=1)
+            sample_symmetric_stable(derive_rng(1), 2.5, None)
 
 
 class TestSimulateExit:
@@ -70,17 +70,15 @@ class TestSimulateExit:
     def test_boundary_start_exits_fast(self, alpha, min_hits):
         # from distance 1e-12 inside, survival of an n-step walk decays
         # like 1/sqrt(pi n) (fluctuation theory), ~2.5% at 500 steps
+        dt, n_steps = 1e-3, int(math.ceil(0.5 / 1e-3))
         hits = 0
         for seed in range(200):
-            exited, tau = simulate_exit(
-                alpha, (0.0, math.pi), math.pi - 1e-12, dt=1e-3, t_max=0.5, seed=seed
-            )
-            hits += exited
+            step = walk_exit_steps(
+                alpha, 0.0, math.pi, np.array([math.pi - 1e-12]),
+                np.float64(dt ** (1.0 / alpha)), n_steps, derive_rng(seed),
+            )[0]
+            hits += step <= n_steps
         assert hits >= min_hits
-
-    def test_x0_validation(self):
-        with pytest.raises(ValidationError):
-            simulate_exit(2.0, (0.0, 1.0), 1.5, dt=0.01, t_max=1.0, seed=0)
 
     def test_survival_oracle_alpha2(self):
         # MC vs the exact eigen-series survival, with a step-halving

@@ -9,24 +9,21 @@ from scipy.stats import kstest
 
 from shc_lab import (
     DriftExponent,
-    HorizonError,
+    LaplaceExponent,
     StableExponent,
-    SubordinatorPath,
     SumOfStablesExponent,
     TemperedStableExponent,
     ValidationError,
     expected_functional,
     expected_laplace,
-    inverse_at,
     inverse_time_transform,
     mittag_leffler,
     sample_increments,
     sample_inverse_stable,
-    sample_path,
     sample_positive_stable,
-    sample_unit_stable_subordinator,
 )
 from shc_lab.seeding import derive_rng
+from shc_lab.subordinators import _grow_path
 
 # P(D_1 > 4) for the 1/2-stable subordinator (Levy distribution
 # with LT e^{-sqrt(lam)}): 1 - erfc(1/(2 sqrt 4)) = erf(0.25)
@@ -116,8 +113,8 @@ class TestPositiveStableSampler:
         assert abs(p - LEVY_TAIL_AT_4) <= 3 * se
 
     def test_scalar_deterministic(self):
-        a = sample_unit_stable_subordinator(0.5, seed=42)
-        b = sample_unit_stable_subordinator(0.5, seed=42)
+        a = float(sample_positive_stable(derive_rng(42), 0.5, None))
+        b = float(sample_positive_stable(derive_rng(42), 0.5, None))
         assert a == b and a > 0.0
 
 
@@ -165,57 +162,52 @@ class TestIncrementSamplers:
         assert np.all(x >= 2.0)  # drift floor
 
 
+def first_passage(spec, ts, size, seed, delta_u):
+    """E_t by first passage on the grid k * delta_u: the base sampler, which
+    production runs for the tempered and sum exponents (the stable and
+    drift exponents override it with exact samplers)."""
+    ts = np.asarray(ts, dtype=float)
+    return LaplaceExponent.inverse_times(spec, ts, size, derive_rng(seed), delta_u)
+
+
 class TestPathsAndFirstPassage:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_path_invariants(self, spec):
-        path = sample_path(spec, horizon=1.0, delta_u=0.01, seed=21)
-        assert path.values[0] == 0.0
-        assert np.all(np.diff(path.values) > 0.0)
-        assert path.values[-1] > 1.0
+        values = _grow_path(spec, 1.0, 0.01, derive_rng(21))
+        assert values[0] == 0.0
+        assert np.all(np.diff(values) > 0.0)
+        assert values[-1] > 1.0
 
     def test_path_laplace_property(self):
         # D at operational time 1 (grid index 8 at delta_u = 1/8) has
-        # E[exp(-D_1)] = exp(-phi(1)); paths always carry >= 64 steps.
+        # E[exp(-D_1)] = exp(-phi(1)); paths grow a block of 1024 steps at once
         spec = StableExponent(0.5)
         vals = []
         for seed in range(600):
-            path = sample_path(spec, horizon=0.1, delta_u=0.125, seed=1000 + seed)
-            vals.append(math.exp(-path.values[8]))
+            values = _grow_path(spec, 0.1, 0.125, derive_rng(1000 + seed))
+            vals.append(math.exp(-values[8]))
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - math.exp(-1.0)) <= 3.5 * se
 
     def test_degenerate_drift_path(self):
-        path = SubordinatorPath(
-            delta_u=0.1, values=np.arange(0.0, 2.01, 0.1), horizon=2.0, seed=0
-        )
-        fp = inverse_at(path, 0.7)
-        assert abs(fp.value - 0.7) <= path.delta_u + 1e-12
-        assert fp.bracket == path.delta_u
+        # D_u = u on the grid k * 0.1: E_0.7 is 0.7 up to one grid step
+        e = first_passage(DriftExponent(), [0.7, 2.0], 1, 0, 0.1)[0, 0]
+        assert abs(e - 0.7) <= 0.1 + 1e-12
 
     def test_inverse_starts_at_zero(self):
-        path = sample_path(StableExponent(0.5), horizon=1.0, delta_u=0.01, seed=5)
-        fp = inverse_at(path, 1e-12)
-        assert fp.value <= path.delta_u + 1e-15
+        e = first_passage(StableExponent(0.5), [1e-12, 1.0], 1, 5, 0.01)[0, 0]
+        assert e <= 0.01 + 1e-15
 
     def test_inverse_monotone_coupling(self):
-        path = sample_path(StableExponent(0.5), horizon=2.0, delta_u=0.001, seed=6)
-        values = [inverse_at(path, t).value for t in np.linspace(0.01, 1.9, 40)]
+        ts = np.linspace(0.01, 1.9, 40)
+        values = first_passage(StableExponent(0.5), ts, 1, 6, 0.001)[:, 0]
         assert all(a <= b for a, b in zip(values, values[1:]))
-
-    def test_horizon_error(self):
-        path = sample_path(StableExponent(0.5), horizon=1.0, delta_u=0.01, seed=7)
-        with pytest.raises(HorizonError):
-            inverse_at(path, float(path.values[-1]) * 2.0)
 
     def test_first_passage_vs_exact_cdf(self):
         # E_1 for the inverse 1/2-stable has CDF erf(x/2)
-        spec = StableExponent(0.5)
-        samples = []
-        for seed in range(10_000):
-            path = sample_path(spec, horizon=1.0, delta_u=1e-3, seed=30_000 + seed)
-            samples.append(inverse_at(path, 1.0).value)
-        stat = kstest(np.asarray(samples), lambda x: erf(x / 2.0)).statistic
+        samples = first_passage(StableExponent(0.5), [1.0], 10_000, 30_000, 1e-3)[0]
+        stat = kstest(samples, lambda x: erf(x / 2.0)).statistic
         assert stat < 0.02
 
     def test_exact_sampler_vs_cdf(self):
@@ -309,11 +301,7 @@ class TestExpectedLaplace:
         "spec", [TemperedStableExponent(0.5, 2.0), SumOfStablesExponent(0.3, 0.9)]
     )
     def test_inversion_against_first_passage_mc(self, spec):
-        vals = []
-        for seed in range(4000):
-            path = sample_path(spec, horizon=1.0, delta_u=2e-3, seed=90_000 + seed)
-            vals.append(math.exp(-inverse_at(path, 1.0).value))
-        vals = np.asarray(vals)
+        vals = np.exp(-first_passage(spec, [1.0], 4000, 90_000, 2e-3)[0])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         ref = expected_laplace(spec, 1.0, 1.0)
         # first-passage grid overshoots E_t by up to delta_u
