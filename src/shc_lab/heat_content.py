@@ -6,10 +6,13 @@ plus a Monte Carlo evaluator driven by exit-time simulation.
 
 Series evaluators refuse small t when the truncation budget cannot
 certify the requested tolerance; Monte Carlo is the intended tool in
-that regime.  Each time change samples its own operational-time
-budgets with its ``horizons`` method: D_t for ``SubordinatorTime``, E_t
-(by the exponent's ``inverse_times``) for ``InverseTime``, and t itself
-when there is none.  The Monte Carlo engine splits paths into fixed-size
+that regime.  Each time change samples its own budgets.  With a fixed
+dt they are whole steps, from ``step_budgets``: ``InverseTime`` takes
+the exponent's ``inverse_steps``, #{k >= 1 : D_{k dt} <= t}, which is
+floor(E_t / dt) exactly; ``SubordinatorTime`` floors D_t, and with no
+time change t itself is floored.  Adaptive mode (``dt=None``) needs the
+continuous budget from ``horizons``: D_t, or E_t by the exponent's
+``inverse_times``.  The Monte Carlo engine splits paths into fixed-size
 replicas with derived seeds, so results are independent of worker
 count, and draws its randomness in a fixed per-replica order, so a
 common seed yields common random numbers across a whole t-grid (which
@@ -34,7 +37,7 @@ from .errors import ValidationError
 from .seeding import derive_rng
 from .spectral import EigenSystem, IntervalDomain, weighted_series
 from .stable_motion import walk_exit_steps
-from .subordinators import LaplaceExponent, expected_laplace, sample_increments
+from .subordinators import LaplaceExponent, _floor_steps, expected_laplace, sample_increments
 
 __all__ = [
     "HeatContentValue",
@@ -132,13 +135,21 @@ class SubordinatorTime:
             prev_t = float(t)
         return out
 
+    def step_budgets(
+        self, ts: np.ndarray, dt: float, size: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Whole steps of size dt within D_t per (t, path)."""
+        return _floor_steps(self.horizons(ts, size, rng), dt)
+
 
 @dataclass(frozen=True)
 class InverseTime:
     """Run the outer motion up to E_t (inverse-subordinator time change).
 
-    ``delta_u`` is the first-passage grid used when the exponent has no
-    exact sampler of E_t; the stable family and the drift have one.
+    With a fixed dt the budgets are exact step counts on the walk's own
+    grid (:meth:`step_budgets`), so ``delta_u`` applies only in adaptive
+    mode: it is the first-passage grid for E_t when the exponent has no
+    exact sampler of it (the stable family and the drift have one).
     """
 
     spec: LaplaceExponent
@@ -148,6 +159,12 @@ class InverseTime:
         """E_t per (t, path), coupled across the grid by the exponent's sampler."""
         return self.spec.inverse_times(ts, size, rng, self.delta_u)
 
+    def step_budgets(
+        self, ts: np.ndarray, dt: float, size: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """#{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) per (t, path)."""
+        return self.spec.inverse_steps(ts, dt, size, rng)
+
 
 TimeChange = Union[None, SubordinatorTime, InverseTime]
 
@@ -155,15 +172,24 @@ TimeChange = Union[None, SubordinatorTime, InverseTime]
 def _horizon_matrix(
     time_change: TimeChange, ts: np.ndarray, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Operational-time budgets, shape (len(ts), size), common randomness.
-
-    Budgets are coupled across the grid (one driving draw per path), so
-    each path's budget is nondecreasing in t; together with the fixed
-    column order of the walk this makes grid estimates monotone.
-    """
+    """Operational-time budgets, shape (len(ts), size), for adaptive mode."""
     if time_change is None:
         return np.repeat(ts[:, None], size, axis=1)
     return time_change.horizons(ts, size, rng)
+
+
+def _step_matrix(
+    time_change: TimeChange, ts: np.ndarray, dt: float, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Fixed-dt step budgets, int64 of shape (len(ts), size), common randomness.
+
+    Budgets are coupled across the grid (one driving draw or path per
+    column), so each path's budget is nondecreasing in t; together with
+    the fixed column order of the walk this makes grid estimates monotone.
+    """
+    if time_change is None:
+        return np.repeat(_floor_steps(ts, dt)[:, None], size, axis=1)
+    return time_change.step_budgets(ts, dt, size, rng)
 
 
 def _replica_sizes(n_paths: int) -> list[int]:
@@ -176,18 +202,18 @@ def _replica_task(args) -> np.ndarray:
     (alpha, a, b, time_change, ts, size, dt, n_steps, seed, replica) = args
     rng = derive_rng(seed, replica)
     x0 = rng.uniform(a, b, size)
-    horizons = _horizon_matrix(time_change, np.asarray(ts, float), size, rng)
+    ts = np.asarray(ts, float)
     if dt is None:
         # per-path steps: dt_i = horizon_i / n_steps (single-t mode only)
         if len(ts) != 1:
             raise ValidationError("adaptive dt requires a single t")
-        h = horizons[0]
+        h = _horizon_matrix(time_change, ts, size, rng)[0]
         scales = (h / n_steps) ** (1.0 / alpha)
         steps = walk_exit_steps(alpha, a, b, x0, scales, n_steps, rng)
         return np.array([int(np.count_nonzero(steps > n_steps))])
     # each path walks up to its largest grid budget; a survivor's exit
     # step is that budget + 1, so it exceeds every budget of the grid
-    ks = np.floor(horizons / dt + 1e-9).astype(np.int64)
+    ks = _step_matrix(time_change, ts, dt, size, rng)
     steps = walk_exit_steps(
         alpha, a, b, x0, np.float64(dt ** (1.0 / alpha)), ks.max(axis=0), rng
     )
@@ -213,13 +239,15 @@ def _validate_mc_args(time_change, t_grid, n_paths, dt, n_steps):
         raise ValidationError(f"unsupported time change {time_change!r}")
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
-    if any(t < 0.0 for t in t_grid):
-        raise ValidationError("t must be >= 0")
+    # NaN fails every comparison, so each check asks for the good case
+    bad_t = [t for t in t_grid if not 0.0 <= t < math.inf]
+    if bad_t:
+        raise ValidationError(f"t must be finite and >= 0, got {bad_t[0]}")
     if dt is None:
         if not n_steps or n_steps < 1:
             raise ValidationError("adaptive mode needs n_steps >= 1")
-    elif dt <= 0.0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
+    elif not 0.0 < dt < math.inf:
+        raise ValidationError(f"dt must be finite and > 0, got {dt}")
 
 
 def _mc_values(domain, ts, counts, n_paths) -> list[HeatContentValue]:

@@ -83,8 +83,15 @@ def walk_exit_steps(
     """
     n = x0.shape[0]
     budgets = np.asarray(n_steps)
-    if not np.issubdtype(budgets.dtype, np.integer) or np.any(budgets < 0):
-        raise ValidationError(f"step budgets must be integers >= 0, got {n_steps!r}")
+    integral = np.issubdtype(budgets.dtype, np.integer)
+    if not integral or np.any(budgets < 0):
+        # a summary, not the array: budgets come one per path
+        n_bad = int(np.count_nonzero(budgets < 0)) if integral else budgets.size
+        low = budgets.min() if budgets.size else None
+        raise ValidationError(
+            f"step budgets must be integers >= 0, got dtype {budgets.dtype} with "
+            f"{n_bad} bad of {budgets.size} entries, minimum {low}"
+        )
     budgets = np.broadcast_to(budgets.astype(np.int64), (n,))
     order = np.argsort(-budgets, kind="stable")
     sorted_budgets = budgets[order]

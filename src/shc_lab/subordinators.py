@@ -5,13 +5,17 @@ analysis needs (stable, tempered stable, sum of two stables) plus a
 degenerate pure-drift exponent used as a test double.  Each exponent
 knows its regular-variation indices at 0+ and at infinity, which drive
 the asymptotic laws downstream, and owns its sampler of increments, its
-Laplace functional E[exp(-a E_t)] of the inverse E_t = inf{u : D_u > t}
-and its sampler of E_t.  The functional takes a whole array of a (one per
-eigenvalue): the shared base inverts the double Laplace transform
-phi(s) / (s (phi(s) + a)) on one Talbot contour, evaluating phi once per
-node, and only the drift double (exp(-a t)) overrides it.  E_t falls back
-to first passage across a discretized path; the stable family
-(E_t =d (t / D_1)^beta) and the drift sample it exactly.  Expectations
+Laplace functional E[exp(-a E_t)] of the inverse E_t = inf{u : D_u > t},
+its sampler of E_t and its sampler of the fixed-dt step budgets
+#{k >= 1 : D_{k dt} <= t} = floor(E_t / dt).  The functional takes a
+whole array of a (one per eigenvalue): the shared base inverts the
+double Laplace transform phi(s) / (s (phi(s) + a)) on one Talbot
+contour, evaluating phi once per node, and only the drift double
+(exp(-a t)) overrides it.  E_t falls back to first passage across a
+discretized path; the stable family (E_t =d (t / D_1)^beta) and the
+drift sample it exactly.  Step budgets are counted exactly on the
+walk's own grid dt, all paths grown together; the stable family and the
+drift floor their exact E_t instead.  Expectations
 E[g(E_t)] for the stable family are computed by deterministic nested
 quadrature in the Kanter representation
 E_t =d t^beta (W / A(U))^(1-beta), U ~ Uniform(0, pi), W ~ Exp(1).
@@ -46,6 +50,8 @@ __all__ = [
 
 _REJECTION_CAP = 1_000_000
 _FIRST_PASSAGE_BLOCK = 1024
+# increments per block of inverse_steps (one column when more paths are live)
+_STEP_BLOCK = 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +94,30 @@ class LaplaceExponent:
             out[:, p] = np.searchsorted(values, ts, side="right") * delta_u
         return out
 
+    def inverse_steps(self, ts, dt: float, size: int, rng) -> np.ndarray:
+        """Step budgets #{k >= 1 : D_{k dt} <= t} per (t, path), int64 of
+        shape (len(ts), size), coupled across the grid.
+
+        E_t >= k dt exactly when D_{k dt} <= t, so the budget is
+        floor(E_t / dt) almost surely, with no grid bias.  Every path grows
+        on the grid k * dt together, ``_STEP_BLOCK`` increments per block
+        shared among the paths whose level is still <= max(ts).
+        """
+        ts = np.asarray(ts, dtype=float)
+        steps = np.zeros((ts.size, size), dtype=np.int64)
+        horizon = float(ts.max())
+        level = np.zeros(size)
+        # D_dt > 0 almost surely, so t = 0 needs no draws
+        live = np.arange(size if horizon > 0.0 else 0)
+        while live.size:
+            cols = max(1, _STEP_BLOCK // live.size)
+            inc = sample_increments(self, dt, live.size * cols, rng).reshape(live.size, cols)
+            path = level[live, None] + np.cumsum(inc, axis=1)
+            steps[:, live] += np.count_nonzero(path <= ts[:, None, None], axis=2)
+            level[live] = path[:, -1]
+            live = live[path[:, -1] <= horizon]
+        return steps
+
 
 @dataclass(frozen=True)
 class StableExponent(LaplaceExponent):
@@ -116,6 +146,9 @@ class StableExponent(LaplaceExponent):
         """Exact: E_t =d (t / D_1)^beta with one D_1 per path (self-similarity)."""
         s = sample_positive_stable(rng, self.beta, size)
         return (ts[:, None] / s[None, :]) ** self.beta
+
+    def inverse_steps(self, ts, dt, size, rng):
+        return _floor_steps(self.inverse_times(np.asarray(ts, dtype=float), size, rng, None), dt)
 
 
 @dataclass(frozen=True)
@@ -236,6 +269,9 @@ class DriftExponent(LaplaceExponent):
     def inverse_times(self, ts, size, rng, delta_u):
         return np.repeat(ts[:, None], size, axis=1)
 
+    def inverse_steps(self, ts, dt, size, rng):
+        return _floor_steps(self.inverse_times(np.asarray(ts, dtype=float), size, rng, None), dt)
+
 
 # ---------------------------------------------------------------------------
 # Samplers
@@ -273,6 +309,12 @@ def sample_increments(
 # ---------------------------------------------------------------------------
 # First passage
 # ---------------------------------------------------------------------------
+
+
+def _floor_steps(times: np.ndarray, dt: float) -> np.ndarray:
+    """Whole steps of size dt within each time, as int64; the 1e-9 keeps a
+    time that is an exact multiple of dt from losing a step to round-off."""
+    return np.floor(times / dt + 1e-9).astype(np.int64)
 
 
 def _grow_path(

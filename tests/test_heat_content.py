@@ -209,7 +209,8 @@ class TestMonteCarlo:
         assert all(0.0 <= v <= math.pi for v in seq)
 
     def test_grid_first_passage_time_change(self):
-        # tempered inverse change goes through per-path first passage
+        # tempered inverse change: exact step budgets grown on the grid dt
+        # (delta_u, the adaptive-mode first-passage grid, does not apply)
         tc = InverseTime(TemperedStableExponent(0.5, 1.0), delta_u=5e-3)
         vals = monte_carlo_heat_content_grid(
             1.5, DOMAIN_PI, tc, [0.1, 0.4], n_paths=500, dt=0.01, seed=9
@@ -228,6 +229,26 @@ class TestMonteCarlo:
             )
         with pytest.raises(ValidationError):
             monte_carlo_heat_content(1.5, DOMAIN_PI, "bogus", 0.1, n_paths=10, dt=0.01)
+
+    @pytest.mark.parametrize(
+        "t, dt",
+        [(math.nan, 0.01), (math.inf, 0.01), (0.1, math.inf), (0.1, math.nan)],
+        ids=["t-nan", "t-inf", "dt-inf", "dt-nan"],
+    )
+    @pytest.mark.parametrize("grid", [False, True], ids=["single", "grid"])
+    def test_non_finite_t_or_dt_rejected(self, grid, t, dt):
+        # dt = inf used to return pi +- 0, the others to fail deep in the walk
+        with pytest.raises(ValidationError, match="finite"):
+            if grid:
+                monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, [t], n_paths=10, dt=dt)
+            else:
+                monte_carlo_heat_content(1.5, DOMAIN_PI, None, t, n_paths=10, dt=dt)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["t-nan", "t-inf"])
+    def test_non_finite_t_rejected_adaptive(self, t):
+        # both used to return 0 +- 0
+        with pytest.raises(ValidationError, match="finite"):
+            monte_carlo_heat_content(1.5, DOMAIN_PI, None, t, n_paths=10, dt=None, n_steps=8)
 
     @pytest.mark.parametrize("seed", [2.9, 2.0, -1, True, "2", None])
     def test_bad_seed_rejected(self, seed):

@@ -212,6 +212,17 @@ class TestWalkBudgets:
         with pytest.raises(ValidationError):
             walk_exit_steps(2.0, 0.0, 1.0, np.array([0.5, 0.5]), 0.1, budgets, derive_rng(0))
 
+    def test_bad_budget_error_is_a_summary(self):
+        # one budget per path: the message reports dtype, count and minimum
+        x0 = np.full(10_000, 0.5)
+        summary = "dtype float64 with 10000 bad of 10000 entries, minimum 2.5$"
+        with pytest.raises(ValidationError, match=summary):
+            walk_exit_steps(2.0, 0.0, 1.0, x0, 0.1, np.full(10_000, 2.5), derive_rng(0))
+        budgets = np.arange(10_000) - 3
+        summary = "dtype int64 with 3 bad of 10000 entries, minimum -3$"
+        with pytest.raises(ValidationError, match=summary):
+            walk_exit_steps(2.0, 0.0, 1.0, x0, 0.1, budgets, derive_rng(0))
+
 
 class TestSupEstimate:
     def test_alpha2_reflection_oracle(self):

@@ -164,8 +164,8 @@ class TestIncrementSamplers:
 
 def first_passage(spec, ts, size, seed, delta_u):
     """E_t by first passage on the grid k * delta_u: the base sampler, which
-    production runs for the tempered and sum exponents (the stable and
-    drift exponents override it with exact samplers)."""
+    adaptive Monte Carlo runs for the tempered and sum exponents (the stable
+    and drift exponents override it with exact samplers)."""
     ts = np.asarray(ts, dtype=float)
     return LaplaceExponent.inverse_times(spec, ts, size, derive_rng(seed), delta_u)
 
@@ -215,6 +215,56 @@ class TestPathsAndFirstPassage:
         e = sample_inverse_stable(0.5, 1.0, rng, 10_000)
         stat = kstest(e, lambda x: erf(x / 2.0)).statistic
         assert stat < 0.02
+
+
+class TestInverseSteps:
+    """Fixed-dt step budgets #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt)."""
+
+    def test_grid_budgets_match_exact_law(self):
+        # the base grower on the 1/2-stable exponent, whose E_1 has CDF
+        # erf(x/2): P(k >= j) = P(E_1 >= j dt) = 1 - erf(j dt / 2) exactly,
+        # with no grid bias.  DKW: P(sup |F_n - F| > 0.02) <= 2 e^-16 = 2.3e-7
+        dt, n = 1e-2, 20_000
+        k = LaplaceExponent.inverse_steps(StableExponent(0.5), [1.0], dt, n, derive_rng(40))[0]
+        j = np.arange(1, k.max() + 2)
+        at_least_j = 1.0 - np.searchsorted(np.sort(k), j, side="left") / n
+        assert np.max(np.abs(at_least_j - (1.0 - erf(j * dt / 2.0)))) <= 0.02
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-1])
+    @pytest.mark.parametrize(
+        "spec", [TemperedStableExponent(0.5, 2.0), SumOfStablesExponent(0.3, 0.9)]
+    )
+    def test_grid_budgets_laplace_bracket(self, spec, dt):
+        # k dt lies in (E_t - dt, E_t], so E[exp(-k dt)] lies in [ref, ref e^dt];
+        # at dt = 0.1 a budget one step off leaves the bracket
+        vals = np.exp(-dt * spec.inverse_steps([1.0], dt, 20_000, derive_rng(41))[0])
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        ref = expected_laplace(spec, 1.0, 1.0)
+        assert ref - 3 * se <= vals.mean() <= ref * math.exp(dt) + 3 * se
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_budgets_monotone_and_zero_at_origin(self, spec):
+        ts = [0.0, 0.05, 0.05, 0.3, 1.0]
+        k = spec.inverse_steps(ts, 1e-2, 500, derive_rng(42))
+        assert k.dtype == np.int64 and k.shape == (5, 500)
+        assert np.all(k[0] == 0)
+        assert np.all(np.diff(k, axis=0) >= 0)
+
+    def test_blocks_are_capped(self, monkeypatch):
+        import shc_lab.subordinators as sub
+
+        sizes = []
+
+        def counted(spec, delta, size, rng):
+            sizes.append(size)
+            return spec.increments(delta, size, rng)
+
+        monkeypatch.setattr(sub, "sample_increments", counted)
+        spec = TemperedStableExponent(0.5, 2.0)
+        spec.inverse_steps([0.0], 1e-3, 512, derive_rng(43))
+        assert sizes == []  # t = 0 draws nothing
+        spec.inverse_steps([0.5, 1.0], 1e-3, 512, derive_rng(43))
+        assert sizes and max(sizes) <= sub._STEP_BLOCK
 
 
 class TestExactInverseSampler:
