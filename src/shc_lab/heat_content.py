@@ -12,7 +12,9 @@ the exponent's ``inverse_steps``, #{k >= 1 : D_{k dt} <= t}, which is
 floor(E_t / dt) exactly; ``SubordinatorTime`` floors D_t, and with no
 time change t itself is floored.  Adaptive mode (``dt=None``) needs the
 continuous budget from ``horizons``: D_t, or E_t by the exponent's
-``inverse_times``.  The Monte Carlo engine splits paths into fixed-size
+``inverse_times``, which without an exact sampler is the first passage
+on the grid ``delta_u`` from the same grid count as ``inverse_steps``.
+The Monte Carlo engine splits paths into fixed-size
 replicas with derived seeds, so results are independent of worker
 count, and draws its randomness in a fixed per-replica order, so a
 common seed yields common random numbers across a whole t-grid (which
@@ -148,12 +150,17 @@ class InverseTime:
 
     With a fixed dt the budgets are exact step counts on the walk's own
     grid (:meth:`step_budgets`), so ``delta_u`` applies only in adaptive
-    mode: it is the first-passage grid for E_t when the exponent has no
-    exact sampler of it (the stable family and the drift have one).
+    mode: when the exponent has no exact sampler of E_t (the stable
+    family and the drift have one), E_t is the first passage
+    (k + 1) * delta_u, with k the same grid count taken at step delta_u.
     """
 
     spec: LaplaceExponent
     delta_u: float = 1e-4
+
+    def __post_init__(self):
+        if not 0.0 < self.delta_u < math.inf:
+            raise ValidationError(f"delta_u must be finite and > 0, got {self.delta_u}")
 
     def horizons(self, ts: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
         """E_t per (t, path), coupled across the grid by the exponent's sampler."""

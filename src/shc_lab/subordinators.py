@@ -11,11 +11,11 @@ its sampler of E_t and its sampler of the fixed-dt step budgets
 whole array of a (one per eigenvalue): the shared base inverts the
 double Laplace transform phi(s) / (s (phi(s) + a)) on one Talbot
 contour, evaluating phi once per node, and only the drift double
-(exp(-a t)) overrides it.  E_t falls back to first passage across a
-discretized path; the stable family (E_t =d (t / D_1)^beta) and the
-drift sample it exactly.  Step budgets are counted exactly on the
-walk's own grid dt, all paths grown together; the stable family and the
-drift floor their exact E_t instead.  Expectations
+(exp(-a t)) overrides it.  One grid counter, #{k >= 1 : D_{k dt} <= t}
+with all paths grown together, gives both the exact step budget at the
+walk's dt and, at dt = delta_u, the first passage (count + 1) * delta_u
+that stands in for E_t; the stable family (E_t =d (t / D_1)^beta) and
+the drift sample E_t exactly and floor it for their budgets.  Expectations
 E[g(E_t)] for the stable family are computed by deterministic nested
 quadrature in the Kanter representation
 E_t =d t^beta (W / A(U))^(1-beta), U ~ Uniform(0, pi), W ~ Exp(1).
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 _REJECTION_CAP = 1_000_000
-_FIRST_PASSAGE_BLOCK = 1024
-# increments per block of inverse_steps (one column when more paths are live)
+# increments per block of _grid_steps (one column when more paths are live)
 _STEP_BLOCK = 16_384
 
 
@@ -86,37 +85,14 @@ class LaplaceExponent:
 
     def inverse_times(self, ts: np.ndarray, size: int, rng, delta_u: float) -> np.ndarray:
         """E_t per (t, path), shape (len(ts), size), coupled across the grid:
-        first passage of one path per column on the grid k * delta_u."""
-        horizon = float(ts.max())
-        out = np.empty((ts.size, size))
-        for p in range(size):
-            values = _grow_path(self, horizon, delta_u, rng)
-            out[:, p] = np.searchsorted(values, ts, side="right") * delta_u
-        return out
+        first passage (k + 1) * delta_u, k the grid count at step delta_u."""
+        # not self.inverse_steps, which an exponent may override with its exact E_t
+        return (_grid_steps(self, ts, delta_u, size, rng) + 1) * delta_u
 
     def inverse_steps(self, ts, dt: float, size: int, rng) -> np.ndarray:
-        """Step budgets #{k >= 1 : D_{k dt} <= t} per (t, path), int64 of
-        shape (len(ts), size), coupled across the grid.
-
-        E_t >= k dt exactly when D_{k dt} <= t, so the budget is
-        floor(E_t / dt) almost surely, with no grid bias.  Every path grows
-        on the grid k * dt together, ``_STEP_BLOCK`` increments per block
-        shared among the paths whose level is still <= max(ts).
-        """
-        ts = np.asarray(ts, dtype=float)
-        steps = np.zeros((ts.size, size), dtype=np.int64)
-        horizon = float(ts.max())
-        level = np.zeros(size)
-        # D_dt > 0 almost surely, so t = 0 needs no draws
-        live = np.arange(size if horizon > 0.0 else 0)
-        while live.size:
-            cols = max(1, _STEP_BLOCK // live.size)
-            inc = sample_increments(self, dt, live.size * cols, rng).reshape(live.size, cols)
-            path = level[live, None] + np.cumsum(inc, axis=1)
-            steps[:, live] += np.count_nonzero(path <= ts[:, None, None], axis=2)
-            level[live] = path[:, -1]
-            live = live[path[:, -1] <= horizon]
-        return steps
+        """Step budgets #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) per
+        (t, path), int64 of shape (len(ts), size), coupled across the grid."""
+        return _grid_steps(self, ts, dt, size, rng)
 
 
 @dataclass(frozen=True)
@@ -301,8 +277,9 @@ def sample_increments(
     spec: LaplaceExponent, delta: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """i.i.d. increments D_{delta} for the given exponent, exact in distribution."""
-    if delta <= 0.0:
-        raise ValidationError(f"delta must be > 0, got {delta}")
+    # NaN fails every comparison, so the check asks for the good case
+    if not 0.0 < delta < math.inf:
+        raise ValidationError(f"delta must be finite and > 0, got {delta}")
     return spec.increments(delta, size, rng)
 
 
@@ -317,23 +294,30 @@ def _floor_steps(times: np.ndarray, dt: float) -> np.ndarray:
     return np.floor(times / dt + 1e-9).astype(np.int64)
 
 
-def _grow_path(
-    spec: LaplaceExponent, horizon: float, delta_u: float, rng: np.random.Generator
+def _grid_steps(
+    spec: LaplaceExponent, ts, dt: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Path values D_{k delta_u}, k = 0, 1, ..., drawn ``_FIRST_PASSAGE_BLOCK``
-    increments at a time until the last value exceeds ``horizon``."""
-    chunks = [np.zeros(1)]
-    total = 0.0
-    while total <= horizon:
-        inc = sample_increments(spec, delta_u, _FIRST_PASSAGE_BLOCK, rng)
-        # resample floating-point ties (zero increments); draws nothing
-        # unless an increment is exactly 0
-        while not inc.all():
-            bad = inc == 0.0
-            inc[bad] = sample_increments(spec, delta_u, int(bad.sum()), rng)
-        chunks.append(inc)
-        total += float(inc.sum())
-    return np.concatenate(chunks).cumsum()
+    """#{k >= 1 : D_{k dt} <= t} per (t, path), int64 of shape (len(ts), size).
+
+    E_t >= k dt exactly when D_{k dt} <= t.  Every path grows on the grid
+    k * dt together, ``_STEP_BLOCK`` increments per block shared among the
+    paths whose level is still <= max(ts); a tie D_{k dt} = D_{(k-1) dt}
+    cannot change the count.
+    """
+    ts = np.asarray(ts, dtype=float)
+    steps = np.zeros((ts.size, size), dtype=np.int64)
+    horizon = float(ts.max())
+    level = np.zeros(size)
+    # D_dt > 0 almost surely, so t = 0 needs no draws
+    live = np.arange(size if horizon > 0.0 else 0)
+    while live.size:
+        cols = max(1, _STEP_BLOCK // live.size)
+        inc = sample_increments(spec, dt, live.size * cols, rng).reshape(live.size, cols)
+        path = level[live, None] + np.cumsum(inc, axis=1)
+        steps[:, live] += np.count_nonzero(path <= ts[:, None, None], axis=2)
+        level[live] = path[:, -1]
+        live = live[path[:, -1] <= horizon]
+    return steps
 
 
 def sample_inverse_stable(beta: float, t: float, rng: np.random.Generator, size=None):

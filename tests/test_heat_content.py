@@ -11,6 +11,7 @@ from shc_lab import (
     IntervalDomain,
     StableExponent,
     SubordinatorTime,
+    SumOfStablesExponent,
     TemperedStableExponent,
     TruncationBudgetError,
     ValidationError,
@@ -20,7 +21,9 @@ from shc_lab import (
     heat_content_subordinate,
     monte_carlo_heat_content,
     monte_carlo_heat_content_grid,
+    sample_increments,
 )
+from shc_lab.seeding import derive_rng
 
 # direct summation oracles on (0, pi), generator convention e^{-t |xi|^2}
 Q_SERIES_T1 = 0.9368322222222483          # sum_odd e^{-n^2} 8/(pi n^2)
@@ -171,6 +174,25 @@ class TestMonteCarlo:
         band = 2.5 * abs(hv.value - hv_fine.value)
         assert abs(hv.value - ref) <= 1.5 * hv.error + band
 
+    @pytest.mark.parametrize(
+        "spec", [TemperedStableExponent(0.5, 2.0), SumOfStablesExponent(0.3, 0.9)]
+    )
+    def test_inverse_grid_fallback_adaptive_matches_transform(self, eig, spec):
+        # alpha=2, adaptive dt: E_t by first passage on the grid delta_u = 1e-3
+        # (its overshoot moves Q by about 2e-3, far inside the band)
+        t = 0.1
+        tc = InverseTime(spec, delta_u=1e-3)
+        hv = monte_carlo_heat_content(
+            2.0, DOMAIN_PI, tc, t, n_paths=20_000, dt=None, n_steps=64, seed=10
+        )
+        ref = heat_content_inverse(eig, spec, t, tol=1e-8).value
+        # step bias band calibrated by a rerun at a sixteenth of the step
+        hv_fine = monte_carlo_heat_content(
+            2.0, DOMAIN_PI, tc, t, n_paths=10_000, dt=None, n_steps=1024, seed=11
+        )
+        band = 2.5 * abs(hv.value - hv_fine.value)
+        assert abs(hv.value - ref) <= 1.5 * hv.error + band
+
     def test_subordinator_direct_sampling(self, eig):
         # alpha=2 with D_t at t=0.5 under the drift double equals plain
         t = 0.5
@@ -249,6 +271,18 @@ class TestMonteCarlo:
         # both used to return 0 +- 0
         with pytest.raises(ValidationError, match="finite"):
             monte_carlo_heat_content(1.5, DOMAIN_PI, None, t, n_paths=10, dt=None, n_steps=8)
+
+    @pytest.mark.parametrize(
+        "delta", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_bad_increment_step_rejected(self, delta):
+        # a nan or inf delta_u used to give 0 +- 0 for the sum exponent (and a
+        # raw ValueError or OverflowError for the tempered one)
+        spec = SumOfStablesExponent(0.3, 0.9)
+        with pytest.raises(ValidationError, match="finite"):
+            sample_increments(spec, delta, 10, derive_rng(0))
+        with pytest.raises(ValidationError, match="finite"):
+            InverseTime(spec, delta_u=delta)
 
     @pytest.mark.parametrize("seed", [2.9, 2.0, -1, True, "2", None])
     def test_bad_seed_rejected(self, seed):

@@ -23,7 +23,6 @@ from shc_lab import (
     sample_positive_stable,
 )
 from shc_lab.seeding import derive_rng
-from shc_lab.subordinators import _grow_path
 
 # P(D_1 > 4) for the 1/2-stable subordinator (Levy distribution
 # with LT e^{-sqrt(lam)}): 1 - erfc(1/(2 sqrt 4)) = erf(0.25)
@@ -165,7 +164,9 @@ class TestIncrementSamplers:
 def first_passage(spec, ts, size, seed, delta_u):
     """E_t by first passage on the grid k * delta_u: the base sampler, which
     adaptive Monte Carlo runs for the tempered and sum exponents (the stable
-    and drift exponents override it with exact samplers)."""
+    and drift exponents override it with exact samplers).  It is
+    (k + 1) * delta_u, k = #{k >= 1 : D_{k delta_u} <= t} being the same grid
+    count as the base ``inverse_steps``."""
     ts = np.asarray(ts, dtype=float)
     return LaplaceExponent.inverse_times(spec, ts, size, derive_rng(seed), delta_u)
 
@@ -173,22 +174,14 @@ def first_passage(spec, ts, size, seed, delta_u):
 class TestPathsAndFirstPassage:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_path_invariants(self, spec):
-        values = _grow_path(spec, 1.0, 0.01, derive_rng(21))
-        assert values[0] == 0.0
-        assert np.all(np.diff(values) > 0.0)
-        assert values[-1] > 1.0
-
-    def test_path_laplace_property(self):
-        # D at operational time 1 (grid index 8 at delta_u = 1/8) has
-        # E[exp(-D_1)] = exp(-phi(1)); paths grow a block of 1024 steps at once
-        spec = StableExponent(0.5)
-        vals = []
-        for seed in range(600):
-            values = _grow_path(spec, 0.1, 0.125, derive_rng(1000 + seed))
-            vals.append(math.exp(-values[8]))
-        vals = np.asarray(vals)
-        se = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(vals.mean() - math.exp(-1.0)) <= 3.5 * se
+        # the grid path starts at D_0 = 0 and grows past the horizon 1: first
+        # passage is delta_u at t = 0, a finite whole number of grid steps,
+        # and nondecreasing in t
+        e = first_passage(spec, [0.0, 0.5, 1.0], 50, 21, 0.01)
+        steps = np.rint(e / 0.01)
+        assert np.all(e[0] == 0.01)
+        assert np.all(np.isfinite(e)) and np.allclose(e, steps * 0.01, rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(e, axis=0) >= 0.0)
 
     def test_degenerate_drift_path(self):
         # D_u = u on the grid k * 0.1: E_0.7 is 0.7 up to one grid step
@@ -264,6 +257,10 @@ class TestInverseSteps:
         spec.inverse_steps([0.0], 1e-3, 512, derive_rng(43))
         assert sizes == []  # t = 0 draws nothing
         spec.inverse_steps([0.5, 1.0], 1e-3, 512, derive_rng(43))
+        assert sizes and max(sizes) <= sub._STEP_BLOCK
+        # adaptive mode's first passage grows on the same capped blocks
+        sizes.clear()
+        LaplaceExponent.inverse_times(spec, np.array([0.5, 1.0]), 512, derive_rng(43), 1e-3)
         assert sizes and max(sizes) <= sub._STEP_BLOCK
 
 
