@@ -41,7 +41,7 @@ from .heat_content import (
     InverseTime,
     heat_content_inverse,
     heat_content_subordinate,
-    monte_carlo_heat_content,
+    monte_carlo_heat_content_grid,
 )
 from .spectral import IntervalDomain, bm_interval_eigensystem, load_eigensystem
 from .special import laplace_invert, mittag_leffler
@@ -403,28 +403,35 @@ def _sup_mean_for(config: ExperimentConfig) -> float | None:
 
 
 def _run_small_time_mc(config: ExperimentConfig, workers: int) -> tuple[list, dict]:
+    """Monte Carlo deficit |D| - Q(t) over the t grid against the small-time law.
+
+    One grid call at ``config.seed``: every row shares the same paths
+    (in adaptive mode one unit walk per path serves the whole grid), so
+    the deficits are exactly nondecreasing in t and the fitted slope is
+    that of one coupled sample, not of independent points.
+    """
     domain = config.domain
     geometry = interval_geometry(domain)
     spec = config.exponent
     sup_mean = _sup_mean_for(config)
+    values = monte_carlo_heat_content_grid(
+        config.alpha,
+        domain,
+        InverseTime(spec),
+        config.t_grid,
+        n_paths=config.n_paths,
+        dt=config.dt,
+        n_steps=None if config.dt else config.n_steps,
+        seed=config.seed,
+        workers=workers,
+    )
     rows = []
     pairs = []
-    for i, t in enumerate(config.t_grid):
-        hv = monte_carlo_heat_content(
-            config.alpha,
-            domain,
-            InverseTime(spec),
-            float(t),
-            n_paths=config.n_paths,
-            dt=config.dt,
-            n_steps=None if config.dt else config.n_steps,
-            seed=config.seed + i,
-            workers=workers,
-        )
+    for hv in values:
         deficit = domain.volume - hv.value
-        ref = small_time_asymptote(config.alpha, spec, geometry, float(t), sup_mean=sup_mean)
-        rows.append(ExperimentRow(float(t), deficit, ref, hv.error, hv.method))
-        pairs.append((_small_time_abscissa(config, float(t)), deficit))
+        ref = small_time_asymptote(config.alpha, spec, geometry, hv.t, sup_mean=sup_mean)
+        rows.append(ExperimentRow(hv.t, deficit, ref, hv.error, hv.method))
+        pairs.append((_small_time_abscissa(config, hv.t), deficit))
     fit = fit_loglog(pairs)
     regime = classify_regime(config.alpha)
     if regime is Regime.CRITICAL:

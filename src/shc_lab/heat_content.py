@@ -23,7 +23,11 @@ changes).  With a fixed dt, each path walks only up to its largest
 grid budget: the walk's budget-ordered layout (paths sorted by
 decreasing budget, step j drawn for the paths whose budget is at least
 j) ties a path's variates to the budgets alone, so a path that has
-used up its budget draws nothing more.
+used up its budget draws nothing more.  In adaptive mode path i takes
+n_steps steps of size h_i(t) / n_steps, so its walk is the unit walk
+scaled by (h_i(t) / n_steps)^(1/alpha): one unit walk per path, through
+its critical scale (``stable_motion.critical_scales``), answers every
+grid point, and all rows share the same paths.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from .errors import ValidationError
 from .seeding import derive_rng
 from .spectral import EigenSystem, IntervalDomain, weighted_series
-from .stable_motion import walk_exit_steps
+from .stable_motion import critical_scales, walk_exit_steps
 from .subordinators import LaplaceExponent, _floor_steps, expected_laplace, sample_increments
 
 __all__ = [
@@ -211,13 +215,11 @@ def _replica_task(args) -> np.ndarray:
     x0 = rng.uniform(a, b, size)
     ts = np.asarray(ts, float)
     if dt is None:
-        # per-path steps: dt_i = horizon_i / n_steps (single-t mode only)
-        if len(ts) != 1:
-            raise ValidationError("adaptive dt requires a single t")
-        h = _horizon_matrix(time_change, ts, size, rng)[0]
-        scales = (h / n_steps) ** (1.0 / alpha)
-        steps = walk_exit_steps(alpha, a, b, x0, scales, n_steps, rng)
-        return np.array([int(np.count_nonzero(steps > n_steps))])
+        # path i steps h_i(t) / n_steps, i.e. its unit walk at scale
+        # (h_i(t) / n_steps)^(1/alpha), and survives t exactly below c*_i
+        h = _horizon_matrix(time_change, ts, size, rng)
+        c_star = critical_scales(alpha, a, b, x0, n_steps, rng)
+        return np.count_nonzero((h / n_steps) ** (1.0 / alpha) < c_star, axis=1)
     # each path walks up to its largest grid budget; a survivor's exit
     # step is that budget + 1, so it exceeds every budget of the grid
     ks = _step_matrix(time_change, ts, dt, size, rng)
@@ -287,13 +289,12 @@ def monte_carlo_heat_content(
     budgets are resolved to the fixed-dt grid (one-step quantization is
     part of the documented discretization bias, which tests calibrate
     by step-halving).  The 95% CI half width is reported as the error;
-    the dt bias is documented, not signaled.
+    the dt bias is documented, not signaled.  This is the one-point
+    :func:`monte_carlo_heat_content_grid`, with the same draws.
     """
-    _validate_mc_args(time_change, [t], n_paths, dt, n_steps)
-    counts = _run_replicas(
+    return monte_carlo_heat_content_grid(
         alpha, domain, time_change, [t], n_paths, dt, n_steps, seed, workers
-    )
-    return _mc_values(domain, [t], counts, n_paths)[0]
+    )[0]
 
 
 def monte_carlo_heat_content_grid(
@@ -302,7 +303,8 @@ def monte_carlo_heat_content_grid(
     time_change: TimeChange,
     ts: Sequence[float],
     n_paths: int,
-    dt: float,
+    dt: float | None = None,
+    n_steps: int | None = None,
     seed: int = 0,
     workers: int = 1,
 ) -> list[HeatContentValue]:
@@ -311,10 +313,14 @@ def monte_carlo_heat_content_grid(
     All grid points share paths, starting points, and time-change
     randomness, so the estimates are exactly monotone nonincreasing in
     t (up to the fixed-dt budget quantization, shared across the grid).
+    ``dt`` and ``n_steps`` are as in :func:`monte_carlo_heat_content`:
+    with ``dt=None`` each path draws one unit walk of n_steps steps and
+    every grid point rescales it to that path's budget, so the rows
+    cost one walk, not one per t.
     """
     ts = list(ts)
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t grid must be nondecreasing")
-    _validate_mc_args(time_change, ts, n_paths, dt, None)
-    counts = _run_replicas(alpha, domain, time_change, ts, n_paths, dt, None, seed, workers)
+    _validate_mc_args(time_change, ts, n_paths, dt, n_steps)
+    counts = _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, workers)
     return _mc_values(domain, ts, counts, n_paths)

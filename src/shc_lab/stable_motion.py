@@ -10,6 +10,12 @@ For alpha = 2 it misses intra-step boundary crossings and so
 overestimates exit times; for alpha < 2 jump exits dominate and the
 bias is milder.  No exact-crossing correction is applied; tests carry
 a bias band calibrated by step-halving instead.
+
+Scale freedom: a walk of n steps of size dt has positions
+x0 + dt^(1/alpha) S_j, with S_j the partial sums of standard variates,
+so one unit walk answers every step size at once.
+:func:`critical_scales` returns, per path, the scale below which its
+walk stays inside.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .seeding import derive_rng
 __all__ = [
     "sample_symmetric_stable",
     "walk_exit_steps",
+    "critical_scales",
     "SupEstimate",
     "estimate_sup_mean",
 ]
@@ -122,6 +129,55 @@ def walk_exit_steps(
     exit_step = np.empty(n, dtype=np.int64)
     exit_step[order] = exit_sorted
     return exit_step
+
+
+# variates per block of critical_scales: bounds its memory whatever n_steps is
+_UNIT_BLOCK = 1 << 17
+
+
+def critical_scales(
+    alpha: float,
+    a: float,
+    b: float,
+    x0: np.ndarray,
+    n_steps: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Per path, the scale c* below which an n_steps walk stays in (a, b).
+
+    Each path walks the unit partial sums S_j = z_1 + ... + z_j, j <=
+    n_steps, of standard symmetric alpha-stable variates; the walk with
+    step scale c has positions x0 + c S_j, so it stays inside (a, b)
+    through step n_steps exactly when c < c*, with
+
+        c* = min((b - x0) / max_j S_j, (x0 - a) / (-min_j S_j)),
+
+    a side whose extreme has the wrong sign giving +inf.  ``x0`` must
+    lie in (a, b).  Steps are drawn in blocks of at most ``_UNIT_BLOCK``
+    variates (whole steps, at least one), so memory does not grow with
+    n_steps.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[0]
+    total = np.zeros(n)
+    top = np.zeros(n)
+    bottom = np.zeros(n)
+    rows = max(1, _UNIT_BLOCK // max(n, 1))
+    done = 0
+    while done < n_steps:
+        k = min(rows, n_steps - done)
+        sums = np.cumsum(sample_symmetric_stable(rng, alpha, (k, n)), axis=0)
+        sums += total
+        np.maximum(top, sums.max(axis=0), out=top)
+        np.minimum(bottom, sums.min(axis=0), out=bottom)
+        total = sums[-1]
+        done += k
+    # masked divisions: an extreme of the wrong sign never binds
+    upper = np.full(n, np.inf)
+    np.divide(b - x0, top, out=upper, where=top > 0.0)
+    lower = np.full(n, np.inf)
+    np.divide(x0 - a, -bottom, out=lower, where=bottom < 0.0)
+    return np.minimum(upper, lower)
 
 
 # paths per block of estimate_sup_mean: bounds its memory at n_steps * 4096

@@ -230,6 +230,41 @@ class TestMonteCarlo:
         assert all(a >= b for a, b in zip(seq, seq[1:]))
         assert all(0.0 <= v <= math.pi for v in seq)
 
+    @pytest.mark.parametrize(
+        "tc",
+        [
+            None,
+            InverseTime(StableExponent(0.5)),
+            SubordinatorTime(StableExponent(0.5)),
+            InverseTime(TemperedStableExponent(0.5, 1.0), delta_u=1e-3),
+        ],
+        ids=["none", "inverse-stable", "subordinate-stable", "inverse-tempered"],
+    )
+    def test_adaptive_grid_monotone_common_paths(self, tc):
+        # one unit walk per path serves every t: each path's scale grows
+        # with its budget, so survival can only be lost along the grid
+        ts = [1e-4, 1e-3, 0.01, 0.05, 0.2]
+        vals = monte_carlo_heat_content_grid(
+            1.5, DOMAIN_PI, tc, ts, n_paths=10_000, dt=None, n_steps=32, seed=12
+        )
+        seq = [v.value for v in vals]
+        assert all(a >= b for a, b in zip(seq, seq[1:]))
+        assert 0.0 < seq[-1] < seq[0] <= math.pi
+
+    def test_adaptive_point_is_the_one_point_grid(self):
+        tc = InverseTime(StableExponent(0.5))
+        kw = dict(n_paths=10_000, dt=None, n_steps=16, seed=13)
+        point = monte_carlo_heat_content(1.5, DOMAIN_PI, tc, 0.01, **kw)
+        grid = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, tc, [0.01], **kw)
+        assert grid == [point]
+
+    def test_adaptive_grid_worker_count_invariance(self):
+        tc = InverseTime(StableExponent(0.5))
+        kw = dict(n_paths=20_000, dt=None, n_steps=16, seed=14)
+        a = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, tc, [1e-3, 0.01], workers=1, **kw)
+        b = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, tc, [1e-3, 0.01], workers=2, **kw)
+        assert a == b
+
     def test_grid_first_passage_time_change(self):
         # tempered inverse change: exact step budgets grown on the grid dt
         # (delta_u, the adaptive-mode first-passage grid, does not apply)

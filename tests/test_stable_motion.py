@@ -12,7 +12,7 @@ from shc_lab import (
     sample_symmetric_stable,
 )
 from shc_lab.seeding import derive_rng
-from shc_lab.stable_motion import walk_exit_steps
+from shc_lab.stable_motion import critical_scales, walk_exit_steps
 
 # P(|X| > 10) for the standard Cauchy (scale 1)
 CAUCHY_TAIL_AT_10 = 0.06345103486110704
@@ -222,6 +222,74 @@ class TestWalkBudgets:
         summary = "dtype int64 with 3 bad of 10000 entries, minimum -3$"
         with pytest.raises(ValidationError, match=summary):
             walk_exit_steps(2.0, 0.0, 1.0, x0, 0.1, budgets, derive_rng(0))
+
+
+def _inside_brute_force(a, b, x0, sums, scales):
+    """inside[k, i]: every x0_i + scales[k] * sums[j, i] lies in (a, b)."""
+    pos = x0[None, None, :] + scales[:, None, None] * sums[None, :, :]
+    return np.all((pos > a) & (pos < b), axis=1)
+
+
+class TestCriticalScales:
+    """c < c* exactly when the unit walk scaled by c stays inside."""
+
+    def test_dyadic_walks_match_brute_force(self, monkeypatch):
+        import shc_lab.stable_motion as sm
+
+        # columns are paths; dyadic values keep every position exact, so
+        # the scales 0.0625 and 0.5 land exactly on a or b
+        z = np.array([
+            [0.5, -0.5, 0.0, 2.0],
+            [0.5, 0.25, 0.0, -4.0],
+            [-1.0, 0.25, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ])
+        x0 = np.array([0.5, 0.25, 0.75, 0.125])
+        monkeypatch.setattr(sm, "sample_symmetric_stable", lambda rng, alpha, size: z)
+        c_star = critical_scales(1.5, 0.0, 1.0, x0, 4, derive_rng(0))
+        # S hits 0 (paths 0, 1, 3), stays 0 (path 2), or never goes up (path 1)
+        assert c_star.tolist() == [0.5, 0.5, math.inf, 0.0625]
+        scales = np.array([0.0, 0.03125, 0.0625, 0.25, 0.4375, 0.5, 1.0, 8.0])
+        inside = _inside_brute_force(0.0, 1.0, x0, np.cumsum(z, axis=0), scales)
+        assert np.array_equal(scales[:, None] < c_star[None, :], inside)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
+    def test_random_walks_match_brute_force(self, alpha):
+        x0 = derive_rng(100).uniform(0.0, 1.0, 200)
+        c_star = critical_scales(alpha, 0.0, 1.0, x0, 50, derive_rng(101))
+        # 200 paths fit one block, so these are the walk's own variates
+        sums = np.cumsum(sample_symmetric_stable(derive_rng(101), alpha, (50, 200)), axis=0)
+        scales = np.concatenate([[0.0], np.logspace(-4, 1, 41)])
+        inside = _inside_brute_force(0.0, 1.0, x0, sums, scales)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(scales[:, None] < c_star[None, :], inside)
+
+    def test_draws_capped_per_block(self, monkeypatch):
+        import shc_lab.stable_motion as sm
+
+        sizes = []
+        original = sm.sample_symmetric_stable
+
+        def counting(rng, alpha, size):
+            sizes.append(size)
+            return original(rng, alpha, size)
+
+        monkeypatch.setattr(sm, "sample_symmetric_stable", counting)
+        x0 = np.array([0.2, 0.5, 0.9])
+        c_star = critical_scales(1.5, 0.0, 1.0, x0, 10 ** 5, derive_rng(102))
+        assert len(sizes) > 1
+        assert all(math.prod(size) <= sm._UNIT_BLOCK for size in sizes)
+        assert sum(math.prod(size) for size in sizes) == 3 * 10 ** 5
+        # the running sum, max and min carry across blocks: redraw the same
+        # blocks and take the extremes of the whole walk at once
+        rng = derive_rng(102)
+        z = np.concatenate([original(rng, 1.5, size) for size in sizes])
+        sums = np.cumsum(z, axis=0)
+        top, bottom = sums.max(axis=0), sums.min(axis=0)
+        assert np.all((top > 0.0) & (bottom < 0.0))
+        np.testing.assert_allclose(
+            c_star, np.minimum((1.0 - x0) / top, x0 / -bottom), rtol=1e-9
+        )
 
 
 class TestSupEstimate:
