@@ -6,28 +6,25 @@ plus a Monte Carlo evaluator driven by exit-time simulation.
 
 Series evaluators refuse small t when the truncation budget cannot
 certify the requested tolerance; Monte Carlo is the intended tool in
-that regime.  Each time change samples its own budgets.  With a fixed
-dt they are whole steps, from ``step_budgets``: ``InverseTime`` takes
-the exponent's ``inverse_steps``, #{k >= 1 : D_{k dt} <= t}, which is
-floor(E_t / dt) exactly; ``SubordinatorTime`` floors D_t, and with no
-time change t itself is floored.  Adaptive mode (``dt=None``) needs the
-continuous budget from ``horizons``: D_t, or E_t by the exponent's
-``inverse_times``, which without an exact sampler is the first passage
-on the grid ``delta_u`` from the same grid count as ``inverse_steps``.
-The Monte Carlo engine splits paths into fixed-size
-replicas with derived seeds, so results are independent of worker
-count, and draws its randomness in a fixed per-replica order, so a
-common seed yields common random numbers across a whole t-grid (which
-makes the estimates exactly monotone in t for the supported time
-changes).  With a fixed dt, each path walks only up to its largest
-grid budget: the walk's budget-ordered layout (paths sorted by
-decreasing budget, step j drawn for the paths whose budget is at least
-j) ties a path's variates to the budgets alone, so a path that has
-used up its budget draws nothing more.  In adaptive mode path i takes
-n_steps steps of size h_i(t) / n_steps, so its walk is the unit walk
-scaled by (h_i(t) / n_steps)^(1/alpha): one unit walk per path, through
-its critical scale (``stable_motion.critical_scales``), answers every
-grid point, and all rows share the same paths.
+that regime.  It splits paths into fixed-size replicas with derived
+seeds, so results are independent of worker count, and draws in a fixed
+per-replica order, so a common seed yields common random numbers across
+a whole t-grid (which makes the estimates exactly monotone in t).  Each
+time change draws its own randomness.  With a fixed dt its budgets are
+whole steps (``step_budgets``): ``InverseTime`` takes the exponent's
+``inverse_steps``, #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) exactly,
+``SubordinatorTime`` floors D_t, and with no time change t is floored.
+Each path walks only up to its largest grid budget: the walk's
+budget-ordered layout ties a path's variates to the budgets alone, so a
+path that has used up its budget draws nothing more.
+In adaptive mode (``dt=None``) path i takes n_steps steps of size
+h_i(t) / n_steps: its unit walk scaled by (h_i(t) / n_steps)^(1/alpha),
+which stays inside exactly when h_i(t) < u*_i = n_steps c*_i^alpha, c*_i
+being its critical scale (``stable_motion.critical_scales``).  So one
+unit walk per path serves every grid point, and each time change answers
+"h(t) < u*?" (``budgets_below``); for ``InverseTime`` that is D_{u*} > t
+(Meerschaert & Scheffler, J. Appl. Probab. 41, 2004), exact for every
+exponent, with no E_t sampled.
 """
 
 from __future__ import annotations
@@ -147,28 +144,20 @@ class SubordinatorTime:
         """Whole steps of size dt within D_t per (t, path)."""
         return _floor_steps(self.horizons(ts, size, rng), dt)
 
+    def budgets_below(self, ts: np.ndarray, u_star: np.ndarray, rng) -> np.ndarray:
+        """D_t < u* per (t, path), for adaptive mode."""
+        return self.horizons(ts, u_star.size, rng) < u_star
+
 
 @dataclass(frozen=True)
 class InverseTime:
     """Run the outer motion up to E_t (inverse-subordinator time change).
 
-    With a fixed dt the budgets are exact step counts on the walk's own
-    grid (:meth:`step_budgets`), so ``delta_u`` applies only in adaptive
-    mode: when the exponent has no exact sampler of E_t (the stable
-    family and the drift have one), E_t is the first passage
-    (k + 1) * delta_u, with k the same grid count taken at step delta_u.
+    Both modes are exact in distribution for every exponent: fixed-dt
+    step counts on the walk's own grid, and adaptive "E_t < u*?" by D_{u*}.
     """
 
     spec: LaplaceExponent
-    delta_u: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 < self.delta_u < math.inf:
-            raise ValidationError(f"delta_u must be finite and > 0, got {self.delta_u}")
-
-    def horizons(self, ts: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-        """E_t per (t, path), coupled across the grid by the exponent's sampler."""
-        return self.spec.inverse_times(ts, size, rng, self.delta_u)
 
     def step_budgets(
         self, ts: np.ndarray, dt: float, size: int, rng: np.random.Generator
@@ -176,17 +165,25 @@ class InverseTime:
         """#{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) per (t, path)."""
         return self.spec.inverse_steps(ts, dt, size, rng)
 
+    def budgets_below(self, ts: np.ndarray, u_star: np.ndarray, rng) -> np.ndarray:
+        """E_t < u* per (t, path), as the event D_{u*} > t.  D_{u*} is drawn
+        in pieces of at most the exponent's ``piece_length`` until it passes
+        max(ts), so a huge u* costs no more than the grid needs; u* = inf
+        passes every t and u* = 0 none, both without a draw."""
+        level = np.where(u_star == math.inf, math.inf, 0.0)
+        left = u_star.copy()
+        live = np.flatnonzero((0.0 < u_star) & (u_star < math.inf))
+        while live.size:
+            delta = np.minimum(left[live], self.spec.piece_length)
+            # a level past the float range is inf, which passes every t
+            with np.errstate(over="ignore"):
+                level[live] += sample_increments(self.spec, delta, live.size, rng)
+            left[live] -= delta
+            live = live[(left[live] > 0.0) & (level[live] <= ts.max(initial=0.0))]
+        return level > ts[:, None]
+
 
 TimeChange = Union[None, SubordinatorTime, InverseTime]
-
-
-def _horizon_matrix(
-    time_change: TimeChange, ts: np.ndarray, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Operational-time budgets, shape (len(ts), size), for adaptive mode."""
-    if time_change is None:
-        return np.repeat(ts[:, None], size, axis=1)
-    return time_change.horizons(ts, size, rng)
 
 
 def _step_matrix(
@@ -215,11 +212,14 @@ def _replica_task(args) -> np.ndarray:
     x0 = rng.uniform(a, b, size)
     ts = np.asarray(ts, float)
     if dt is None:
-        # path i steps h_i(t) / n_steps, i.e. its unit walk at scale
-        # (h_i(t) / n_steps)^(1/alpha), and survives t exactly below c*_i
-        h = _horizon_matrix(time_change, ts, size, rng)
+        # path i survives t exactly when h_i(t) < u*_i; a c* too large to
+        # raise to alpha survives every t, so inf is the right u* for it
         c_star = critical_scales(alpha, a, b, x0, n_steps, rng)
-        return np.count_nonzero((h / n_steps) ** (1.0 / alpha) < c_star, axis=1)
+        with np.errstate(over="ignore"):
+            u_star = n_steps * c_star ** alpha
+        if time_change is None:
+            return np.count_nonzero(ts[:, None] < u_star, axis=1)
+        return np.count_nonzero(time_change.budgets_below(ts, u_star, rng), axis=1)
     # each path walks up to its largest grid budget; a survivor's exit
     # step is that budget + 1, so it exceeds every budget of the grid
     ks = _step_matrix(time_change, ts, dt, size, rng)
@@ -313,10 +313,8 @@ def monte_carlo_heat_content_grid(
     All grid points share paths, starting points, and time-change
     randomness, so the estimates are exactly monotone nonincreasing in
     t (up to the fixed-dt budget quantization, shared across the grid).
-    ``dt`` and ``n_steps`` are as in :func:`monte_carlo_heat_content`:
-    with ``dt=None`` each path draws one unit walk of n_steps steps and
-    every grid point rescales it to that path's budget, so the rows
-    cost one walk, not one per t.
+    ``dt`` and ``n_steps`` are as in :func:`monte_carlo_heat_content`;
+    with ``dt=None`` one unit walk per path serves every row.
     """
     ts = list(ts)
     if any(b < a for a, b in zip(ts, ts[1:])):

@@ -13,9 +13,10 @@ a bias band calibrated by step-halving instead.
 
 Scale freedom: a walk of n steps of size dt has positions
 x0 + dt^(1/alpha) S_j, with S_j the partial sums of standard variates,
-so one unit walk answers every step size at once.
-:func:`critical_scales` returns, per path, the scale below which its
-walk stays inside.
+so one unit walk answers every step size at once.  One kernel walks the
+unit partial sums and keeps their running max and min:
+:func:`critical_scales` turns them into the scale below which each
+path stays inside, and :func:`estimate_sup_mean` scales the max.
 """
 
 from __future__ import annotations
@@ -66,14 +67,14 @@ def walk_exit_steps(
     a: float,
     b: float,
     x0: np.ndarray,
-    scales: np.ndarray,
+    scale: float,
     n_steps: int | np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized Euler walk; returns the 1-based step index of first exit.
 
-    ``scales`` is the per-path increment scale dt_i^(1/alpha) and
-    ``n_steps`` the per-path step budget (a scalar of either broadcasts).
+    ``scale`` is the increment scale dt^(1/alpha), shared by all paths,
+    and ``n_steps`` the per-path step budget (a scalar broadcasts).
     A path that does not leave (a, b) within its budget gets the
     sentinel budget + 1, so a budget of 0 never moves.  A jump landing
     outside [a, b] counts as an exit (zero exterior condition).
@@ -103,7 +104,6 @@ def walk_exit_steps(
     order = np.argsort(-budgets, kind="stable")
     sorted_budgets = budgets[order]
     x = np.asarray(x0, dtype=float)[order]
-    scales = np.broadcast_to(np.asarray(scales, dtype=float), (n,))[order]
     exit_sorted = sorted_budgets + 1
     alive = np.ones(n, dtype=bool)
     # budgets can be huge (heavy-tailed time changes), so the prefix length
@@ -118,7 +118,7 @@ def walk_exit_steps(
         if not live.any():
             break
         z = sample_symmetric_stable(rng, alpha, m)
-        inc = scales[:m] * z
+        inc = scale * z
         xm = x[:m]
         # a path that has left stays put; adding 0.0 is cheaper than a
         # masked update and leaves every live position bit-identical
@@ -131,8 +131,32 @@ def walk_exit_steps(
     return exit_step
 
 
-# variates per block of critical_scales: bounds its memory whatever n_steps is
+# variates per block of the unit walk: bounds its memory whatever n_steps is
 _UNIT_BLOCK = 1 << 17
+
+
+def _unit_extremes(
+    alpha: float, n_paths: int, n_steps: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of S_0 = 0, S_1, ..., S_n_steps per path, S_j the partial
+    sums of standard symmetric alpha-stable variates.  Whole steps are drawn
+    in blocks of at most ``_UNIT_BLOCK`` variates (at least one step),
+    carrying the running sum, max and min, so memory does not grow with
+    n_steps."""
+    total = np.zeros(n_paths)
+    top = np.zeros(n_paths)
+    bottom = np.zeros(n_paths)
+    rows = max(1, _UNIT_BLOCK // max(n_paths, 1))
+    done = 0
+    while done < n_steps:
+        k = min(rows, n_steps - done)
+        sums = np.cumsum(sample_symmetric_stable(rng, alpha, (k, n_paths)), axis=0)
+        sums += total
+        np.maximum(top, sums.max(axis=0), out=top)
+        np.minimum(bottom, sums.min(axis=0), out=bottom)
+        total = sums[-1]
+        done += k
+    return top, bottom
 
 
 def critical_scales(
@@ -153,35 +177,17 @@ def critical_scales(
         c* = min((b - x0) / max_j S_j, (x0 - a) / (-min_j S_j)),
 
     a side whose extreme has the wrong sign giving +inf.  ``x0`` must
-    lie in (a, b).  Steps are drawn in blocks of at most ``_UNIT_BLOCK``
-    variates (whole steps, at least one), so memory does not grow with
-    n_steps.
+    lie in (a, b).
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
-    total = np.zeros(n)
-    top = np.zeros(n)
-    bottom = np.zeros(n)
-    rows = max(1, _UNIT_BLOCK // max(n, 1))
-    done = 0
-    while done < n_steps:
-        k = min(rows, n_steps - done)
-        sums = np.cumsum(sample_symmetric_stable(rng, alpha, (k, n)), axis=0)
-        sums += total
-        np.maximum(top, sums.max(axis=0), out=top)
-        np.minimum(bottom, sums.min(axis=0), out=bottom)
-        total = sums[-1]
-        done += k
+    top, bottom = _unit_extremes(alpha, n, n_steps, rng)
     # masked divisions: an extreme of the wrong sign never binds
     upper = np.full(n, np.inf)
     np.divide(b - x0, top, out=upper, where=top > 0.0)
     lower = np.full(n, np.inf)
     np.divide(x0 - a, -bottom, out=lower, where=bottom < 0.0)
     return np.minimum(upper, lower)
-
-
-# paths per block of estimate_sup_mean: bounds its memory at n_steps * 4096
-_SUP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -216,23 +222,7 @@ def estimate_sup_mean(
         raise ValidationError("running supremum has infinite mean for alpha <= 1")
     if n_paths < 2 or n_steps < 1:
         raise ValidationError("need n_paths >= 2 and n_steps >= 1")
-    rng = derive_rng(seed)
-    scale = (1.0 / n_steps) ** (1.0 / alpha)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_paths:
-        m = min(_SUP_CHUNK, n_paths - done)
-        z = sample_symmetric_stable(rng, alpha, (n_steps, m))
-        sup = np.maximum(np.cumsum(z, axis=0).max(axis=0), 0.0) * scale
-        total += float(sup.sum())
-        total_sq += float((sup * sup).sum())
-        done += m
-    mean = total / n_paths
-    var = max(total_sq / n_paths - mean * mean, 0.0)
-    return SupEstimate(
-        value=mean,
-        ci_halfwidth=1.96 * math.sqrt(var / n_paths),
-        n_paths=n_paths,
-        n_steps=n_steps,
-    )
+    top, _ = _unit_extremes(alpha, n_paths, n_steps, derive_rng(seed))
+    sup = top * (1.0 / n_steps) ** (1.0 / alpha)
+    ci = 1.96 * math.sqrt(sup.var() / n_paths)
+    return SupEstimate(float(sup.mean()), ci, n_paths, n_steps)

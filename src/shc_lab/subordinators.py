@@ -2,21 +2,19 @@
 
 The supported Laplace exponents are the three concrete families the
 analysis needs (stable, tempered stable, sum of two stables) plus a
-degenerate pure-drift exponent used as a test double.  Each exponent
-knows its regular-variation indices at 0+ and at infinity, which drive
-the asymptotic laws downstream, and owns its sampler of increments, its
-Laplace functional E[exp(-a E_t)] of the inverse E_t = inf{u : D_u > t},
-its sampler of E_t and its sampler of the fixed-dt step budgets
-#{k >= 1 : D_{k dt} <= t} = floor(E_t / dt).  The functional takes a
-whole array of a (one per eigenvalue): the shared base inverts the
-double Laplace transform phi(s) / (s (phi(s) + a)) on one Talbot
-contour, evaluating phi once per node, and only the drift double
-(exp(-a t)) overrides it.  One grid counter, #{k >= 1 : D_{k dt} <= t}
-with all paths grown together, gives both the exact step budget at the
-walk's dt and, at dt = delta_u, the first passage (count + 1) * delta_u
-that stands in for E_t; the stable family (E_t =d (t / D_1)^beta) and
-the drift sample E_t exactly and floor it for their budgets.  Expectations
-E[g(E_t)] for the stable family are computed by deterministic nested
+degenerate pure-drift exponent used as a test double.  Each knows its
+regular-variation indices at 0+ and at infinity, which drive the
+asymptotic laws downstream, and owns its increment sampler (one delta
+for all paths or one per path) with the longest piece it draws cheaply,
+its Laplace functional E[exp(-a E_t)] of the inverse
+E_t = inf{u : D_u > t}, and its fixed-dt step budgets
+#{k >= 1 : D_{k dt} <= t} = floor(E_t / dt): the base counts them on
+the grid, all paths grown together, and the stable family
+(E_t =d (t / D_1)^beta) and the drift floor their exact E_t.  The
+functional takes a whole array of a (one per eigenvalue): the base
+inverts phi(s) / (s (phi(s) + a)) on one Talbot contour, evaluating phi
+once per node; only the drift double (exp(-a t)) overrides it.
+Expectations E[g(E_t)] for the stable family use deterministic nested
 quadrature in the Kanter representation
 E_t =d t^beta (W / A(U))^(1-beta), U ~ Uniform(0, pi), W ~ Exp(1).
 """
@@ -49,6 +47,8 @@ __all__ = [
 ]
 
 _REJECTION_CAP = 1_000_000
+# kappa^beta times the longest tempered piece: acceptance about exp(-0.7)
+_TILT_BUDGET = 0.7
 # increments per block of _grid_steps (one column when more paths are live)
 _STEP_BLOCK = 16_384
 
@@ -68,8 +68,12 @@ class LaplaceExponent:
     indices and :meth:`increments`, and override the numerical fallbacks
     for E_t where they have a closed form."""
 
-    def increments(self, delta: float, size, rng: np.random.Generator) -> np.ndarray:
-        """i.i.d. increments D_delta, exact in distribution."""
+    # longest increment drawn at the cost of one variate per path
+    piece_length = math.inf
+
+    def increments(self, delta, size, rng: np.random.Generator) -> np.ndarray:
+        """Independent increments D_delta, exact in distribution; ``delta``
+        is one float for all paths or an array with one entry per path."""
         raise NotImplementedError
 
     def laplace_functional(self, a, t: float, tol: float):
@@ -82,12 +86,6 @@ class LaplaceExponent:
         if np.any(value > 1.0 + tol):
             raise InversionError(f"E[exp(-a E_t)] inverted to {value.max()!r} > 1 at t={t}")
         return value[()]
-
-    def inverse_times(self, ts: np.ndarray, size: int, rng, delta_u: float) -> np.ndarray:
-        """E_t per (t, path), shape (len(ts), size), coupled across the grid:
-        first passage (k + 1) * delta_u, k the grid count at step delta_u."""
-        # not self.inverse_steps, which an exponent may override with its exact E_t
-        return (_grid_steps(self, ts, delta_u, size, rng) + 1) * delta_u
 
     def inverse_steps(self, ts, dt: float, size: int, rng) -> np.ndarray:
         """Step budgets #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) per
@@ -116,15 +114,12 @@ class StableExponent(LaplaceExponent):
         return self.beta
 
     def increments(self, delta, size, rng):
-        return delta ** (1.0 / self.beta) * sample_positive_stable(rng, self.beta, size)
-
-    def inverse_times(self, ts, size, rng, delta_u):
-        """Exact: E_t =d (t / D_1)^beta with one D_1 per path (self-similarity)."""
-        s = sample_positive_stable(rng, self.beta, size)
-        return (ts[:, None] / s[None, :]) ** self.beta
+        return _root(delta, self.beta) * sample_positive_stable(rng, self.beta, size)
 
     def inverse_steps(self, ts, dt, size, rng):
-        return _floor_steps(self.inverse_times(np.asarray(ts, dtype=float), size, rng, None), dt)
+        """Floored exact E_t =d (t / D_1)^beta, one D_1 per path (self-similarity)."""
+        s = sample_positive_stable(rng, self.beta, size)
+        return _floor_steps((np.asarray(ts, dtype=float)[:, None] / s[None, :]) ** self.beta, dt)
 
 
 @dataclass(frozen=True)
@@ -150,33 +145,37 @@ class TemperedStableExponent(LaplaceExponent):
     def index_at_infinity(self) -> float:
         return self.beta
 
+    @property
+    def piece_length(self) -> float:
+        return _TILT_BUDGET / self.kappa ** self.beta
+
     def increments(self, delta, size, rng):
         """Exponential tilting by rejection.
 
         Propose stable increments, accept with probability
         exp(-kappa * X).  Overall acceptance is exp(-delta * kappa^beta),
-        so large delta is chopped into pieces with acceptance around
+        so a large delta is chopped into pieces with acceptance around
         exp(-0.7) each; the result is exact in distribution by infinite
-        divisibility.
+        divisibility.  Chunk k draws for the paths with more than k pieces.
         """
         beta, kappa = self.beta, self.kappa
-        budget = delta * kappa ** beta
-        n_chunks = max(1, math.ceil(budget / 0.7))
-        piece = delta / n_chunks
-        scale = piece ** (1.0 / beta)
+        budget = np.multiply(delta, kappa ** beta)
+        n_chunks = np.maximum(1, np.ceil(budget / _TILT_BUDGET)).astype(np.int64)
+        scale = np.broadcast_to(_root(delta / n_chunks, beta), size)
+        n_chunks = np.broadcast_to(n_chunks, size)
         out = np.zeros(size)
-        for _ in range(n_chunks):
-            pending = np.arange(size)
-            vals = np.empty(size)
+        for k in range(int(n_chunks.max(initial=0))):
+            pending = np.flatnonzero(n_chunks > k)
+            vals = np.zeros(size)
             rejections = 0
             while pending.size:
-                cand = scale * sample_positive_stable(rng, beta, pending.size)
+                cand = scale[pending] * sample_positive_stable(rng, beta, pending.size)
                 accept = rng.uniform(size=pending.size) <= np.exp(-kappa * cand)
                 vals[pending[accept]] = cand[accept]
                 rejections += int(np.count_nonzero(~accept))
                 if rejections > _REJECTION_CAP:
                     raise RejectionBudgetError(
-                        f"tempering rejection cap exceeded (kappa={kappa}, delta={delta})"
+                        f"tempering rejection cap exceeded (kappa={kappa}, delta={np.max(delta)})"
                     )
                 pending = pending[~accept]
             out += vals
@@ -211,10 +210,10 @@ class SumOfStablesExponent(LaplaceExponent):
         return self.b
 
     def increments(self, delta, size, rng):
-        first = delta ** (1.0 / self.a) * sample_positive_stable(rng, self.a, size)
+        first = _root(delta, self.a) * sample_positive_stable(rng, self.a, size)
         if self.b == 1.0:
             return first + delta
-        return first + delta ** (1.0 / self.b) * sample_positive_stable(rng, self.b, size)
+        return first + _root(delta, self.b) * sample_positive_stable(rng, self.b, size)
 
 
 @dataclass(frozen=True)
@@ -242,11 +241,9 @@ class DriftExponent(LaplaceExponent):
     def laplace_functional(self, a, t, tol):
         return np.exp(-np.asarray(a, dtype=float) * t)[()]
 
-    def inverse_times(self, ts, size, rng, delta_u):
-        return np.repeat(ts[:, None], size, axis=1)
-
     def inverse_steps(self, ts, dt, size, rng):
-        return _floor_steps(self.inverse_times(np.asarray(ts, dtype=float), size, rng, None), dt)
+        """Floored E_t = t, the same for every path."""
+        return _floor_steps(np.repeat(np.asarray(ts, dtype=float)[:, None], size, axis=1), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +271,27 @@ def sample_positive_stable(rng: np.random.Generator, beta: float, size) -> np.nd
 
 
 def sample_increments(
-    spec: LaplaceExponent, delta: float, size: int, rng: np.random.Generator
+    spec: LaplaceExponent, delta, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """i.i.d. increments D_{delta} for the given exponent, exact in distribution."""
+    """Independent increments D_{delta} for the given exponent, exact in
+    distribution; ``delta`` is one float or an array with one entry per path."""
     # NaN fails every comparison, so the check asks for the good case
-    if not 0.0 < delta < math.inf:
-        raise ValidationError(f"delta must be finite and > 0, got {delta}")
+    d = np.asarray(delta)
+    bad = d[~((0.0 < d) & (d < math.inf))]
+    if bad.size:
+        raise ValidationError(f"delta must be finite and > 0, got {bad[0]}")
     return spec.increments(delta, size, rng)
+
+
+def _root(delta, beta: float) -> np.ndarray:
+    """delta^(1/beta) per entry by the C library's pow, as for a float delta
+    (numpy's vectorized power can differ in the last bit); inf past 1e308."""
+    d = np.asarray(delta, dtype=float)
+    with np.errstate(over="ignore"):
+        finite = d ** (1.0 / beta) <= 1e308
+    out = np.full(d.shape, math.inf)
+    out[finite] = np.power(d[finite].astype(object), 1.0 / beta)
+    return out
 
 
 # ---------------------------------------------------------------------------

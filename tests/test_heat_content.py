@@ -1,5 +1,6 @@
 """Heat-content evaluators: series, transform, and Monte Carlo."""
 
+import importlib
 import math
 
 import numpy as np
@@ -31,6 +32,16 @@ Q_SUBORDINATE_HALF_T10 = 0.00011560997183006581  # weights e^{-10 n}
 Q_INVERSE_HALF_T1 = 1.1098110182414838    # weights erfcx(n^2)
 
 DOMAIN_PI = IntervalDomain(0.0, math.pi)
+
+# the module, which the package's attribute of the same name (a function) hides
+HEAT_CONTENT = importlib.import_module("shc_lab.heat_content")
+
+ALL_EXPONENTS = [
+    StableExponent(0.5),
+    TemperedStableExponent(0.5, 1.0),
+    SumOfStablesExponent(0.3, 0.9),
+    DriftExponent(),
+]
 
 
 @pytest.fixture(scope="module")
@@ -178,10 +189,10 @@ class TestMonteCarlo:
         "spec", [TemperedStableExponent(0.5, 2.0), SumOfStablesExponent(0.3, 0.9)]
     )
     def test_inverse_grid_fallback_adaptive_matches_transform(self, eig, spec):
-        # alpha=2, adaptive dt: E_t by first passage on the grid delta_u = 1e-3
-        # (its overshoot moves Q by about 2e-3, far inside the band)
+        # alpha=2, adaptive dt: E_t < u* is asked exactly, as D_{u*} > t, so
+        # the walk's step bias is the only bias left
         t = 0.1
-        tc = InverseTime(spec, delta_u=1e-3)
+        tc = InverseTime(spec)
         hv = monte_carlo_heat_content(
             2.0, DOMAIN_PI, tc, t, n_paths=20_000, dt=None, n_steps=64, seed=10
         )
@@ -236,7 +247,7 @@ class TestMonteCarlo:
             None,
             InverseTime(StableExponent(0.5)),
             SubordinatorTime(StableExponent(0.5)),
-            InverseTime(TemperedStableExponent(0.5, 1.0), delta_u=1e-3),
+            InverseTime(TemperedStableExponent(0.5, 1.0)),
         ],
         ids=["none", "inverse-stable", "subordinate-stable", "inverse-tempered"],
     )
@@ -250,6 +261,70 @@ class TestMonteCarlo:
         seq = [v.value for v in vals]
         assert all(a >= b for a, b in zip(seq, seq[1:]))
         assert 0.0 < seq[-1] < seq[0] <= math.pi
+
+    @pytest.mark.parametrize("spec", ALL_EXPONENTS, ids=lambda spec: type(spec).__name__)
+    def test_adaptive_origin_is_exact(self, spec):
+        # E_0 = 0 < u* for every path, so Q(0) = |Omega| with no error; the
+        # tempered and sum exponents used to sample E_t by a grid first
+        # passage, which gave Q(0) = 3.1136 +- 0.0058 here
+        vals = monte_carlo_heat_content_grid(
+            1.5, DOMAIN_PI, InverseTime(spec), [0.0, 0.01], n_paths=10_000,
+            dt=None, n_steps=32, seed=12,
+        )
+        assert (vals[0].value, vals[0].error) == (math.pi, 0.0)
+        assert vals[1].value < math.pi
+
+    def test_adaptive_inverse_draws_bounded_pieces(self, monkeypatch):
+        # one step at alpha = 2 puts u* = c*^2 up to 2.7e12 over these 100k
+        # paths; D_{u*} is drawn in pieces no longer than the tempered
+        # exponent's cheap piece, and only until it passes max(ts), so the
+        # whole grid costs a few pieces per path
+        spec = TemperedStableExponent(0.5, 2.0)
+        deltas, sizes = [], []
+
+        def recorded(spec, delta, size, rng):
+            deltas.append(np.max(delta))
+            sizes.append(size)
+            return sample_increments(spec, delta, size, rng)
+
+        monkeypatch.setattr(HEAT_CONTENT, "sample_increments", recorded)
+        vals = monte_carlo_heat_content_grid(
+            2.0, DOMAIN_PI, InverseTime(spec), [0.01, 0.1, 1.0], n_paths=100_000,
+            dt=None, n_steps=1, seed=15,
+        )
+        assert spec.piece_length == 0.7 / 2.0 ** 0.5
+        assert deltas and max(deltas) <= spec.piece_length
+        assert sum(sizes) <= 10 * 100_000
+        seq = [v.value for v in vals]
+        assert math.pi > seq[0] >= seq[1] >= seq[2] > 0.0
+
+    def test_inverse_budgets_below_match_step_budgets(self):
+        # E_t < u exactly when D_u > t, which is a step budget of 0 at dt = u;
+        # u = 2 takes five tempered pieces.  Two-sample binomial band per t
+        spec, u, n = TemperedStableExponent(0.5, 2.0), 2.0, 20_000
+        ts = np.array([0.3, 0.6, 1.0, 1.5])
+        below = InverseTime(spec).budgets_below(ts, np.full(n, u), derive_rng(16))
+        zero_budget = spec.inverse_steps(ts, u, n, derive_rng(17)) == 0
+        p, q = below.mean(axis=1), zero_budget.mean(axis=1)
+        pooled = (p + q) / 2.0
+        assert np.all((0.05 < pooled) & (pooled < 0.95))
+        assert np.all(np.abs(p - q) <= 3.5 * np.sqrt(pooled * (1.0 - pooled) * 2.0 / n))
+
+    def test_inverse_budgets_below_without_draws(self, monkeypatch):
+        # u* = inf passes every t and u* = 0 passes none, neither with a draw
+        monkeypatch.setattr(HEAT_CONTENT, "sample_increments", None)
+        below = InverseTime(TemperedStableExponent(0.5, 2.0)).budgets_below(
+            np.array([0.0, 1e6]), np.array([0.0, math.inf]), derive_rng(18)
+        )
+        assert below.tolist() == [[False, True], [False, True]]
+
+    def test_inverse_budgets_below_past_float_range(self):
+        # D_u = u^50 S at beta = 0.02 passes the float range for u = 1e20;
+        # it reads as inf, which passes every t, and raises nothing
+        below = InverseTime(StableExponent(0.02)).budgets_below(
+            np.array([0.0, 1e300]), np.array([1e20]), derive_rng(19)
+        )
+        assert below.tolist() == [[True], [True]]
 
     def test_adaptive_point_is_the_one_point_grid(self):
         tc = InverseTime(StableExponent(0.5))
@@ -267,8 +342,7 @@ class TestMonteCarlo:
 
     def test_grid_first_passage_time_change(self):
         # tempered inverse change: exact step budgets grown on the grid dt
-        # (delta_u, the adaptive-mode first-passage grid, does not apply)
-        tc = InverseTime(TemperedStableExponent(0.5, 1.0), delta_u=5e-3)
+        tc = InverseTime(TemperedStableExponent(0.5, 1.0))
         vals = monte_carlo_heat_content_grid(
             1.5, DOMAIN_PI, tc, [0.1, 0.4], n_paths=500, dt=0.01, seed=9
         )
@@ -311,13 +385,17 @@ class TestMonteCarlo:
         "delta", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
     )
     def test_bad_increment_step_rejected(self, delta):
-        # a nan or inf delta_u used to give 0 +- 0 for the sum exponent (and a
+        # a nan or inf step used to give 0 +- 0 for the sum exponent (and a
         # raw ValueError or OverflowError for the tempered one)
         spec = SumOfStablesExponent(0.3, 0.9)
         with pytest.raises(ValidationError, match="finite"):
             sample_increments(spec, delta, 10, derive_rng(0))
-        with pytest.raises(ValidationError, match="finite"):
-            InverseTime(spec, delta_u=delta)
+        # one step per path: a single bad entry fails the whole draw
+        deltas = np.full(10, 0.5)
+        deltas[7] = delta
+        for spec in ALL_EXPONENTS:
+            with pytest.raises(ValidationError, match="finite"):
+                sample_increments(spec, deltas, 10, derive_rng(0))
 
     @pytest.mark.parametrize("seed", [2.9, 2.0, -1, True, "2", None])
     def test_bad_seed_rejected(self, seed):

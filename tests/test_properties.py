@@ -167,9 +167,9 @@ def test_walk_permutation_equivariant(case, alpha, seed):
     budgets, perm = case
     rng = derive_rng(seed)
     x0 = rng.uniform(0.0, 1.0, budgets.size)
-    scales = rng.uniform(0.01, 0.2, budgets.size)
-    es = walk_exit_steps(alpha, 0.0, 1.0, x0, scales, budgets, derive_rng(seed, 1))
+    scale = rng.uniform(0.01, 0.2)
+    es = walk_exit_steps(alpha, 0.0, 1.0, x0, scale, budgets, derive_rng(seed, 1))
     es_perm = walk_exit_steps(
-        alpha, 0.0, 1.0, x0[perm], scales[perm], budgets[perm], derive_rng(seed, 1)
+        alpha, 0.0, 1.0, x0[perm], scale, budgets[perm], derive_rng(seed, 1)
     )
     assert np.array_equal(es_perm, es[perm])

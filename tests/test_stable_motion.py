@@ -154,10 +154,10 @@ class TestWalkBudgets:
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
     def test_equal_budgets_match_scalar(self, alpha):
         x0 = derive_rng(90).uniform(0.0, 1.0, 3000)
-        scales = derive_rng(91).uniform(1e-3, 3e-2, 3000)
-        scalar = walk_exit_steps(alpha, 0.0, 1.0, x0, scales, 150, derive_rng(92))
+        scale = derive_rng(91).uniform(1e-3, 3e-2)
+        scalar = walk_exit_steps(alpha, 0.0, 1.0, x0, scale, 150, derive_rng(92))
         array = walk_exit_steps(
-            alpha, 0.0, 1.0, x0, scales, np.full(3000, 150), derive_rng(92)
+            alpha, 0.0, 1.0, x0, scale, np.full(3000, 150), derive_rng(92)
         )
         assert np.array_equal(scalar, array)
 

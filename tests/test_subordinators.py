@@ -160,22 +160,39 @@ class TestIncrementSamplers:
         x = sample_increments(spec, 2.0, 50_000, rng)
         assert np.all(x >= 2.0)  # drift floor
 
+    @pytest.mark.parametrize("delta", [1e-3, 0.37, 7.3])
+    @pytest.mark.parametrize("spec", ALL_SPECS + [SumOfStablesExponent(0.5, 1.0)])
+    def test_equal_array_deltas_match_scalar(self, spec, delta):
+        # one delta per path, all equal, draws bit for bit what the one
+        # float draws (7.3 chops the tempered increment into 15 pieces)
+        scalar = sample_increments(spec, delta, 2000, derive_rng(16))
+        array = sample_increments(spec, np.full(2000, delta), 2000, derive_rng(16))
+        assert np.array_equal(scalar, array)
 
-def first_passage(spec, ts, size, seed, delta_u):
-    """E_t by first passage on the grid k * delta_u: the base sampler, which
-    adaptive Monte Carlo runs for the tempered and sum exponents (the stable
-    and drift exponents override it with exact samplers).  It is
-    (k + 1) * delta_u, k = #{k >= 1 : D_{k delta_u} <= t} being the same grid
-    count as the base ``inverse_steps``."""
+    def test_array_deltas_chop_per_path(self):
+        # the tempered pieces follow each path's own delta: E[D_delta] =
+        # delta beta kappa^(beta-1) per path, with 1 to 58 pieces here
+        spec = TemperedStableExponent(0.5, 1.0)
+        delta = np.repeat([0.1, 1.0, 40.0], 20_000)
+        x = sample_increments(spec, delta, delta.size, derive_rng(17)).reshape(3, -1)
+        se = x.std(axis=1, ddof=1) / math.sqrt(x.shape[1])
+        assert np.all(np.abs(x.mean(axis=1) - 0.5 * np.array([0.1, 1.0, 40.0])) <= 3 * se)
+
+
+def first_passage(spec, ts, size, seed, du):
+    """E_t by first passage on the grid k * du: (k + 1) * du, with
+    k = #{k >= 1 : D_{k du} <= t} the grid count of the base
+    ``inverse_steps`` (the stable and drift exponents override it with
+    their exact E_t)."""
     ts = np.asarray(ts, dtype=float)
-    return LaplaceExponent.inverse_times(spec, ts, size, derive_rng(seed), delta_u)
+    return (LaplaceExponent.inverse_steps(spec, ts, du, size, derive_rng(seed)) + 1) * du
 
 
 class TestPathsAndFirstPassage:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_path_invariants(self, spec):
         # the grid path starts at D_0 = 0 and grows past the horizon 1: first
-        # passage is delta_u at t = 0, a finite whole number of grid steps,
+        # passage is du at t = 0, a finite whole number of grid steps,
         # and nondecreasing in t
         e = first_passage(spec, [0.0, 0.5, 1.0], 50, 21, 0.01)
         steps = np.rint(e / 0.01)
@@ -258,9 +275,10 @@ class TestInverseSteps:
         assert sizes == []  # t = 0 draws nothing
         spec.inverse_steps([0.5, 1.0], 1e-3, 512, derive_rng(43))
         assert sizes and max(sizes) <= sub._STEP_BLOCK
-        # adaptive mode's first passage grows on the same capped blocks
+        # the base first passage grows on the same capped blocks
         sizes.clear()
-        LaplaceExponent.inverse_times(spec, np.array([0.5, 1.0]), 512, derive_rng(43), 1e-3)
+        du = 1e-3
+        (LaplaceExponent.inverse_steps(spec, np.array([0.5, 1.0]), du, 512, derive_rng(43)) + 1) * du
         assert sizes and max(sizes) <= sub._STEP_BLOCK
 
 
@@ -351,7 +369,7 @@ class TestExpectedLaplace:
         vals = np.exp(-first_passage(spec, [1.0], 4000, 90_000, 2e-3)[0])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         ref = expected_laplace(spec, 1.0, 1.0)
-        # first-passage grid overshoots E_t by up to delta_u
+        # first-passage grid overshoots E_t by up to du
         bias = 2e-3
         assert abs(vals.mean() - ref) <= 3 * se + bias
 
