@@ -4,14 +4,12 @@ changes."""
 
 from .asymptotics import (
     FROZEN_SUP_MEAN,
-    GeometryInput,
     Regime,
     classify_regime,
     expected_monotonized_xlog,
     expected_xlog,
     frac_perimeter_interval,
     frac_perimeter_numeric,
-    interval_geometry,
     jump_kernel_constant,
     large_time_asymptote,
     large_time_constant,

@@ -3,9 +3,11 @@
 Covers the polynomial large-time law for the inverse time change, the
 exponential log-rate under a subordinator, the three small-time
 regimes with their geometric constants (running-supremum mean, 1/pi,
-fractional perimeter), the monotonized x ln(1/x) machinery behind the
+fractional perimeter) read off an ``IntervalDomain``, the only domain
+the lab simulates, the monotonized x ln(1/x) machinery behind the
 critical regime, exact moment laws of the inverse stable time change,
-and a Monte Carlo probe of the first-passage tail exponent.
+and a Monte Carlo probe of the first-passage tail exponent at one
+level delta.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .subordinators import (
 __all__ = [
     "Regime",
     "classify_regime",
-    "GeometryInput",
-    "interval_geometry",
     "small_time_rate",
     "jump_kernel_constant",
     "frac_perimeter_interval",
@@ -76,37 +76,6 @@ def classify_regime(alpha: float) -> Regime:
     if alpha == 1.0:
         return Regime.CRITICAL
     return Regime.SUBCRITICAL
-
-
-@dataclass(frozen=True)
-class GeometryInput:
-    """Domain quantities consumed by the small-time constants.
-
-    For d >= 2 all entries are user-supplied (no simulation support);
-    ``per_alpha`` is required only in the subcritical regime when it
-    cannot be derived (d >= 2).
-    """
-
-    volume: float
-    boundary_measure: float
-    dimension: int = 1
-    per_alpha: float | None = None
-    interval_length: float | None = None
-
-    def __post_init__(self):
-        if self.volume <= 0.0 or self.boundary_measure <= 0.0:
-            raise ValidationError("volume and boundary measure must be positive")
-        if self.dimension < 1:
-            raise ValidationError("dimension must be >= 1")
-
-
-def interval_geometry(domain: IntervalDomain) -> GeometryInput:
-    return GeometryInput(
-        volume=domain.volume,
-        boundary_measure=domain.boundary_measure,
-        dimension=1,
-        interval_length=domain.volume,
-    )
 
 
 def small_time_rate(alpha: float, t: float) -> float:
@@ -171,7 +140,7 @@ def frac_perimeter_numeric(domain: IntervalDomain, alpha: float) -> float:
 
 
 def small_time_constant(
-    alpha: float, geometry: GeometryInput, sup_mean: float | None = None
+    alpha: float, domain: IntervalDomain, sup_mean: float | None = None
 ) -> float:
     """The geometric constant of the small-time law per regime:
 
@@ -185,15 +154,10 @@ def small_time_constant(
             raise ValidationError(
                 f"supercritical constant needs the running-supremum mean for alpha={alpha}"
             )
-        return sup_mean * geometry.boundary_measure
+        return sup_mean * domain.boundary_measure
     if regime is Regime.CRITICAL:
-        return geometry.boundary_measure / math.pi
-    per = geometry.per_alpha
-    if per is None:
-        if geometry.interval_length is None:
-            raise ValidationError("subcritical constant needs per_alpha (d >= 2)")
-        per = frac_perimeter_interval(alpha, geometry.interval_length)
-    return per
+        return domain.boundary_measure / math.pi
+    return frac_perimeter_interval(alpha, domain.volume)
 
 
 def large_time_constant(eig: EigenSystem, beta: float, tol: float | None = None) -> float:
@@ -221,7 +185,7 @@ def large_time_asymptote(eig: EigenSystem, spec: LaplaceExponent, t: float) -> f
 def small_time_asymptote(
     alpha: float,
     spec: LaplaceExponent,
-    geometry: GeometryInput,
+    domain: IntervalDomain,
     t: float,
     sup_mean: float | None = None,
 ) -> float:
@@ -242,7 +206,7 @@ def small_time_asymptote(
         )
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
-    constant = small_time_constant(alpha, geometry, sup_mean)
+    constant = small_time_constant(alpha, domain, sup_mean)
     phi_1t = float(spec(1.0 / t))
     if regime is Regime.SUPERCRITICAL:
         return (
@@ -338,12 +302,12 @@ class TailProbeResult:
     slope: float
     ci_halfwidth: float
     expected_slope: float
-    neg_log_tails: tuple[tuple[float, ...], ...]  # per delta, per t
+    neg_log_tails: tuple[float, ...]  # per t
 
 
 def tail_decay_probe(
     beta: float,
-    deltas,
+    delta: float,
     t_grid,
     n_samples: int,
     seed: int,
@@ -351,46 +315,41 @@ def tail_decay_probe(
     """Fit the exponent of -ln P(E_t > delta) ~ c t^(-beta/(1-beta)).
 
     Estimates the tails by Monte Carlo with the exact inverse-stable
-    sampler and regresses ln(-ln p) on ln t per delta; slopes are
-    averaged over deltas and the CI is propagated from the binomial
-    counting error.  Slowly varying factors are not modeled, so the
-    fitted slope carries a known mild bias toward zero; choose the
-    grid so tails stay resolved (p >= 10 / n_samples).
+    sampler and regresses ln(-ln p) on ln t; the CI is propagated from
+    the binomial counting error.  Slowly varying factors are not
+    modeled, so the fitted slope carries a known mild bias toward zero;
+    choose the grid so tails stay resolved (p >= 10 / n_samples).
     """
-    deltas = [float(d) for d in np.atleast_1d(deltas)]
+    delta = float(delta)
+    # E_t >= 0, so every sample passes a delta <= 0 and p = 1 has no log-log slope
+    if not 0.0 < delta < math.inf:
+        raise ValidationError(f"delta must be finite and > 0, got {delta}")
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 3:
         raise ValidationError("need at least 3 grid points")
     if n_samples < 100:
         raise ValidationError("need n_samples >= 100")
     rng = derive_rng(seed)
-    slopes, variances, tails = [], [], []
+    neg_log, var_y = [], []
+    for t in ts:
+        e = sample_inverse_stable(beta, float(t), rng, n_samples)
+        hits = int(np.count_nonzero(e > delta))
+        if hits == 0:
+            raise UnresolvedTailError(
+                f"no exceedances of delta={delta} at t={t}; enlarge n_samples or t"
+            )
+        p = hits / n_samples
+        neg_log.append(-math.log(p))
+        # var of ln(-ln p) via the delta method on the binomial p
+        var_y.append((1.0 - p) / (n_samples * p) / (math.log(p) ** 2))
     x = np.log(ts)
     xc = x - x.mean()
     sxx = float(np.sum(xc * xc))
-    for d in deltas:
-        neg_log, var_y = [], []
-        for t in ts:
-            e = sample_inverse_stable(beta, float(t), rng, n_samples)
-            hits = int(np.count_nonzero(e > d))
-            if hits == 0:
-                raise UnresolvedTailError(
-                    f"no exceedances of delta={d} at t={t}; enlarge n_samples or t"
-                )
-            p = hits / n_samples
-            neg_log.append(-math.log(p))
-            # var of ln(-ln p) via the delta method on the binomial p
-            var_y.append((1.0 - p) / (n_samples * p) / (math.log(p) ** 2))
-        y = np.log(neg_log)
-        slope = float(np.sum(xc * (y - y.mean())) / sxx)
-        slopes.append(slope)
-        variances.append(float(np.sum(xc * xc * np.asarray(var_y)) / sxx ** 2))
-        tails.append(tuple(neg_log))
-    mean_slope = float(np.mean(slopes))
-    ci = 1.96 * math.sqrt(sum(variances)) / len(deltas)
+    y = np.log(neg_log)
+    variance = float(np.sum(xc * xc * np.asarray(var_y)) / sxx ** 2)
     return TailProbeResult(
-        slope=mean_slope,
-        ci_halfwidth=ci,
+        slope=float(np.sum(xc * (y - y.mean())) / sxx),
+        ci_halfwidth=1.96 * math.sqrt(variance),
         expected_slope=-beta / (1.0 - beta),
-        neg_log_tails=tuple(tails),
+        neg_log_tails=tuple(neg_log),
     )

@@ -20,7 +20,8 @@ class InversionError(ShcLabError):
 
 
 class RejectionBudgetError(ShcLabError):
-    """A rejection sampler exceeded its resampling cap."""
+    """A rejection sampler exceeded its resampling cap, or would need more
+    pieces than its cap allows."""
 
 
 class UnresolvedTailError(ShcLabError):

@@ -28,7 +28,6 @@ import scipy
 from .asymptotics import (
     Regime,
     classify_regime,
-    interval_geometry,
     large_time_asymptote,
     small_time_asymptote,
     subordinate_log_rate,
@@ -78,6 +77,9 @@ EXPERIMENTS = {
 
 # experiments whose references are closed forms of the stable exponent
 _STABLE_ONLY = ("transform_consistency", "moment_laws", "tail_probe")
+# experiments on an eigen series: the built-in one is the Brownian (alpha = 2)
+# sine basis, so another alpha needs its own eigen_table
+_SERIES = ("large_time", "subordinate_rate")
 _MOMENT_PS = (1.0 / 1.5, 1.0, 2.0)
 _TRANSFORM_AS = (0.5, 1.0, 5.0)
 
@@ -103,7 +105,6 @@ class ExperimentConfig:
     domain_a: float = 0.0
     domain_b: float = math.pi
     n_paths: int = 100_000
-    dt: float | None = None
     n_steps: int = 128
     truncation: int = 2001
     tolerance: float = 1e-8
@@ -131,6 +132,11 @@ class ExperimentConfig:
         self.exponent  # a bad phi or exponent parameter fails here, not mid-run
         if self.experiment in _STABLE_ONLY and self.phi != "stable":
             raise ValidationError(f"{self.experiment} needs phi = stable, got {self.phi!r}")
+        if self.experiment in _SERIES and self.alpha != 2.0 and not self.eigen_table:
+            raise ValidationError(
+                f"{self.experiment} builds the alpha = 2 eigen series; "
+                f"alpha = {self.alpha} needs an eigen_table"
+            )
 
     @property
     def domain(self) -> IntervalDomain:
@@ -156,7 +162,7 @@ class ExperimentConfig:
 
 
 def _scalar_type(hint) -> type:
-    """The type a config value parses to: ``float | None`` -> float."""
+    """The type a config value parses to: ``str | None`` -> str."""
     return next(t for t in (*typing.get_args(hint), hint) if t is not type(None))
 
 
@@ -411,7 +417,6 @@ def _run_small_time_mc(config: ExperimentConfig, workers: int) -> tuple[list, di
     that of one coupled sample, not of independent points.
     """
     domain = config.domain
-    geometry = interval_geometry(domain)
     spec = config.exponent
     sup_mean = _sup_mean_for(config)
     values = monte_carlo_heat_content_grid(
@@ -420,8 +425,7 @@ def _run_small_time_mc(config: ExperimentConfig, workers: int) -> tuple[list, di
         InverseTime(spec),
         config.t_grid,
         n_paths=config.n_paths,
-        dt=config.dt,
-        n_steps=None if config.dt else config.n_steps,
+        n_steps=config.n_steps,
         seed=config.seed,
         workers=workers,
     )
@@ -429,7 +433,7 @@ def _run_small_time_mc(config: ExperimentConfig, workers: int) -> tuple[list, di
     pairs = []
     for hv in values:
         deficit = domain.volume - hv.value
-        ref = small_time_asymptote(config.alpha, spec, geometry, hv.t, sup_mean=sup_mean)
+        ref = small_time_asymptote(config.alpha, spec, domain, hv.t, sup_mean=sup_mean)
         rows.append(ExperimentRow(hv.t, deficit, ref, hv.error, hv.method))
         pairs.append((_small_time_abscissa(config, hv.t), deficit))
     fit = fit_loglog(pairs)
@@ -485,10 +489,8 @@ def _run_moment_laws(config: ExperimentConfig, workers: int) -> tuple[list, dict
 
 def _run_tail_probe(config: ExperimentConfig, workers: int) -> tuple[list, dict]:
     spec = config.exponent
-    probe = tail_decay_probe(
-        spec.beta, [config.delta], config.t_grid, config.n_paths, config.seed
-    )
-    neg_log = probe.neg_log_tails[0]
+    probe = tail_decay_probe(spec.beta, config.delta, config.t_grid, config.n_paths, config.seed)
+    neg_log = probe.neg_log_tails
     t0, y0 = float(config.t_grid[0]), neg_log[0]
     rows = []
     for t, y in zip(config.t_grid, neg_log):

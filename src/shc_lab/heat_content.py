@@ -10,10 +10,12 @@ that regime.  It splits paths into fixed-size replicas with derived
 seeds, so results are independent of worker count, and draws in a fixed
 per-replica order, so a common seed yields common random numbers across
 a whole t-grid (which makes the estimates exactly monotone in t).  Each
-time change draws its own randomness.  With a fixed dt its budgets are
-whole steps (``step_budgets``): ``InverseTime`` takes the exponent's
+time change draws its own randomness; ``time_change=None`` is the
+identity time change ``InverseTime(DriftExponent())``, E_t = t, which
+draws none.  With a fixed dt its budgets are whole steps
+(``step_budgets``): ``InverseTime`` takes the exponent's
 ``inverse_steps``, #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) exactly,
-``SubordinatorTime`` floors D_t, and with no time change t is floored.
+and ``SubordinatorTime`` floors D_t.
 Each path walks only up to its largest grid budget: the walk's
 budget-ordered layout ties a path's variates to the budgets alone, so a
 path that has used up its budget draws nothing more.
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +42,13 @@ from .errors import ValidationError
 from .seeding import derive_rng
 from .spectral import EigenSystem, IntervalDomain, weighted_series
 from .stable_motion import critical_scales, walk_exit_steps
-from .subordinators import LaplaceExponent, _floor_steps, expected_laplace, sample_increments
+from .subordinators import (
+    DriftExponent,
+    LaplaceExponent,
+    _floor_steps,
+    expected_laplace,
+    sample_increments,
+)
 
 __all__ = [
     "HeatContentValue",
@@ -49,7 +57,6 @@ __all__ = [
     "heat_content_inverse",
     "SubordinatorTime",
     "InverseTime",
-    "TimeChange",
     "monte_carlo_heat_content",
     "monte_carlo_heat_content_grid",
 ]
@@ -183,23 +190,6 @@ class InverseTime:
         return level > ts[:, None]
 
 
-TimeChange = Union[None, SubordinatorTime, InverseTime]
-
-
-def _step_matrix(
-    time_change: TimeChange, ts: np.ndarray, dt: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Fixed-dt step budgets, int64 of shape (len(ts), size), common randomness.
-
-    Budgets are coupled across the grid (one driving draw or path per
-    column), so each path's budget is nondecreasing in t; together with
-    the fixed column order of the walk this makes grid estimates monotone.
-    """
-    if time_change is None:
-        return np.repeat(_floor_steps(ts, dt)[:, None], size, axis=1)
-    return time_change.step_budgets(ts, dt, size, rng)
-
-
 def _replica_sizes(n_paths: int) -> list[int]:
     full, rem = divmod(n_paths, REPLICA_PATHS)
     return [REPLICA_PATHS] * full + ([rem] if rem else [])
@@ -217,12 +207,12 @@ def _replica_task(args) -> np.ndarray:
         c_star = critical_scales(alpha, a, b, x0, n_steps, rng)
         with np.errstate(over="ignore"):
             u_star = n_steps * c_star ** alpha
-        if time_change is None:
-            return np.count_nonzero(ts[:, None] < u_star, axis=1)
         return np.count_nonzero(time_change.budgets_below(ts, u_star, rng), axis=1)
-    # each path walks up to its largest grid budget; a survivor's exit
-    # step is that budget + 1, so it exceeds every budget of the grid
-    ks = _step_matrix(time_change, ts, dt, size, rng)
+    # budgets are coupled across the grid, so each path's budget is
+    # nondecreasing in t; each path walks up to its largest grid budget,
+    # and a survivor's exit step is that budget + 1, so it exceeds every
+    # budget of the grid
+    ks = time_change.step_budgets(ts, dt, size, rng)
     steps = walk_exit_steps(
         alpha, a, b, x0, np.float64(dt ** (1.0 / alpha)), ks.max(axis=0), rng
     )
@@ -244,7 +234,7 @@ def _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, wo
 
 
 def _validate_mc_args(time_change, t_grid, n_paths, dt, n_steps):
-    if time_change is not None and not isinstance(time_change, (SubordinatorTime, InverseTime)):
+    if not isinstance(time_change, (SubordinatorTime, InverseTime)):
         raise ValidationError(f"unsupported time change {time_change!r}")
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
@@ -273,7 +263,7 @@ def _mc_values(domain, ts, counts, n_paths) -> list[HeatContentValue]:
 def monte_carlo_heat_content(
     alpha: float,
     domain: IntervalDomain,
-    time_change: TimeChange,
+    time_change: SubordinatorTime | InverseTime | None,
     t: float,
     n_paths: int,
     dt: float | None = None,
@@ -283,8 +273,9 @@ def monte_carlo_heat_content(
 ) -> HeatContentValue:
     """Monte Carlo Q(t): average of |Omega| * 1{exit time > budget}.
 
-    Starting points are uniform on the domain; the time budget is t,
-    D_t, or E_t per the time change.  With ``dt=None`` the walk uses
+    Starting points are uniform on the domain; the time budget is D_t or
+    E_t per the time change, and t for ``time_change=None``, which means
+    ``InverseTime(DriftExponent())``.  With ``dt=None`` the walk uses
     n_steps per path with a per-path step t_budget/n_steps; otherwise
     budgets are resolved to the fixed-dt grid (one-step quantization is
     part of the documented discretization bias, which tests calibrate
@@ -300,7 +291,7 @@ def monte_carlo_heat_content(
 def monte_carlo_heat_content_grid(
     alpha: float,
     domain: IntervalDomain,
-    time_change: TimeChange,
+    time_change: SubordinatorTime | InverseTime | None,
     ts: Sequence[float],
     n_paths: int,
     dt: float | None = None,
@@ -316,6 +307,8 @@ def monte_carlo_heat_content_grid(
     ``dt`` and ``n_steps`` are as in :func:`monte_carlo_heat_content`;
     with ``dt=None`` one unit walk per path serves every row.
     """
+    if time_change is None:
+        time_change = InverseTime(DriftExponent())
     ts = list(ts)
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t grid must be nondecreasing")

@@ -1,8 +1,9 @@
 """Laplace exponents and inverse-subordinator evaluation.
 
 The supported Laplace exponents are the three concrete families the
-analysis needs (stable, tempered stable, sum of two stables) plus a
-degenerate pure-drift exponent used as a test double.  Each knows its
+analysis needs (stable, tempered stable, sum of two stables) plus the
+pure drift, D_t = E_t = t: the identity time change, which
+``time_change=None`` means in the Monte Carlo.  Each knows its
 regular-variation indices at 0+ and at infinity, which drive the
 asymptotic laws downstream, and owns its increment sampler (one delta
 for all paths or one per path) with the longest piece it draws cheaply,
@@ -13,7 +14,7 @@ the grid, all paths grown together, and the stable family
 (E_t =d (t / D_1)^beta) and the drift floor their exact E_t.  The
 functional takes a whole array of a (one per eigenvalue): the base
 inverts phi(s) / (s (phi(s) + a)) on one Talbot contour, evaluating phi
-once per node; only the drift double (exp(-a t)) overrides it.
+once per node; only the drift (exp(-a t)) overrides it.
 Expectations E[g(E_t)] for the stable family use deterministic nested
 quadrature in the Kanter representation
 E_t =d t^beta (W / A(U))^(1-beta), U ~ Uniform(0, pi), W ~ Exp(1).
@@ -49,6 +50,10 @@ __all__ = [
 _REJECTION_CAP = 1_000_000
 # kappa^beta times the longest tempered piece: acceptance about exp(-0.7)
 _TILT_BUDGET = 0.7
+# most tempered pieces one increment may take, each one pass over the
+# paths (at this count about 0.1 s for one path, 3 s for 8,192); the test
+# suite reaches 58 pieces, its increment property strategy at most 128
+_PIECE_CAP = 1_000
 # increments per block of _grid_steps (one column when more paths are live)
 _STEP_BLOCK = 16_384
 
@@ -114,7 +119,7 @@ class StableExponent(LaplaceExponent):
         return self.beta
 
     def increments(self, delta, size, rng):
-        return _root(delta, self.beta) * sample_positive_stable(rng, self.beta, size)
+        return _scaled_stable(rng, self.beta, delta, _root(delta, self.beta), size)
 
     def inverse_steps(self, ts, dt, size, rng):
         """Floored exact E_t =d (t / D_1)^beta, one D_1 per path (self-similarity)."""
@@ -157,11 +162,20 @@ class TemperedStableExponent(LaplaceExponent):
         so a large delta is chopped into pieces with acceptance around
         exp(-0.7) each; the result is exact in distribution by infinite
         divisibility.  Chunk k draws for the paths with more than k pieces.
+        The cost grows linearly in delta, so a call that needs more than
+        ``_PIECE_CAP`` pieces on a path raises before drawing.
         """
         beta, kappa = self.beta, self.kappa
         budget = np.multiply(delta, kappa ** beta)
         n_chunks = np.maximum(1, np.ceil(budget / _TILT_BUDGET)).astype(np.int64)
-        scale = np.broadcast_to(_root(delta / n_chunks, beta), size)
+        if n_chunks.max(initial=0) > _PIECE_CAP:
+            raise RejectionBudgetError(
+                f"tempered increment over delta={np.max(delta)} needs "
+                f"{n_chunks.max()} pieces per path, more than {_PIECE_CAP}"
+            )
+        piece = delta / n_chunks
+        scale = np.broadcast_to(_root(piece, beta), size)
+        piece = np.broadcast_to(piece, size)
         n_chunks = np.broadcast_to(n_chunks, size)
         out = np.zeros(size)
         for k in range(int(n_chunks.max(initial=0))):
@@ -169,7 +183,7 @@ class TemperedStableExponent(LaplaceExponent):
             vals = np.zeros(size)
             rejections = 0
             while pending.size:
-                cand = scale[pending] * sample_positive_stable(rng, beta, pending.size)
+                cand = _scaled_stable(rng, beta, piece[pending], scale[pending], pending.size)
                 accept = rng.uniform(size=pending.size) <= np.exp(-kappa * cand)
                 vals[pending[accept]] = cand[accept]
                 rejections += int(np.count_nonzero(~accept))
@@ -210,18 +224,19 @@ class SumOfStablesExponent(LaplaceExponent):
         return self.b
 
     def increments(self, delta, size, rng):
-        first = _root(delta, self.a) * sample_positive_stable(rng, self.a, size)
+        first = _scaled_stable(rng, self.a, delta, _root(delta, self.a), size)
         if self.b == 1.0:
             return first + delta
-        return first + _root(delta, self.b) * sample_positive_stable(rng, self.b, size)
+        return first + _scaled_stable(rng, self.b, delta, _root(delta, self.b), size)
 
 
 @dataclass(frozen=True)
 class DriftExponent(LaplaceExponent):
-    """phi(lam) = lam: deterministic time D_t = t.
+    """phi(lam) = lam: deterministic time D_t = E_t = t.
 
-    Degenerate test double (the Levy measure is zero, not infinite);
-    useful because every formula collapses to the identity time change.
+    The identity time change (the Levy measure is zero, not infinite):
+    ``InverseTime(DriftExponent())`` is what ``time_change=None`` means
+    in the Monte Carlo, and every formula collapses to the plain motion's.
     """
 
     def __call__(self, lam):
@@ -258,16 +273,40 @@ def sample_positive_stable(rng: np.random.Generator, beta: float, size) -> np.nd
     with U ~ Uniform(0, pi) and W ~ Exp(1),
 
         S = sin(beta U) / sin(U)^(1/beta)
-            * (sin((1-beta) U) / W)^((1-beta)/beta).
+            * (sin((1-beta) U) / W)^((1-beta)/beta),
+
+    taken in logs where the powers leave the float range (at a small
+    beta they do); a variate past the float range is inf.
     """
+    return _scaled_stable(rng, beta, 1.0, 1.0, size)
+
+
+def _scaled_stable(rng: np.random.Generator, beta: float, delta, root, size) -> np.ndarray:
+    """delta^(1/beta) S, one S per path as in :func:`sample_positive_stable`,
+    given ``root`` = ``_root(delta, beta)``: the product root * S by Kanter's
+    formula, or exp(ln delta / beta + ln S) from the same draws where that
+    is no positive float (a factor past the float range, 0 * inf, 0 / 0)."""
     _check_stable_index(beta)
-    u = rng.uniform(0.0, math.pi, size)
-    w = rng.exponential(1.0, size)
-    return (
-        np.sin(beta * u)
-        / np.sin(u) ** (1.0 / beta)
-        * (np.sin((1.0 - beta) * u) / w) ** ((1.0 - beta) / beta)
-    )
+    u = np.asarray(rng.uniform(0.0, math.pi, size))
+    w = np.asarray(rng.exponential(1.0, size))
+    with np.errstate(all="ignore"):
+        out = np.asarray(root * (
+            np.sin(beta * u)
+            / np.sin(u) ** (1.0 / beta)
+            * (np.sin((1.0 - beta) * u) / w) ** ((1.0 - beta) / beta)
+        ))
+    odd = ~((0.0 < out) & (out < math.inf))
+    if odd.any():
+        u, w = u[odd], w[odd]
+        log_s = (
+            np.log(np.sin(beta * u))
+            - np.log(np.sin(u)) / beta
+            + (np.log(np.sin((1.0 - beta) * u)) - np.log(w)) * ((1.0 - beta) / beta)
+        )
+        log_delta = np.log(np.broadcast_to(delta, out.shape)[odd])
+        with np.errstate(over="ignore"):
+            out[odd] = np.exp(log_delta / beta + log_s)
+    return out[()]
 
 
 def sample_increments(
@@ -372,8 +411,8 @@ def expected_laplace(spec: LaplaceExponent, a, t: float, tol: float = 1.0e-9):
     """E[exp(-a E_t)] for the inverse subordinator of ``spec``, for each
     entry of ``a`` (a scalar ``a`` gives a scalar).
 
-    The exponent evaluates its own functional: exp(-a t) for the drift
-    double, Talbot inversion of the double Laplace transform otherwise.
+    The exponent evaluates its own functional: exp(-a t) for the drift,
+    Talbot inversion of the double Laplace transform otherwise.
     """
     if np.any(np.asarray(a) <= 0.0) or t <= 0.0:
         raise ValidationError("a and t must be > 0")

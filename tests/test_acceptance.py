@@ -473,7 +473,7 @@ def test_08d_sampler_ks_cross_checks():
 )
 def test_09_tail_exponent(beta, delta, t_lo, t_hi, n):
     ts = np.logspace(math.log10(t_lo), math.log10(t_hi), 7)
-    res = tail_decay_probe(beta, [delta], ts, n, seed=2026)
+    res = tail_decay_probe(beta, delta, ts, n, seed=2026)
     err = abs(res.slope - res.expected_slope)
     ok = err <= 0.15
     report(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from shc_lab import (
-    GeometryInput,
     IntervalDomain,
     Regime,
     StableExponent,
@@ -22,7 +21,6 @@ from shc_lab import (
     expected_xlog,
     frac_perimeter_interval,
     frac_perimeter_numeric,
-    interval_geometry,
     large_time_asymptote,
     large_time_constant,
     monotonized_xlog,
@@ -88,24 +86,16 @@ class TestFractionalPerimeter:
 
 class TestSmallTimeConstant:
     def test_critical_interval(self):
-        g = interval_geometry(IntervalDomain(0.0, math.pi))
+        g = IntervalDomain(0.0, math.pi)
         assert small_time_constant(1.0, g) == pytest.approx(2.0 / math.pi, rel=1e-12)
 
     def test_supercritical_uses_sup_mean(self):
-        g = interval_geometry(IntervalDomain(0.0, 1.0))
+        g = IntervalDomain(0.0, 1.0)
         assert small_time_constant(1.5, g, sup_mean=1.25) == pytest.approx(2.5, rel=1e-12)
 
     def test_subcritical_interval(self):
-        g = interval_geometry(IntervalDomain(0.0, 1.0))
+        g = IntervalDomain(0.0, 1.0)
         assert small_time_constant(0.5, g) == pytest.approx(PER_HALF_UNIT, rel=1e-12)
-
-    def test_subcritical_d2_requires_per(self):
-        g = GeometryInput(volume=1.0, boundary_measure=4.0, dimension=2)
-        with pytest.raises(ValidationError):
-            small_time_constant(0.5, g)
-        assert small_time_constant(0.5, GeometryInput(
-            volume=1.0, boundary_measure=4.0, dimension=2, per_alpha=3.3
-        )) == pytest.approx(3.3)
 
 
 class TestLargeTimeLaw:
@@ -148,7 +138,7 @@ class TestLargeTimeLaw:
 
 class TestSmallTimeAsymptote:
     def test_supercritical_composition(self):
-        g = interval_geometry(IntervalDomain(0.0, 1.0))
+        g = IntervalDomain(0.0, 1.0)
         spec = StableExponent(0.5)
         t = 1e-3
         v = small_time_asymptote(1.5, spec, g, t, sup_mean=1.25)
@@ -156,25 +146,25 @@ class TestSmallTimeAsymptote:
         assert v == pytest.approx(ref, rel=1e-12)
 
     def test_critical_direct_arithmetic(self):
-        g = interval_geometry(IntervalDomain(0.0, 1.0))
+        g = IntervalDomain(0.0, 1.0)
         t = 1e-6
         v = small_time_asymptote(1.0, StableExponent(0.5), g, t)
         ref = (2.0 / (math.pi * math.gamma(1.5))) * t ** 0.5 * math.log(t ** -0.5)
         assert v == pytest.approx(ref, rel=1e-12)
 
     def test_subcritical_composition(self):
-        g = interval_geometry(IntervalDomain(0.0, 1.0))
+        g = IntervalDomain(0.0, 1.0)
         t = 1e-4
         v = small_time_asymptote(0.5, StableExponent(0.5), g, t)
         assert v == pytest.approx(PER_HALF_UNIT / math.gamma(1.5) * t ** 0.5, rel=1e-12)
 
     def test_critical_needs_log_factor(self):
-        g = interval_geometry(IntervalDomain(0.0, 1.0))
+        g = IntervalDomain(0.0, 1.0)
         with pytest.raises(ValidationError):
             small_time_asymptote(1.0, StableExponent(0.5), g, 2.0)
 
     def test_positive_and_decaying(self):
-        g = interval_geometry(IntervalDomain(0.0, 1.0))
+        g = IntervalDomain(0.0, 1.0)
         for alpha in (1.5, 1.0, 0.5):
             vals = [
                 small_time_asymptote(alpha, StableExponent(0.5), g, t, sup_mean=1.25)
@@ -310,14 +300,19 @@ class TestMomentLaw:
 class TestTailProbe:
     def test_unresolved_tail_raises(self):
         with pytest.raises(UnresolvedTailError):
-            tail_decay_probe(0.5, [50.0], [1e-4, 1e-3, 1e-2], 1000, seed=1)
+            tail_decay_probe(0.5, 50.0, [1e-4, 1e-3, 1e-2], 1000, seed=1)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf])
+    def test_nonpositive_or_infinite_delta_rejected(self, delta):
+        with pytest.raises(ValidationError, match="delta"):
+            tail_decay_probe(0.5, delta, [1e-2, 2e-2, 4e-2], 1000, seed=1)
 
     def test_quick_slope_sanity(self):
         res = tail_decay_probe(
-            0.5, [1.0], np.logspace(math.log10(0.023), math.log10(0.0434), 5), 200_000, seed=2
+            0.5, 1.0, np.logspace(math.log10(0.023), math.log10(0.0434), 5), 200_000, seed=2
         )
         assert res.expected_slope == -1.0
         assert abs(res.slope - res.expected_slope) < 0.3
         # tails shrink as t shrinks
-        nl = res.neg_log_tails[0]
+        nl = res.neg_log_tails
         assert all(a >= b for a, b in zip(nl, nl[1:]))

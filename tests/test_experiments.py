@@ -70,6 +70,13 @@ class TestConfig:
         with pytest.raises(ValidationError):
             parse_config_file(p)
 
+    def test_dt_is_not_a_key(self, tmp_path):
+        # small_time_mc always walks adaptively, with n_steps
+        p = tmp_path / "exp.cfg"
+        p.write_text("experiment = small_time_mc\nseed = 1\nt_min = 1\nt_max = 2\n")
+        with pytest.raises(ValidationError, match="unknown config key 'dt'"):
+            parse_config_file(p, overrides=["dt=0.01"])
+
     def test_seed_mandatory(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("experiment = large_time\nt_min = 1\nt_max = 2\n")
@@ -106,6 +113,17 @@ class TestConfig:
         with pytest.raises(ValidationError):
             parse_config_file(p, overrides=["phi=tempered"])
         assert parse_config_file(p).phi == "stable"
+
+    @pytest.mark.parametrize("experiment", ["large_time", "subordinate_rate"])
+    def test_series_experiment_rejects_ignored_alpha(self, tmp_path, experiment):
+        # the built-in eigen series is the alpha = 2 sine basis, whatever alpha is
+        p = tmp_path / "exp.cfg"
+        p.write_text(f"experiment = {experiment}\nseed = 1\nt_min = 1\nt_max = 2\n")
+        with pytest.raises(ValidationError, match="eigen_table"):
+            parse_config_file(p, overrides=["alpha=1.5"])
+        assert parse_config_file(p, overrides=["alpha=2"]).alpha == 2.0
+        cfg = parse_config_file(p, overrides=["alpha=1.5", "eigen_table=modes.npz"])
+        assert cfg.alpha == 1.5
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
@@ -293,6 +311,12 @@ class TestCli:
         p = tmp_path / "bad.cfg"
         p.write_text("experiment = large_time\nt_min = 1\nt_max = 2\n")  # no seed
         assert cli_main(["run", str(p)]) == 2
+
+    def test_ignored_alpha_exit_code(self, tmp_path):
+        p = self._write_cfg(tmp_path)
+        out = tmp_path / "out4"
+        assert cli_main(["run", str(p), "--set", "alpha=1.5", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_numerical_exit_code(self, tmp_path):
         # truncation budget too small for the requested tolerance

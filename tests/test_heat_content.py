@@ -204,17 +204,33 @@ class TestMonteCarlo:
         band = 2.5 * abs(hv.value - hv_fine.value)
         assert abs(hv.value - ref) <= 1.5 * hv.error + band
 
-    def test_subordinator_direct_sampling(self, eig):
-        # alpha=2 with D_t at t=0.5 under the drift double equals plain
+    @pytest.mark.parametrize(
+        "tc",
+        [SubordinatorTime(DriftExponent()), InverseTime(DriftExponent())],
+        ids=["subordinate", "inverse"],
+    )
+    @pytest.mark.parametrize(
+        "mode", [dict(dt=0.5 / 512), dict(dt=None, n_steps=64)], ids=["fixed-dt", "adaptive"]
+    )
+    def test_subordinator_direct_sampling(self, tc, mode):
+        # alpha=2 with D_t or E_t at t=0.5 under the drift, the identity
+        # time change, equals plain
         t = 0.5
-        hv = monte_carlo_heat_content(
-            2.0, DOMAIN_PI, SubordinatorTime(DriftExponent()), t,
-            n_paths=100_000, dt=t / 512, seed=6,
-        )
+        hv = monte_carlo_heat_content(2.0, DOMAIN_PI, tc, t, n_paths=100_000, seed=6, **mode)
         hv_plain = monte_carlo_heat_content(
-            2.0, DOMAIN_PI, None, t, n_paths=100_000, dt=t / 512, seed=6
+            2.0, DOMAIN_PI, None, t, n_paths=100_000, seed=6, **mode
         )
         assert hv.value == hv_plain.value  # identical draws, identical budget
+
+    @pytest.mark.parametrize("seed", [3, 1])
+    def test_tiny_index_raises_no_warning(self, seed):
+        # at beta = 0.01 the Kanter factors and delta^(1/beta) leave the float
+        # range; a RuntimeWarning inside the package is a test error
+        vals = monte_carlo_heat_content_grid(
+            2.0, DOMAIN_PI, InverseTime(StableExponent(0.01)), [0.01, 1.0],
+            n_paths=100_000, dt=None, n_steps=1, seed=seed,
+        )
+        assert all(0.0 < v.value < math.pi for v in vals)
 
     def test_worker_count_invariance(self):
         kw = dict(t=0.3, n_paths=20_000, dt=0.3 / 64, seed=7)

@@ -20,7 +20,7 @@ from shc_lab import (
     sample_increments,
     weighted_series,
 )
-from shc_lab.experiments import _STABLE_ONLY, EXPERIMENTS
+from shc_lab.experiments import _SERIES, _STABLE_ONLY, EXPERIMENTS
 from shc_lab.seeding import derive_rng
 from shc_lab.stable_motion import walk_exit_steps
 
@@ -38,13 +38,16 @@ def configs(draw) -> ExperimentConfig:
     a = draw(index)
     experiment = draw(st.sampled_from(sorted(EXPERIMENTS)))
     phis = ["stable"] if experiment in _STABLE_ONLY else ["stable", "tempered", "sum", "drift"]
+    eigen_table = draw(st.none() | word)
+    # the built-in eigen series is the alpha = 2 one
+    alphas = st.just(2.0) if experiment in _SERIES and not eigen_table else finite
     return ExperimentConfig(
         experiment=experiment,
         seed=draw(st.integers(min_value=0, max_value=2 ** 70)),
         t_min=t_min,
         t_max=t_min * draw(st.floats(min_value=1.0, max_value=1e6)),
         t_points=draw(st.integers(min_value=1, max_value=10 ** 6)),
-        alpha=draw(finite),
+        alpha=draw(alphas),
         phi=draw(st.sampled_from(phis)),
         beta=draw(index),
         kappa=draw(positive),
@@ -53,12 +56,11 @@ def configs(draw) -> ExperimentConfig:
         domain_a=draw(finite),
         domain_b=draw(finite),
         n_paths=draw(st.integers(min_value=1, max_value=10 ** 12)),
-        dt=draw(st.none() | positive),
         n_steps=draw(st.integers(min_value=1, max_value=10 ** 6)),
         truncation=draw(st.integers(min_value=1, max_value=10 ** 6)),
         tolerance=draw(positive),
         delta=draw(finite),
-        eigen_table=draw(st.none() | word),
+        eigen_table=eigen_table,
         out=draw(word),
     )
 

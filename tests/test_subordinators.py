@@ -10,6 +10,7 @@ from scipy.stats import kstest
 from shc_lab import (
     DriftExponent,
     LaplaceExponent,
+    RejectionBudgetError,
     StableExponent,
     SumOfStablesExponent,
     TemperedStableExponent,
@@ -116,6 +117,13 @@ class TestPositiveStableSampler:
         b = float(sample_positive_stable(derive_rng(42), 0.5, None))
         assert a == b and a > 0.0
 
+    def test_tiny_index_in_logs(self):
+        # sin(U)^(1/beta) underflows at beta = 0.01; redone in logs every
+        # variate is positive, and the few past the float range are inf
+        x = sample_positive_stable(derive_rng(18), 0.01, 100_000)
+        assert np.all(x > 0.0)
+        assert 0.0 < np.mean(np.isinf(x)) < 2e-3
+
 
 class TestIncrementSamplers:
     def test_stable_defining_property(self):
@@ -168,6 +176,28 @@ class TestIncrementSamplers:
         scalar = sample_increments(spec, delta, 2000, derive_rng(16))
         array = sample_increments(spec, np.full(2000, delta), 2000, derive_rng(16))
         assert np.array_equal(scalar, array)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [StableExponent(0.01), SumOfStablesExponent(0.01, 0.5), TemperedStableExponent(0.01, 1.0)],
+    )
+    def test_tiny_index_tiny_delta(self, spec):
+        # delta^(1/beta) underflows to 0 where a variate overflows to inf; the
+        # product is then taken in logs, so no increment is 0 * inf = NaN
+        x = sample_increments(spec, 1e-4, 100_000, derive_rng(19))
+        assert np.all(x >= 0.0)
+
+    def test_tempered_piece_cap_raises_before_drawing(self):
+        # 202,031 pieces at delta = 1e5 (about 8 s to draw); a path with too
+        # many pieces fails the whole call at once, with no draw
+        spec = TemperedStableExponent(0.5, 2.0)
+        rng = derive_rng(20)
+        state = rng.bit_generator.state
+        with pytest.raises(RejectionBudgetError, match="202031 pieces"):
+            sample_increments(spec, 1e5, 4, rng)
+        with pytest.raises(RejectionBudgetError):
+            sample_increments(spec, np.array([0.1, 1e5]), 2, rng)
+        assert rng.bit_generator.state == state
 
     def test_array_deltas_chop_per_path(self):
         # the tempered pieces follow each path's own delta: E[D_delta] =
