@@ -130,6 +130,7 @@ class ExperimentConfig:
         if self.n_paths < 1 or self.n_steps < 1 or self.truncation < 1:
             raise ValidationError("n_paths, n_steps, truncation must be >= 1")
         self.exponent  # a bad phi or exponent parameter fails here, not mid-run
+        self.domain  # so does an empty or unordered domain
         if self.experiment in _STABLE_ONLY and self.phi != "stable":
             raise ValidationError(f"{self.experiment} needs phi = stable, got {self.phi!r}")
         if self.experiment in _SERIES and self.alpha != 2.0 and not self.eigen_table:

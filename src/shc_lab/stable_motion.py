@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .seeding import derive_rng
+from .special import _blockwise, _half_angle_sine
 
 __all__ = [
     "sample_symmetric_stable",
@@ -46,7 +47,15 @@ def _check_alpha(alpha: float) -> None:
 def sample_symmetric_stable(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
     """Standard symmetric alpha-stable variates, cf exp(-|xi|^alpha).
 
-    Chambers-Mallows-Stuck with U ~ Uniform(-pi/2, pi/2), W ~ Exp(1);
+    Chambers-Mallows-Stuck with U ~ Uniform(-pi/2, pi/2), W ~ Exp(1):
+
+        X = sin(alpha U) / cos(U)^(1/alpha) * (cos((1-alpha) U) / W)^((1-alpha)/alpha),
+
+    evaluated from tangents alone, over blocks of
+    ``special._VARIATE_BLOCK`` variates (all U are drawn first, then all
+    W): sin(alpha U) by its half-angle tangent, and each cosine, whose
+    angle lies in (-pi/2, pi/2), as (1 + tan^2)^(-1/2), so that
+    cos(U)^(-1/alpha) = (1 + tan^2 U)^(1/(2 alpha)) is one power.
     alpha = 1 reduces to tan(U) (standard Cauchy) and alpha = 2 to a
     centered normal with variance 2.
     """
@@ -57,9 +66,18 @@ def sample_symmetric_stable(rng: np.random.Generator, alpha: float, size) -> np.
     if alpha == 1.0:
         return np.tan(u)
     w = rng.exponential(1.0, size)
-    t1 = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-    t2 = (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    return t1 * t2
+    rest = 1.0 - alpha
+
+    def cms(u, w):
+        tan_u = np.tan(u)
+        tan_rest = np.tan(rest * u)
+        return (
+            _half_angle_sine(np.tan(0.5 * alpha * u))
+            * (1.0 + tan_u * tan_u) ** (0.5 / alpha)
+            * (np.sqrt(1.0 + tan_rest * tan_rest) * w) ** (-rest / alpha)
+        )
+
+    return _blockwise(cms, u, w)[()]
 
 
 def walk_exit_steps(

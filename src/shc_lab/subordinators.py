@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InversionError, RejectionBudgetError, ValidationError
-from .special import laplace_invert
+from .special import _blockwise, _half_angle_sine, laplace_invert
 
 __all__ = [
     "StableExponent",
@@ -273,28 +273,38 @@ def sample_positive_stable(rng: np.random.Generator, beta: float, size) -> np.nd
     with U ~ Uniform(0, pi) and W ~ Exp(1),
 
         S = sin(beta U) / sin(U)^(1/beta)
-            * (sin((1-beta) U) / W)^((1-beta)/beta),
+            * (sin((1-beta) U) / W)^((1-beta)/beta)
+          = (sin(beta U)^beta sin((1-beta) U)^(1-beta) / (sin(U) W^(1-beta)))^(1/beta),
 
-    taken in logs where the powers leave the float range (at a small
-    beta they do); a variate past the float range is inf.
+    evaluated in the second form, each sine by its half-angle tangent
+    (``special._half_angle_sine``), over blocks of
+    ``special._VARIATE_BLOCK`` variates; all U are drawn first, then all W.
+    Only S itself can leave the float range, and there it is taken in
+    logs; a variate past the float range is inf.
     """
     return _scaled_stable(rng, beta, 1.0, 1.0, size)
 
 
 def _scaled_stable(rng: np.random.Generator, beta: float, delta, root, size) -> np.ndarray:
     """delta^(1/beta) S, one S per path as in :func:`sample_positive_stable`,
-    given ``root`` = ``_root(delta, beta)``: the product root * S by Kanter's
-    formula, or exp(ln delta / beta + ln S) from the same draws where that
-    is no positive float (a factor past the float range, 0 * inf, 0 / 0)."""
+    given ``root`` = ``_root(delta, beta)``: the product root * S, or
+    exp(ln delta / beta + ln S) from the same draws where that is no
+    positive float (a factor past the float range, 0 * inf, 0 / 0)."""
     _check_stable_index(beta)
     u = np.asarray(rng.uniform(0.0, math.pi, size))
     w = np.asarray(rng.exponential(1.0, size))
+
+    def kanter(u, w):
+        ratio = (
+            _half_angle_sine(np.tan(0.5 * beta * u)) ** beta
+            * (_half_angle_sine(np.tan(0.5 * (1.0 - beta) * u)) / w) ** (1.0 - beta)
+            / _half_angle_sine(np.tan(0.5 * u))
+        )
+        return ratio ** (1.0 / beta)
+
     with np.errstate(all="ignore"):
-        out = np.asarray(root * (
-            np.sin(beta * u)
-            / np.sin(u) ** (1.0 / beta)
-            * (np.sin((1.0 - beta) * u) / w) ** ((1.0 - beta) / beta)
-        ))
+        out = _blockwise(kanter, u, w)
+        out *= root
     odd = ~((0.0 < out) & (out < math.inf))
     if odd.any():
         u, w = u[odd], w[odd]
@@ -323,14 +333,10 @@ def sample_increments(
 
 
 def _root(delta, beta: float) -> np.ndarray:
-    """delta^(1/beta) per entry by the C library's pow, as for a float delta
-    (numpy's vectorized power can differ in the last bit); inf past 1e308."""
-    d = np.asarray(delta, dtype=float)
+    """delta^(1/beta) per entry, inf past the float range; one vectorized
+    power for a float and an array alike, so equal entries give equal bits."""
     with np.errstate(over="ignore"):
-        finite = d ** (1.0 / beta) <= 1e308
-    out = np.full(d.shape, math.inf)
-    out[finite] = np.power(d[finite].astype(object), 1.0 / beta)
-    return out
+        return np.power(np.asarray(delta, dtype=float), 1.0 / beta)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,14 @@ class TestConfig:
         cfg = parse_config_file(p, overrides=["alpha=1.5", "eigen_table=modes.npz"])
         assert cfg.alpha == 1.5
 
+    @pytest.mark.parametrize("domain_b", ["-1", "0"])
+    def test_unordered_domain_fails_at_parse(self, tmp_path, domain_b):
+        p = tmp_path / "exp.cfg"
+        p.write_text("experiment = small_time_mc\nseed = 1\nt_min = 1\nt_max = 2\n")
+        with pytest.raises(ValidationError, match="need a < b"):
+            parse_config_file(p, overrides=[f"domain_b={domain_b}"])
+        assert parse_config_file(p, overrides=["domain_b=0.5"]).domain_b == 0.5
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(
@@ -311,6 +319,12 @@ class TestCli:
         p = tmp_path / "bad.cfg"
         p.write_text("experiment = large_time\nt_min = 1\nt_max = 2\n")  # no seed
         assert cli_main(["run", str(p)]) == 2
+
+    def test_unordered_domain_exit_code(self, tmp_path):
+        p = self._write_cfg(tmp_path)
+        out = tmp_path / "out5"
+        assert cli_main(["run", str(p), "--set", "domain_b=-1", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_ignored_alpha_exit_code(self, tmp_path):
         p = self._write_cfg(tmp_path)

@@ -41,6 +41,7 @@ def configs(draw) -> ExperimentConfig:
     eigen_table = draw(st.none() | word)
     # the built-in eigen series is the alpha = 2 one
     alphas = st.just(2.0) if experiment in _SERIES and not eigen_table else finite
+    domain_a, domain_b = draw(st.lists(finite, min_size=2, max_size=2, unique=True).map(sorted))
     return ExperimentConfig(
         experiment=experiment,
         seed=draw(st.integers(min_value=0, max_value=2 ** 70)),
@@ -53,8 +54,8 @@ def configs(draw) -> ExperimentConfig:
         kappa=draw(positive),
         a=a,
         b=draw(st.one_of(st.just(1.0), st.floats(min_value=a, max_value=1.0, exclude_min=True))),
-        domain_a=draw(finite),
-        domain_b=draw(finite),
+        domain_a=domain_a,
+        domain_b=domain_b,
         n_paths=draw(st.integers(min_value=1, max_value=10 ** 12)),
         n_steps=draw(st.integers(min_value=1, max_value=10 ** 6)),
         truncation=draw(st.integers(min_value=1, max_value=10 ** 6)),
