@@ -47,7 +47,6 @@ from .heat_content import (
     heat_content,
     heat_content_inverse,
     heat_content_subordinate,
-    monte_carlo_heat_content,
     monte_carlo_heat_content_grid,
 )
 from .special import fixed_talbot, laplace_invert, mittag_leffler

@@ -57,7 +57,6 @@ __all__ = [
     "heat_content_inverse",
     "SubordinatorTime",
     "InverseTime",
-    "monte_carlo_heat_content",
     "monte_carlo_heat_content_grid",
 ]
 
@@ -260,34 +259,6 @@ def _mc_values(domain, ts, counts, n_paths) -> list[HeatContentValue]:
     return out
 
 
-def monte_carlo_heat_content(
-    alpha: float,
-    domain: IntervalDomain,
-    time_change: SubordinatorTime | InverseTime | None,
-    t: float,
-    n_paths: int,
-    dt: float | None = None,
-    n_steps: int | None = None,
-    seed: int = 0,
-    workers: int = 1,
-) -> HeatContentValue:
-    """Monte Carlo Q(t): average of |Omega| * 1{exit time > budget}.
-
-    Starting points are uniform on the domain; the time budget is D_t or
-    E_t per the time change, and t for ``time_change=None``, which means
-    ``InverseTime(DriftExponent())``.  With ``dt=None`` the walk uses
-    n_steps per path with a per-path step t_budget/n_steps; otherwise
-    budgets are resolved to the fixed-dt grid (one-step quantization is
-    part of the documented discretization bias, which tests calibrate
-    by step-halving).  The 95% CI half width is reported as the error;
-    the dt bias is documented, not signaled.  This is the one-point
-    :func:`monte_carlo_heat_content_grid`, with the same draws.
-    """
-    return monte_carlo_heat_content_grid(
-        alpha, domain, time_change, [t], n_paths, dt, n_steps, seed, workers
-    )[0]
-
-
 def monte_carlo_heat_content_grid(
     alpha: float,
     domain: IntervalDomain,
@@ -299,13 +270,21 @@ def monte_carlo_heat_content_grid(
     seed: int = 0,
     workers: int = 1,
 ) -> list[HeatContentValue]:
-    """Q(t) on a nondecreasing grid with common random numbers.
+    """Monte Carlo Q(t) on a nondecreasing grid with common random numbers:
+    the average of |Omega| * 1{exit time > budget}, one value per t.
 
-    All grid points share paths, starting points, and time-change
-    randomness, so the estimates are exactly monotone nonincreasing in
-    t (up to the fixed-dt budget quantization, shared across the grid).
-    ``dt`` and ``n_steps`` are as in :func:`monte_carlo_heat_content`;
-    with ``dt=None`` one unit walk per path serves every row.
+    Starting points are uniform on the domain; the time budget is D_t or
+    E_t per the time change, and t for ``time_change=None``, which means
+    ``InverseTime(DriftExponent())``.  With ``dt=None`` the walk uses
+    n_steps per path with a per-path step t_budget/n_steps, and one unit
+    walk per path serves every row; otherwise budgets are resolved to the
+    fixed-dt grid (one-step quantization is part of the documented
+    discretization bias, which tests calibrate by step-halving).  The 95%
+    CI half width is reported as the error; the dt bias is documented, not
+    signaled.  All grid points share paths, starting points, and
+    time-change randomness, so the estimates are exactly monotone
+    nonincreasing in t (up to the fixed-dt budget quantization, shared
+    across the grid).  One t is the one-point grid.
     """
     if time_change is None:
         time_change = InverseTime(DriftExponent())

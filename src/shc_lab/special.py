@@ -4,10 +4,10 @@ the block evaluation of the stable variate formulas.
 Two workhorses live here:
 
 * :func:`mittag_leffler` evaluates E_beta(x) for beta in (0, 1] and
-  x <= 0, switching between the power series, the large-argument
-  asymptotic series, and a completely-monotone integral representation
-  depending on which is numerically trustworthy.  It is the independent
-  oracle for the inversion.
+  x <= 0 from one completely monotone integral representation, valid for
+  every argument, with a positive integrand cut off where it underflows.
+  Its error is absolute, a few 1e-15, and so relative only while the
+  value is not small.  It is the independent oracle for the inversion.
 * :func:`laplace_invert` inverts a Laplace transform on the real line
   with the fixed-Talbot contour rule (Abate & Whitt, INFORMS J. Comput.
   18(4), 2006) in double precision.  The transform is evaluated once per
@@ -32,162 +32,79 @@ __all__ = ["mittag_leffler", "fixed_talbot", "laplace_invert"]
 # Mittag-Leffler function on the negative half line
 # ---------------------------------------------------------------------------
 
-# Largest tolerated peak term of the alternating power series.  Its
-# absolute rounding error is a few eps * peak, so a 1e3 peak leaves about
-# 1e-12 (a 1e6 peak cost up to 1e-8 against erfcx at beta = 1/2).
-_SERIES_PEAK_CAP = 1.0e3
-# Acceptable optimal-truncation error of the asymptotic series.
-_ASYMPTOTIC_TOL = 1.0e-12
 _QUAD = dict(epsabs=1e-15, epsrel=1e-13, limit=300)
 
 
-def _series_peak(beta: float, a: float) -> float:
-    """Estimate the peak magnitude of a^k / Gamma(beta*k + 1) over k."""
-    if a <= 1.0:
-        return 1.0
-    best = 0.0
-    k, cap = 1, 200_000
-    la = math.log(a)
-    while k <= cap:
-        v = k * la - math.lgamma(beta * k + 1.0)
-        if v > best:
-            best = v
-        if v < best - 2.0 * la - 5.0:  # well past the peak
-            break
-        k = k + 1 if k < 32 else int(k * 1.25)
-    return math.exp(min(best, 700.0))
-
-
-def _series(beta: float, x: float) -> float:
-    # Kahan-compensated partial sums of sum_k x^k / Gamma(beta k + 1).
-    # |x|^k / Gamma directly while both are finite: exp of the difference
-    # of logarithms would carry eps times their size into every term
-    la = math.log(abs(x))
-    total, comp = 1.0, 0.0
-    k = 0
-    while k < 100_000:
-        k += 1
-        g = beta * k + 1.0
-        if g < 170.0 and k * la < 700.0:
-            term = abs(x) ** k / math.gamma(g)
-        else:
-            log_t = k * la - math.lgamma(g)
-            term = 0.0 if log_t < -745.0 else math.exp(log_t)
-        if k % 2 == 1:
-            term = -term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) < 1e-17 * max(1.0, abs(total)) and k > 4:
-            break
-    return total
-
-
-def _asymptotic(beta: float, a: float) -> tuple[float, float]:
-    """Large-argument series E_beta(-a) ~ sum_k (-1)^{k+1} a^-k / Gamma(1-beta k).
-
-    Truncates at the smallest term; returns (value, size of that term).
-    1/Gamma(1 - beta k) is computed by reflection as
-    sin(pi beta k) Gamma(beta k) / pi, which handles the poles cleanly.
-    """
-    la = math.log(a)
-    total = 0.0
-    best = math.inf
-    prev_mag = math.inf
-    k = 1
-    while k < 400:
-        s = math.sin(math.pi * beta * k)
-        if abs(s) < 1e-12:
-            # pole of 1/Gamma(1 - beta k): the term is exactly zero
-            k += 1
-            continue
-        log_mag = -k * la + math.lgamma(beta * k) - math.log(math.pi) + math.log(abs(s))
-        if log_mag > 680.0:
-            break
-        mag = math.exp(log_mag)
-        if mag > prev_mag and k > 2:
-            break
-        total += (-1.0) ** (k + 1) * math.copysign(mag, s)
-        prev_mag = mag
-        best = min(best, mag)
-        k += 1
-    return total, best
-
-
 def _cm_integral(beta: float, a: float) -> float:
-    """Completely monotone spectral representation, valid for all a >= 0:
+    """Completely monotone spectral representation, valid for all a >= 0
+    (Gorenflo, Loutchko & Luchko, Fract. Calc. Appl. Anal. 5, 2002):
 
         E_beta(-a) = sin(beta pi)/(beta pi)
                      * int_0^inf exp(-(a u)^(1/beta)) / (u^2 + 2 u cos(beta pi) + 1) du
 
-    The integrand is positive, so there is no cancellation.  For beta > 1/2
-    the kernel 1 / ((u + cos(beta pi))^2 + sin(beta pi)^2) peaks at
-    u = -cos(beta pi) with width sin(beta pi), which tends to 0 as
-    beta -> 1.  On the window |u + cos(beta pi)| < |cos(beta pi)| / 2 the
+    The integrand is positive, so there is no cancellation.  It is taken
+    only up to u = 700^beta / a, past which exp(-(a u)^(1/beta)) is below
+    1e-304, and is split at u = 1/a, where that factor drops (near a step
+    for small beta), and at u = 1.  The kernel is written
+    1 / ((u + cos(beta pi))^2 + sin(beta pi)^2), which does not cancel.
+    For beta > 1/2 it peaks at u = -cos(beta pi) with width sin(beta pi),
+    which tends to 0 as beta -> 1: the integral is split at the peak and at
+    half and 3/2 of it, and on the two pieces next to the peak the
     substitution u + cos(beta pi) = sin(beta pi) tan(v) turns kernel times
-    sin(beta pi) du into dv, a bounded integrand on a finite interval.
+    sin(beta pi) du into dv, a bounded integrand on a finite interval.  A
+    split at 1/a or 1 within a factor 2 of an earlier one is skipped.
     """
     c, s = math.cos(beta * math.pi), math.sin(beta * math.pi)
     p = 1.0 / beta
-    cap = 700.0 ** beta  # exp(-(a u)^p) underflows for a u above it
+    top = 700.0 ** beta / a
 
     def in_u(u: float) -> float:
-        # outside the window the denominator is at least 1/4: no cancellation
-        au = a * u
-        return 0.0 if au > cap else math.exp(-(au ** p)) / (u * (u + 2.0 * c) + 1.0)
+        return math.exp(-((a * u) ** p)) / ((u + c) ** 2 + s * s)
 
     def in_v(v: float) -> float:
-        au = a * max(s * math.tan(v) - c, 0.0)
-        return 0.0 if au > cap else math.exp(-(au ** p))
+        return math.exp(-((a * (s * math.tan(v) - c)) ** p))
 
-    # The exponential cuts off at u ~ 1/a, sharply for small beta (it is
-    # near a step there); split so quad sees it.
-    if a > 5.0:
-        cuts = (0.0, 5.0 / a, 1.0, math.inf)
-    elif 0.0 < a < 1.0:
-        cuts = (0.0, 1.0, 1.0 / a, math.inf)
-    else:
-        cuts = (0.0, 1.0, math.inf)
-    win = (-0.5 * c, -1.5 * c) if c < 0.0 else (math.inf, math.inf)
+    peak = -c if c < 0.0 else None
+    cuts = [0.5 * peak, peak, 1.5 * peak] if peak is not None else []
+    for u in (1.0 / a, 1.0):
+        # a cut within a factor 2 of another would leave quad a sliver,
+        # or a u-piece next to the peak
+        if all(not 0.5 < u / k < 2.0 for k in cuts):
+            cuts.append(u)
+    knots = sorted({0.0, top, *(u for u in cuts if u < top)})
     total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        # the parts of [lo, hi] below, inside and above the window
-        w_lo, w_hi = (min(max(w, lo), hi) for w in win)
-        if lo < w_lo:
-            total += s * quad(in_u, lo, w_lo, **_QUAD)[0]
-        if w_lo < w_hi:
-            total += quad(in_v, math.atan2(w_lo + c, s), math.atan2(w_hi + c, s), **_QUAD)[0]
-        if w_hi < hi:
-            total += s * quad(in_u, w_hi, hi, **_QUAD)[0]
+    for lo, hi in zip(knots, knots[1:]):
+        if peak in (lo, hi):
+            total += quad(in_v, math.atan2(lo + c, s), math.atan2(hi + c, s), **_QUAD)[0]
+        else:
+            total += s * quad(in_u, lo, hi, **_QUAD)[0]
     return total / (beta * math.pi)
 
 
 def mittag_leffler(beta: float, x: float) -> float:
     """E_beta(x) = sum_{k>=0} x^k / Gamma(beta k + 1) for beta in (0,1], x <= 0.
 
-    The value lies in (0, 1] and is nonincreasing in |x|.  Positive
-    arguments are rejected: they are not needed for inverse-subordinator
-    Laplace functionals and their evaluation is numerically different.
+    The value lies in (0, 1] and is nonincreasing in |x|.  It is 1 at
+    x = 0, exp(x) at beta = 1, and otherwise the integral of
+    :func:`_cm_integral`, one algorithm for every argument.  Against a
+    40-digit evaluation over |x| in [1e-4, 1e10] and beta from 1e-3 to
+    1 - 2^-45 the absolute error is at most 3.6e-15.  The error is
+    absolute, not relative: where the value is small, about
+    1 / (|x| Gamma(1 - beta)) at large |x|, the relative error grows, for
+    beta > 1/2 to about 1e-10 at |x| = 1e8 and 5e-9 at |x| = 1e10.
+    Positive arguments are rejected: they are not needed for
+    inverse-subordinator Laplace functionals and their evaluation is
+    numerically different.
     """
     if not 0.0 < beta <= 1.0:
         raise ValidationError(f"beta must be in (0, 1], got {beta}")
-    if x > 0.0:
+    if not x <= 0.0:
         raise ValidationError(f"x must be <= 0, got {x}")
     if x == 0.0:
         return 1.0
     if beta == 1.0:
         return math.exp(x)
-    a = -x
-    if _series_peak(beta, a) <= _SERIES_PEAK_CAP:
-        return _series(beta, x)
-    val, err = _asymptotic(beta, a)
-    # the asymptotic series expands the integral's kernel in powers of u and
-    # misses its peak near u = 1 (sharp as beta -> 1), worth about
-    # exp(-a^(1/beta)): accept it only where that is below tolerance too
-    if err <= _ASYMPTOTIC_TOL and a >= (-math.log(_ASYMPTOTIC_TOL)) ** beta:
-        return val
-    return _cm_integral(beta, a)
+    return _cm_integral(beta, -x)
 
 
 # ---------------------------------------------------------------------------

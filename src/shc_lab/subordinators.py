@@ -308,11 +308,18 @@ def _scaled_stable(rng: np.random.Generator, beta: float, delta, root, size) -> 
     odd = ~((0.0 < out) & (out < math.inf))
     if odd.any():
         u, w = u[odd], w[odd]
-        log_s = (
-            np.log(np.sin(beta * u))
-            - np.log(np.sin(u)) / beta
-            + (np.log(np.sin((1.0 - beta) * u)) - np.log(w)) * ((1.0 - beta) / beta)
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_s = (
+                np.log(np.sin(beta * u))
+                - np.log(np.sin(u)) / beta
+                + (np.log(np.sin((1.0 - beta) * u)) - np.log(w)) * ((1.0 - beta) / beta)
+            )
+            # U = 0 (probability 2^-53 per draw) takes the limit U -> 0,
+            # where sin(c U) / U -> c for c = beta, 1 - beta and 1
+            zero = u == 0.0
+            log_s[zero] = math.log(beta) + (
+                (math.log1p(-beta) - np.log(w[zero])) * ((1.0 - beta) / beta)
+            )
         log_delta = np.log(np.broadcast_to(delta, out.shape)[odd])
         with np.errstate(over="ignore"):
             out[odd] = np.exp(log_delta / beta + log_s)

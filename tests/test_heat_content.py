@@ -20,7 +20,6 @@ from shc_lab import (
     heat_content,
     heat_content_inverse,
     heat_content_subordinate,
-    monte_carlo_heat_content,
     monte_carlo_heat_content_grid,
     sample_increments,
 )
@@ -144,8 +143,8 @@ class TestSeriesEvaluators:
 
 class TestMonteCarlo:
     def test_t_zero_returns_mass_exactly(self):
-        hv = monte_carlo_heat_content(
-            1.5, DOMAIN_PI, None, 0.0, n_paths=5000, dt=None, n_steps=16, seed=1
+        (hv,) = monte_carlo_heat_content_grid(
+            1.5, DOMAIN_PI, None, [0.0], n_paths=5000, dt=None, n_steps=16, seed=1
         )
         assert hv.value == pytest.approx(math.pi, abs=1e-15)
         assert hv.error == 0.0
@@ -160,11 +159,11 @@ class TestMonteCarlo:
 
     def test_matches_series_alpha2(self, eig):
         t = 0.2
-        hv = monte_carlo_heat_content(
-            2.0, DOMAIN_PI, None, t, n_paths=200_000, dt=t / 256, seed=2
+        (hv,) = monte_carlo_heat_content_grid(
+            2.0, DOMAIN_PI, None, [t], n_paths=200_000, dt=t / 256, seed=2
         )
-        hv_fine = monte_carlo_heat_content(
-            2.0, DOMAIN_PI, None, t, n_paths=200_000, dt=t / 1024, seed=3
+        (hv_fine,) = monte_carlo_heat_content_grid(
+            2.0, DOMAIN_PI, None, [t], n_paths=200_000, dt=t / 1024, seed=3
         )
         ref = heat_content(eig, t, tol=1e-12).value
         band = 2.5 * abs(hv.value - hv_fine.value)
@@ -174,13 +173,13 @@ class TestMonteCarlo:
         # alpha=2 with the inverse 0.5-stable change: MC vs transform series
         t = 1.0
         spec = StableExponent(0.5)
-        hv = monte_carlo_heat_content(
-            2.0, DOMAIN_PI, InverseTime(spec), t, n_paths=200_000, dt=1e-3, seed=4
+        (hv,) = monte_carlo_heat_content_grid(
+            2.0, DOMAIN_PI, InverseTime(spec), [t], n_paths=200_000, dt=1e-3, seed=4
         )
         ref = heat_content_inverse(eig, spec, t, tol=1e-10).value
         # dt bias band calibrated by a quarter-step rerun
-        hv_fine = monte_carlo_heat_content(
-            2.0, DOMAIN_PI, InverseTime(spec), t, n_paths=100_000, dt=2.5e-4, seed=5
+        (hv_fine,) = monte_carlo_heat_content_grid(
+            2.0, DOMAIN_PI, InverseTime(spec), [t], n_paths=100_000, dt=2.5e-4, seed=5
         )
         band = 2.5 * abs(hv.value - hv_fine.value)
         assert abs(hv.value - ref) <= 1.5 * hv.error + band
@@ -193,13 +192,13 @@ class TestMonteCarlo:
         # the walk's step bias is the only bias left
         t = 0.1
         tc = InverseTime(spec)
-        hv = monte_carlo_heat_content(
-            2.0, DOMAIN_PI, tc, t, n_paths=20_000, dt=None, n_steps=64, seed=10
+        (hv,) = monte_carlo_heat_content_grid(
+            2.0, DOMAIN_PI, tc, [t], n_paths=20_000, dt=None, n_steps=64, seed=10
         )
         ref = heat_content_inverse(eig, spec, t, tol=1e-8).value
         # step bias band calibrated by a rerun at a sixteenth of the step
-        hv_fine = monte_carlo_heat_content(
-            2.0, DOMAIN_PI, tc, t, n_paths=10_000, dt=None, n_steps=1024, seed=11
+        (hv_fine,) = monte_carlo_heat_content_grid(
+            2.0, DOMAIN_PI, tc, [t], n_paths=10_000, dt=None, n_steps=1024, seed=11
         )
         band = 2.5 * abs(hv.value - hv_fine.value)
         assert abs(hv.value - ref) <= 1.5 * hv.error + band
@@ -216,9 +215,11 @@ class TestMonteCarlo:
         # alpha=2 with D_t or E_t at t=0.5 under the drift, the identity
         # time change, equals plain
         t = 0.5
-        hv = monte_carlo_heat_content(2.0, DOMAIN_PI, tc, t, n_paths=100_000, seed=6, **mode)
-        hv_plain = monte_carlo_heat_content(
-            2.0, DOMAIN_PI, None, t, n_paths=100_000, seed=6, **mode
+        (hv,) = monte_carlo_heat_content_grid(
+            2.0, DOMAIN_PI, tc, [t], n_paths=100_000, seed=6, **mode
+        )
+        (hv_plain,) = monte_carlo_heat_content_grid(
+            2.0, DOMAIN_PI, None, [t], n_paths=100_000, seed=6, **mode
         )
         assert hv.value == hv_plain.value  # identical draws, identical budget
 
@@ -233,9 +234,9 @@ class TestMonteCarlo:
         assert all(0.0 < v.value < math.pi for v in vals)
 
     def test_worker_count_invariance(self):
-        kw = dict(t=0.3, n_paths=20_000, dt=0.3 / 64, seed=7)
-        a = monte_carlo_heat_content(1.5, DOMAIN_PI, None, workers=1, **kw)
-        b = monte_carlo_heat_content(1.5, DOMAIN_PI, None, workers=2, **kw)
+        kw = dict(ts=[0.3], n_paths=20_000, dt=0.3 / 64, seed=7)
+        (a,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, workers=1, **kw)
+        (b,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, workers=2, **kw)
         assert a.value == b.value
 
     @pytest.mark.parametrize(
@@ -342,13 +343,6 @@ class TestMonteCarlo:
         )
         assert below.tolist() == [[True], [True]]
 
-    def test_adaptive_point_is_the_one_point_grid(self):
-        tc = InverseTime(StableExponent(0.5))
-        kw = dict(n_paths=10_000, dt=None, n_steps=16, seed=13)
-        point = monte_carlo_heat_content(1.5, DOMAIN_PI, tc, 0.01, **kw)
-        grid = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, tc, [0.01], **kw)
-        assert grid == [point]
-
     def test_adaptive_grid_worker_count_invariance(self):
         tc = InverseTime(StableExponent(0.5))
         kw = dict(n_paths=20_000, dt=None, n_steps=16, seed=14)
@@ -367,35 +361,33 @@ class TestMonteCarlo:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            monte_carlo_heat_content(1.5, DOMAIN_PI, None, 1.0, n_paths=0, dt=0.1)
+            monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, [1.0], n_paths=0, dt=0.1)
         with pytest.raises(ValidationError):
-            monte_carlo_heat_content(1.5, DOMAIN_PI, None, 1.0, n_paths=10, dt=-0.1)
+            monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, [1.0], n_paths=10, dt=-0.1)
         with pytest.raises(ValidationError):
             monte_carlo_heat_content_grid(
                 1.5, DOMAIN_PI, None, [0.2, 0.1], n_paths=10, dt=0.01, seed=0
             )
         with pytest.raises(ValidationError):
-            monte_carlo_heat_content(1.5, DOMAIN_PI, "bogus", 0.1, n_paths=10, dt=0.01)
+            monte_carlo_heat_content_grid(1.5, DOMAIN_PI, "bogus", [0.1], n_paths=10, dt=0.01)
 
     @pytest.mark.parametrize(
         "t, dt",
         [(math.nan, 0.01), (math.inf, 0.01), (0.1, math.inf), (0.1, math.nan)],
         ids=["t-nan", "t-inf", "dt-inf", "dt-nan"],
     )
-    @pytest.mark.parametrize("grid", [False, True], ids=["single", "grid"])
-    def test_non_finite_t_or_dt_rejected(self, grid, t, dt):
-        # dt = inf used to return pi +- 0, the others to fail deep in the walk
+    @pytest.mark.parametrize("as_grid", [np.array, list], ids=["single", "grid"])
+    def test_non_finite_t_or_dt_rejected(self, as_grid, t, dt):
+        # dt = inf used to return pi +- 0, the others to fail deep in the walk;
+        # the one-point grid as an array (as experiments pass it) and a list
         with pytest.raises(ValidationError, match="finite"):
-            if grid:
-                monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, [t], n_paths=10, dt=dt)
-            else:
-                monte_carlo_heat_content(1.5, DOMAIN_PI, None, t, n_paths=10, dt=dt)
+            monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, as_grid([t]), n_paths=10, dt=dt)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["t-nan", "t-inf"])
     def test_non_finite_t_rejected_adaptive(self, t):
         # both used to return 0 +- 0
         with pytest.raises(ValidationError, match="finite"):
-            monte_carlo_heat_content(1.5, DOMAIN_PI, None, t, n_paths=10, dt=None, n_steps=8)
+            monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, [t], n_paths=10, dt=None, n_steps=8)
 
     @pytest.mark.parametrize(
         "delta", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
@@ -417,12 +409,12 @@ class TestMonteCarlo:
     def test_bad_seed_rejected(self, seed):
         # a float seed used to be truncated silently (2.9 ran as 2)
         with pytest.raises(ValidationError):
-            monte_carlo_heat_content(
-                1.5, DOMAIN_PI, None, 0.1, n_paths=10, dt=0.01, seed=seed
+            monte_carlo_heat_content_grid(
+                1.5, DOMAIN_PI, None, [0.1], n_paths=10, dt=0.01, seed=seed
             )
 
     def test_numpy_integer_seed_accepted(self):
-        kw = dict(t=0.1, n_paths=100, dt=0.01)
-        a = monte_carlo_heat_content(1.5, DOMAIN_PI, None, seed=np.int64(2), **kw)
-        b = monte_carlo_heat_content(1.5, DOMAIN_PI, None, seed=2, **kw)
+        kw = dict(ts=[0.1], n_paths=100, dt=0.01)
+        (a,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, seed=np.int64(2), **kw)
+        (b,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, seed=2, **kw)
         assert a.value == b.value

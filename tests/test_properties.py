@@ -142,10 +142,10 @@ def test_series_bracket_contains_longer_sum(length, n_modes, kind, scale):
     step=st.floats(min_value=1e-6, max_value=1.0),
 )
 def test_mittag_leffler_bounded_and_monotone(beta, log_a, step):
-    # |x| from 1e-3 to 1e4 crosses the series / integral / asymptotic
-    # switch points for every beta.  Steps stay above the rounding of the
-    # value (an ulp step can go either way), and beta = 1 is exp(x), which
-    # underflows to 0 past |x| = 745.
+    # |x| from 1e-3 to 1e4 moves the integral's splits (1/a, 1, the peak)
+    # and its cut-off 700^beta / a past each other for every beta.  Steps
+    # stay above the rounding of the value (an ulp step can go either way),
+    # and beta = 1 is exp(x), which underflows to 0 past |x| = 745.
     a = 10.0 ** log_a
     near = mittag_leffler(beta, -a)
     far = mittag_leffler(beta, -a * (1.0 + step))

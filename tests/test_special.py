@@ -50,12 +50,12 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("a", np.logspace(-3, 8, 23).tolist())
     def test_erfc_identity_all_branches(self, a):
-        # sweeps the series / asymptotic / integral switch points
+        # a from 1e-3 to 1e8: the integral's splits at 1/a and at 1 cross,
+        # and past a = 700^(1/2) its cut-off 700^(1/2) / a moves below u = 1
         assert mittag_leffler(0.5, -a) == pytest.approx(float(erfcx(a)), rel=1e-9)
 
     def test_erfc_identity_dense_grid(self):
-        # absolute accuracy on every branch, across each switch point: the
-        # power series is capped where its rounding error stays below 1e-11
+        # absolute accuracy across the cuts of the integral
         zs = np.logspace(-3, 3, 2001)
         err = max(abs(mittag_leffler(0.5, -float(z)) - float(erfcx(z))) for z in zs)
         assert err <= 1e-11
@@ -81,13 +81,24 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("beta", [0.999, 0.99999, 1.0 - 2.0 ** -45])
     def test_near_one_matches_inversion(self, beta):
-        # as beta -> 1 the integral's kernel tends to a point mass at u = 1,
-        # which the asymptotic series cannot see; Talbot inversion of
-        # s^(beta-1) / (s^beta + a) is the independent reference
+        # as beta -> 1 the integral's kernel tends to a point mass at u = 1;
+        # Talbot inversion of s^(beta-1) / (s^beta + a) is the independent
+        # reference
         a = np.logspace(-2, 3, 60)
         ref = expected_laplace(StableExponent(beta), a, 1.0)
         vals = np.array([mittag_leffler(beta, -float(x)) for x in a])
         assert np.max(np.abs(vals - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("beta", [0.999999, 1.0 - 1e-12, 1.0 - 2.0 ** -52])
+    def test_colliding_splits(self, beta):
+        # 1/a or the cut-off 700^beta / a at, or a kernel width from, the
+        # peak u = -cos(beta pi), its window edges and u = 1: no split may
+        # leave quad a sliver or a u-piece beside the peak (IntegrationWarning
+        # is an error)
+        c, s = math.cos(beta * math.pi), math.sin(beta * math.pi)
+        for u in (1.0, -c, s - c, -0.5 * c, -1.5 * c):
+            for a in (1.0 / u, 700.0 ** beta / u):
+                assert 0.0 < mittag_leffler(beta, -a * (1.0 + 1e-6)) <= mittag_leffler(beta, -a) <= 1.0
 
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 0.95])
     def test_bounds_and_monotonicity(self, beta):

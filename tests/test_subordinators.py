@@ -351,10 +351,12 @@ class TestInverseTimeTransform:
 
 
 class TestExpectedLaplace:
-    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 0.95, 0.5 + 1e-12, 0.25 + 1e-9])
     def test_stable_matches_mittag_leffler(self, beta):
         # the Talbot inversion against the independent closed form
-        # E_beta(-a t^beta), one array of a per t
+        # E_beta(-a t^beta), one array of a per t; just past beta = 1/2 and
+        # 1/4, sin(pi beta k) nearly vanishes for even k, which misleads a
+        # truncated large-argument series
         a = np.logspace(-2, 4, 25)
         for t in (1e-2, 1.0, 1e2, 1e6):
             v = expected_laplace(StableExponent(beta), a, t)

@@ -143,3 +143,12 @@ def test_cms_edge_angles(alpha):
     assert np.all(np.isfinite(x))
     assert np.array_equal(np.sign(x), np.sign(u))
     assert_matches(x, cms_oracle(u, w, alpha))
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_kanter_zero_angle(beta):
+    # uniform(0, pi) returns 0.0 with probability 2^-53; the variate is the
+    # limit U -> 0, which the textbook formula at U = 1e-9 matches to O(U^2)
+    w = np.array(EDGE_W)
+    x = sample_positive_stable(StubGenerator(np.zeros_like(w), w), beta, w.size)
+    assert_matches(x, kanter_oracle(np.full_like(w, 1e-9), w, beta))
