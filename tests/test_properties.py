@@ -142,8 +142,8 @@ def test_series_bracket_contains_longer_sum(length, n_modes, kind, scale):
     step=st.floats(min_value=1e-6, max_value=1.0),
 )
 def test_mittag_leffler_bounded_and_monotone(beta, log_a, step):
-    # |x| from 1e-3 to 1e4 moves the integral's splits (1/a, 1, the peak)
-    # and its cut-off 700^beta / a past each other for every beta.  Steps
+    # |x| from 1e-3 to 1e4 moves the integral's knots (the weight's step
+    # at t0 = -log(a) and t0 - 40 beta below it) past the kernel's peak.  Steps
     # stay above the rounding of the value (an ulp step can go either way),
     # and beta = 1 is exp(x), which underflows to 0 past |x| = 745.
     a = 10.0 ** log_a

@@ -50,12 +50,12 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("a", np.logspace(-3, 8, 23).tolist())
     def test_erfc_identity_all_branches(self, a):
-        # a from 1e-3 to 1e8: the integral's splits at 1/a and at 1 cross,
-        # and past a = 700^(1/2) its cut-off 700^(1/2) / a moves below u = 1
+        # a from 1e-3 to 1e8: the step of the integral's weight at
+        # t0 = -log(a) moves across the kernel's peak at t = 0
         assert mittag_leffler(0.5, -a) == pytest.approx(float(erfcx(a)), rel=1e-9)
 
     def test_erfc_identity_dense_grid(self):
-        # absolute accuracy across the cuts of the integral
+        # absolute accuracy as the integral's knots move with a
         zs = np.logspace(-3, 3, 2001)
         err = max(abs(mittag_leffler(0.5, -float(z)) - float(erfcx(z))) for z in zs)
         assert err <= 1e-11
@@ -89,16 +89,23 @@ class TestMittagLeffler:
         vals = np.array([mittag_leffler(beta, -float(x)) for x in a])
         assert np.max(np.abs(vals - ref)) <= 1e-11
 
-    @pytest.mark.parametrize("beta", [0.999999, 1.0 - 1e-12, 1.0 - 2.0 ** -52])
-    def test_colliding_splits(self, beta):
-        # 1/a or the cut-off 700^beta / a at, or a kernel width from, the
-        # peak u = -cos(beta pi), its window edges and u = 1: no split may
-        # leave quad a sliver or a u-piece beside the peak (IntegrationWarning
-        # is an error)
-        c, s = math.cos(beta * math.pi), math.sin(beta * math.pi)
-        for u in (1.0, -c, s - c, -0.5 * c, -1.5 * c):
-            for a in (1.0 / u, 700.0 ** beta / u):
-                assert 0.0 < mittag_leffler(beta, -a * (1.0 + 1e-6)) <= mittag_leffler(beta, -a) <= 1.0
+    @pytest.mark.parametrize("beta", [0.3, 0.7, 0.999, 1.0 - 2.0 ** -52])
+    def test_tiny_argument(self, beta):
+        # the weight's step lies far out in the kernel's tail, which a
+        # piece spanning decades of u would miss; the series' first terms
+        # are exact here
+        for a in (1e-8, 1e-12, 1e-16, 1e-20, 1e-100, 1e-300, 5e-324):
+            expected = 1.0 - a / math.gamma(1.0 + beta) + a * a / math.gamma(1.0 + 2.0 * beta)
+            assert abs(mittag_leffler(beta, -a) - expected) <= 1e-15
+
+    @pytest.mark.parametrize("beta", [0.3, 0.7, 0.9, 0.999])
+    def test_huge_argument(self, beta):
+        # relative accuracy where the value is about 1 / (a Gamma(1 - beta)):
+        # the asymptotic series sum_k -(-a)^-k / Gamma(1 - beta k), whose
+        # third term is below 1e-30 of the first here
+        for a in (1e10, 1e100, 1e300):
+            expected = (1.0 / math.gamma(1.0 - beta) - 1.0 / (a * math.gamma(1.0 - 2.0 * beta))) / a
+            assert mittag_leffler(beta, -a) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 0.95])
     def test_bounds_and_monotonicity(self, beta):
