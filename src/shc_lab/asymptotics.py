@@ -78,18 +78,23 @@ def classify_regime(alpha: float) -> Regime:
     return Regime.SUBCRITICAL
 
 
-def small_time_rate(alpha: float, t: float) -> float:
-    """The regime rate function: t^(1/alpha), t ln(1/t), or t."""
+def small_time_rate(alpha: float, s: float) -> float:
+    """The regime rate r_alpha(s): s^(1/alpha), s ln(1/s) (for s < 1), or s.
+
+    The one implementation of r_alpha: the three-regime law
+    (``small_time_asymptote``, at s = 1/phi(1/t)), the critical fit of
+    ``small_time_mc`` and the x ln(1/x) lemma all call it.
+    """
     regime = classify_regime(alpha)
-    if t <= 0.0:
-        raise ValidationError(f"t must be > 0, got {t}")
+    if not s > 0.0:
+        raise ValidationError(f"s must be > 0, got {s}")
     if regime is Regime.SUPERCRITICAL:
-        return t ** (1.0 / alpha)
+        return s ** (1.0 / alpha)
     if regime is Regime.CRITICAL:
-        if t >= 1.0:
-            raise ValidationError("the critical rate t ln(1/t) needs t in (0, 1)")
-        return t * math.log(1.0 / t)
-    return t
+        if not s < 1.0:
+            raise ValidationError(f"the critical rate needs s < 1 (phi(1/t) > 1), got {s}")
+        return s * math.log(1.0 / s)
+    return s
 
 
 def jump_kernel_constant(alpha: float) -> float:
@@ -160,13 +165,12 @@ def small_time_constant(
     return frac_perimeter_interval(alpha, domain.volume)
 
 
-def large_time_constant(eig: EigenSystem, beta: float, tol: float | None = None) -> float:
+def large_time_constant(eig: EigenSystem, beta: float) -> float:
     """C = sum_n m_n^2 / (lambda_n Gamma(1-beta)), tail-certified."""
     if not 0.0 <= beta < 1.0:
         raise ValidationError(f"large-time law needs beta in [0, 1), got {beta}")
     g = _gamma(1.0 - beta)
-    sv = weighted_series(eig, lambda lam: 1.0 / (lam * g), tol=tol)
-    return sv.value
+    return weighted_series(eig, lambda lam: 1.0 / (lam * g)).value
 
 
 def large_time_asymptote(eig: EigenSystem, spec: LaplaceExponent, t: float) -> float:
@@ -191,12 +195,12 @@ def small_time_asymptote(
 ) -> float:
     """The claimed small-time leading term of |Omega| - Q(t):
 
-        supercritical: |bd| E[sup] Gamma(1+1/alpha)/Gamma(1+beta/alpha)
-                       * phi(1/t)^(-1/alpha)
-        critical:      |bd| / (pi Gamma(1+beta)) * phi(1/t)^-1 ln phi(1/t)
-        subcritical:   Per_alpha / Gamma(1+beta) * phi(1/t)^-1
+        supercritical: |bd| E[sup] Gamma(1+1/alpha)/Gamma(1+beta/alpha) * r_alpha(s)
+        critical:      |bd| / (pi Gamma(1+beta)) * r_alpha(s)
+        subcritical:   Per_alpha / Gamma(1+beta) * r_alpha(s)
 
-    with beta the regular-variation index of phi at infinity.
+    with s = 1/phi(1/t), r_alpha = ``small_time_rate`` and beta the
+    regular-variation index of phi at infinity.
     """
     regime = classify_regime(alpha)
     beta = spec.index_at_infinity
@@ -206,22 +210,11 @@ def small_time_asymptote(
         )
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
+    rate = small_time_rate(alpha, 1.0 / float(spec(1.0 / t)))
     constant = small_time_constant(alpha, domain, sup_mean)
-    phi_1t = float(spec(1.0 / t))
     if regime is Regime.SUPERCRITICAL:
-        return (
-            constant
-            * _gamma(1.0 + 1.0 / alpha)
-            / _gamma(1.0 + beta / alpha)
-            * phi_1t ** (-1.0 / alpha)
-        )
-    if regime is Regime.CRITICAL:
-        if phi_1t <= 1.0:
-            raise ValidationError(
-                f"critical asymptote needs phi(1/t) > 1 (log factor), got {phi_1t}"
-            )
-        return constant / _gamma(1.0 + beta) * math.log(phi_1t) / phi_1t
-    return constant / _gamma(1.0 + beta) / phi_1t
+        return constant * _gamma(1.0 + 1.0 / alpha) / _gamma(1.0 + beta / alpha) * rate
+    return constant / _gamma(1.0 + beta) * rate
 
 
 def subordinate_log_rate(spec: LaplaceExponent, lambda1: float) -> float:
@@ -243,17 +236,13 @@ def monotonized_xlog(x: float) -> float:
 
     Nondecreasing and continuous; agrees with x ln(1/x) up to the cap.
     """
-    if x <= 0.0:
-        raise ValidationError(f"x must be > 0, got {x}")
-    if x <= _PLATEAU:
-        return x * math.log(1.0 / x)
-    return _PLATEAU
+    return small_time_rate(1.0, x) if x <= _PLATEAU else _PLATEAU
 
 
 def expected_monotonized_xlog(beta: float, t: float) -> float:
     """E[V(E_t)] for the inverse beta-stable time change (V = capped x ln(1/x))."""
     low = expected_functional(
-        beta, t, lambda x: x * math.log(1.0 / x) if x > 0 else 0.0, upper=_PLATEAU
+        beta, t, lambda x: small_time_rate(1.0, x) if x > 0 else 0.0, upper=_PLATEAU
     )
     tail_mass = expected_functional(beta, t, lambda x: 1.0, lower=_PLATEAU)
     return low.value + _PLATEAU * tail_mass.value
@@ -261,20 +250,20 @@ def expected_monotonized_xlog(beta: float, t: float) -> float:
 
 def expected_xlog(beta: float, t: float) -> float:
     """E[E_t ln(1/E_t)] for the inverse beta-stable time change."""
+    # E_t >= 1 is in range, where the critical rate is undefined
     return expected_functional(beta, t, lambda x: -x * math.log(x) if x > 0 else 0.0).value
 
 
 def xlog_asymptote(beta: float, t: float) -> float:
     """Claimed small-time law of both E[V(E_t)] and E[E_t ln(1/E_t)]:
 
-        (1/Gamma(1+beta)) phi(1/t)^-1 ln phi(1/t),  phi(s) = s^beta.
+        r_1(1/phi(1/t)) / Gamma(1+beta),  phi(s) = s^beta, so 1/phi(1/t) = t^beta.
     """
     if not 0.0 < beta < 1.0:
         raise ValidationError(f"beta must be in (0, 1), got {beta}")
-    if not 0.0 < t < 1.0:
-        raise ValidationError(f"needs t in (0, 1) so ln phi(1/t) > 0, got {t}")
-    phi_1t = t ** (-beta)
-    return math.log(phi_1t) / (phi_1t * _gamma(1.0 + beta))
+    if not t > 0.0:
+        raise ValidationError(f"t must be > 0, got {t}")
+    return small_time_rate(1.0, t ** beta) / _gamma(1.0 + beta)
 
 
 def moment_asymptote(p: float, spec: LaplaceExponent, t: float) -> float:

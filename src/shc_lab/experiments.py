@@ -30,6 +30,7 @@ from .asymptotics import (
     classify_regime,
     large_time_asymptote,
     small_time_asymptote,
+    small_time_rate,
     subordinate_log_rate,
     moment_asymptote,
     tail_decay_probe,
@@ -80,6 +81,8 @@ _STABLE_ONLY = ("transform_consistency", "moment_laws", "tail_probe")
 # experiments on an eigen series: the built-in one is the Brownian (alpha = 2)
 # sine basis, so another alpha needs its own eigen_table
 _SERIES = ("large_time", "subordinate_rate")
+# experiments that fit across the t grid, with the grid points each fit needs
+_FIT_POINTS = {"large_time": 2, "subordinate_rate": 2, "small_time_mc": 2, "tail_probe": 3}
 _MOMENT_PS = (1.0 / 1.5, 1.0, 2.0)
 _TRANSFORM_AS = (0.5, 1.0, 5.0)
 
@@ -125,6 +128,9 @@ class ExperimentConfig:
             raise ValidationError("need 0 < t_min <= t_max")
         if self.t_points < 1:
             raise ValidationError("t grid must be nonempty")
+        points = _FIT_POINTS.get(self.experiment, 1)
+        if points > 1 and not (self.t_max > self.t_min and self.t_points >= points):
+            raise ValidationError(f"{self.experiment} needs t_max > t_min, t_points >= {points}")
         if self.tolerance <= 0.0:
             raise ValidationError("tolerance must be positive")
         if self.n_paths < 1 or self.n_steps < 1 or self.truncation < 1:
@@ -389,16 +395,6 @@ def _run_subordinate_rate(config: ExperimentConfig, workers: int) -> tuple[list,
     return rows, summary
 
 
-def _small_time_abscissa(config: ExperimentConfig, t: float) -> float:
-    spec = config.exponent
-    if classify_regime(config.alpha) is Regime.CRITICAL:
-        phi_1t = float(spec(1.0 / t))
-        if phi_1t <= 1.0:
-            raise ValidationError(f"critical abscissa needs phi(1/t) > 1 at t={t}")
-        return math.log(phi_1t) / phi_1t
-    return t
-
-
 def _sup_mean_for(config: ExperimentConfig) -> float | None:
     """An estimated E[sup]; None where the asymptote needs none or has a frozen one."""
     if classify_regime(config.alpha) is not Regime.SUPERCRITICAL:
@@ -419,7 +415,14 @@ def _run_small_time_mc(config: ExperimentConfig, workers: int) -> tuple[list, di
     """
     domain = config.domain
     spec = config.exponent
+    regime = classify_regime(config.alpha)
+    ts = [float(t) for t in config.t_grid]
+    # the law first: a config it rejects fails before any path is walked
     sup_mean = _sup_mean_for(config)
+    refs = [small_time_asymptote(config.alpha, spec, domain, t, sup_mean=sup_mean) for t in ts]
+    abscissae = ts
+    if regime is Regime.CRITICAL:
+        abscissae = [small_time_rate(config.alpha, 1.0 / float(spec(1.0 / t))) for t in ts]
     values = monte_carlo_heat_content_grid(
         config.alpha,
         domain,
@@ -430,15 +433,11 @@ def _run_small_time_mc(config: ExperimentConfig, workers: int) -> tuple[list, di
         seed=config.seed,
         workers=workers,
     )
-    rows = []
-    pairs = []
-    for hv in values:
-        deficit = domain.volume - hv.value
-        ref = small_time_asymptote(config.alpha, spec, domain, hv.t, sup_mean=sup_mean)
-        rows.append(ExperimentRow(hv.t, deficit, ref, hv.error, hv.method))
-        pairs.append((_small_time_abscissa(config, hv.t), deficit))
-    fit = fit_loglog(pairs)
-    regime = classify_regime(config.alpha)
+    rows = [
+        ExperimentRow(hv.t, domain.volume - hv.value, ref, hv.error, hv.method)
+        for hv, ref in zip(values, refs)
+    ]
+    fit = fit_loglog([(x, r.computed) for x, r in zip(abscissae, rows)])
     if regime is Regime.CRITICAL:
         expected = 1.0
     elif regime is Regime.SUPERCRITICAL:

@@ -68,7 +68,9 @@ class HeatContentValue:
     """One heat-content evaluation: value with its error accounting.
 
     ``error`` is a certified series tail bound for the series/transform
-    methods and a 95% CI half width for Monte Carlo.
+    methods and a 95% CI half width for Monte Carlo.  For ``transform``
+    it is the series tail alone: the Talbot node gap of each weight (at
+    most 1e-9, ``expected_laplace``'s tolerance) is not included.
     """
 
     t: float
@@ -83,11 +85,8 @@ class HeatContentValue:
 
 
 def heat_content(eig: EigenSystem, t: float, tol: float = 1e-10) -> HeatContentValue:
-    """Q(t) = sum_n exp(-lambda_n t) m_n^2 with a certified tail."""
-    if t <= 0.0:
-        raise ValidationError(f"t must be > 0, got {t}")
-    sv = weighted_series(eig, lambda lams: np.exp(-lams * t), tol=tol)
-    return HeatContentValue(t=t, value=sv.value, method="series", error=sv.tail_bound)
+    """Q(t) = sum_n exp(-lambda_n t) m_n^2: the subordinate one of phi(lam) = lam."""
+    return heat_content_subordinate(eig, DriftExponent(), t, tol)
 
 
 def heat_content_subordinate(

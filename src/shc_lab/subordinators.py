@@ -456,9 +456,6 @@ class QuadratureResult:
     value: float
     error: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def expected_functional(
     beta: float,

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from shc_lab import (
     run_experiment,
     write_outputs,
 )
+from shc_lab import experiments
 from shc_lab.cli import main as cli_main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestFitLoglog:
@@ -201,6 +205,16 @@ class TestRunners:
         r2 = run_experiment(cfg, workers=2)
         assert r1.to_csv() == r2.to_csv()
 
+    def test_small_time_law_fails_before_the_walk(self, monkeypatch):
+        # the drift exponent has index 1 at infinity, outside the law
+        def walk(*args, **kwargs):
+            raise AssertionError("paths walked for a config the law rejects")
+
+        monkeypatch.setattr(experiments, "monte_carlo_heat_content_grid", walk)
+        cfg = parse_config_file(CONFIGS / "small_time_mc.cfg", ["phi=drift"])
+        with pytest.raises(ValidationError, match="index at infinity"):
+            run_experiment(cfg)
+
     def test_tail_probe_runner(self):
         cfg = ExperimentConfig(
             experiment="tail_probe", seed=9, t_min=4e-3, t_max=4e-2, t_points=5,
@@ -330,6 +344,26 @@ class TestCli:
         p = self._write_cfg(tmp_path)
         out = tmp_path / "out4"
         assert cli_main(["run", str(p), "--set", "alpha=1.5", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment,override",
+        [
+            ("large_time", "t_points=1"),
+            ("large_time", "t_max=1e2"),
+            ("subordinate_rate", "t_points=1"),
+            ("subordinate_rate", "t_max=10"),
+            ("small_time_mc", "t_points=1"),
+            ("small_time_mc", "t_max=1e-4"),
+            ("tail_probe", "t_points=2"),
+            ("tail_probe", "t_max=0.023"),
+        ],
+    )
+    def test_unfittable_grid_exit_code(self, tmp_path, experiment, override):
+        # the shipped config with a grid its fit cannot use fails at parse
+        out = tmp_path / "out"
+        cfg = CONFIGS / f"{experiment}.cfg"
+        assert cli_main(["run", str(cfg), "--set", override, "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_numerical_exit_code(self, tmp_path):

@@ -4,7 +4,7 @@ Mittag-Leffler range and monotonicity, and the exit walk's budget layout."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shc_lab import (
@@ -20,7 +20,7 @@ from shc_lab import (
     sample_increments,
     weighted_series,
 )
-from shc_lab.experiments import _SERIES, _STABLE_ONLY, EXPERIMENTS
+from shc_lab.experiments import _FIT_POINTS, _SERIES, _STABLE_ONLY, EXPERIMENTS
 from shc_lab.seeding import derive_rng
 from shc_lab.stable_motion import walk_exit_steps
 
@@ -42,12 +42,16 @@ def configs(draw) -> ExperimentConfig:
     # the built-in eigen series is the alpha = 2 one
     alphas = st.just(2.0) if experiment in _SERIES and not eigen_table else finite
     domain_a, domain_b = draw(st.lists(finite, min_size=2, max_size=2, unique=True).map(sorted))
+    # a fitting experiment needs a grid of distinct points
+    points = _FIT_POINTS.get(experiment, 1)
+    t_max = t_min * draw(st.floats(min_value=1.0, max_value=1e6))
+    assume(experiment not in _FIT_POINTS or t_max > t_min)
     return ExperimentConfig(
         experiment=experiment,
         seed=draw(st.integers(min_value=0, max_value=2 ** 70)),
         t_min=t_min,
-        t_max=t_min * draw(st.floats(min_value=1.0, max_value=1e6)),
-        t_points=draw(st.integers(min_value=1, max_value=10 ** 6)),
+        t_max=t_max,
+        t_points=draw(st.integers(min_value=points, max_value=10 ** 6)),
         alpha=draw(alphas),
         phi=draw(st.sampled_from(phis)),
         beta=draw(index),
