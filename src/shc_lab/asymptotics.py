@@ -288,6 +288,14 @@ def moment_asymptote(p: float, spec: LaplaceExponent, t: float) -> float:
 
 @dataclass(frozen=True)
 class TailProbeResult:
+    """The fitted tail exponent over one grid of t.
+
+    ``neg_log_tails`` holds -ln p_hat per t.  All of them count the same
+    sample of E_1, so the events nest and -ln p_hat never rises with t;
+    ``ci_halfwidth`` is the 95% half-width of ``slope`` propagated from
+    the covariance of those nested counts.
+    """
+
     slope: float
     ci_halfwidth: float
     expected_slope: float
@@ -303,11 +311,17 @@ def tail_decay_probe(
 ) -> TailProbeResult:
     """Fit the exponent of -ln P(E_t > delta) ~ c t^(-beta/(1-beta)).
 
-    Estimates the tails by Monte Carlo with the exact inverse-stable
-    sampler and regresses ln(-ln p) on ln t; the CI is propagated from
-    the binomial counting error.  Slowly varying factors are not
+    Draws one exact sample of E_1 and, since E_t =d t^beta E_1 by
+    self-similarity, estimates every tail from it:
+    P(E_t > delta) = P(E_1 > delta t^-beta).  Regresses ln(-ln p) on
+    ln t.  The events are nested, so the counts are correlated,
+    Cov(p_i, p_j) = (min(p_i, p_j) - p_i p_j) / n; the slope's variance
+    is (w g)' Cov (w g) by the delta method, with w the regression
+    weights and g = 1 / (p ln p).  Slowly varying factors are not
     modeled, so the fitted slope carries a known mild bias toward zero;
-    choose the grid so tails stay resolved (p >= 10 / n_samples).
+    choose the grid so tails stay resolved (p >= 10 / n_samples).  A t
+    with no exceedance raises ``UnresolvedTailError``; the smallest t
+    runs out first.
     """
     delta = float(delta)
     # E_t >= 0, so every sample passes a delta <= 0 and p = 1 has no log-log slope
@@ -316,26 +330,32 @@ def tail_decay_probe(
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 3:
         raise ValidationError("need at least 3 grid points")
+    if not np.all((ts > 0.0) & np.isfinite(ts)):
+        raise ValidationError(f"t must be finite and > 0, got {t_grid!r}")
     if n_samples < 100:
         raise ValidationError("need n_samples >= 100")
-    rng = derive_rng(seed)
-    neg_log, var_y = [], []
-    for t in ts:
-        e = sample_inverse_stable(beta, float(t), rng, n_samples)
-        hits = int(np.count_nonzero(e > delta))
-        if hits == 0:
-            raise UnresolvedTailError(
-                f"no exceedances of delta={delta} at t={t}; enlarge n_samples or t"
-            )
-        p = hits / n_samples
-        neg_log.append(-math.log(p))
-        # var of ln(-ln p) via the delta method on the binomial p
-        var_y.append((1.0 - p) / (n_samples * p) / (math.log(p) ** 2))
+    e1 = sample_inverse_stable(beta, 1.0, derive_rng(seed), n_samples)
+    hits = np.array([np.count_nonzero(e1 > delta * t ** -beta) for t in ts])
+    if not hits.all():
+        t = ts[hits == 0].min()
+        raise UnresolvedTailError(
+            f"no exceedances of delta={delta} at t={t}; enlarge n_samples or t"
+        )
+    if (hits == n_samples).any():
+        t = ts[hits == n_samples].max()
+        raise UnresolvedTailError(
+            f"every sample exceeds delta={delta} at t={t}; shrink t"
+        )
+    p = hits / n_samples
+    neg_log = [-math.log(v) for v in p]
     x = np.log(ts)
     xc = x - x.mean()
     sxx = float(np.sum(xc * xc))
     y = np.log(neg_log)
-    variance = float(np.sum(xc * xc * np.asarray(var_y)) / sxx ** 2)
+    # the slope's gradient in p: d slope / d p_i = w_i / (p_i ln p_i)
+    grad = xc / sxx / (p * np.log(p))
+    cov = (np.minimum.outer(p, p) - np.multiply.outer(p, p)) / n_samples
+    variance = float(grad @ cov @ grad)
     return TailProbeResult(
         slope=float(np.sum(xc * (y - y.mean())) / sxx),
         ci_halfwidth=1.96 * math.sqrt(variance),

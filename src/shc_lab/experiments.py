@@ -495,7 +495,12 @@ def _run_tail_probe(config: ExperimentConfig, workers: int) -> tuple[list, dict]
     rows = []
     for t, y in zip(config.t_grid, neg_log):
         ref = y0 * (float(t) / t0) ** probe.expected_slope
-        rows.append(ExperimentRow(float(t), y, ref, probe.ci_halfwidth, "mc_tail"))
+        # a row's error_bound is the 95% half-width of its own -ln p_hat,
+        # sd(p_hat) / p = sqrt((1 - p) / (n p)) by the delta method; the
+        # slope's CI goes to the summary only
+        p = math.exp(-y)
+        half = 1.96 * math.sqrt((1.0 - p) / (config.n_paths * p))
+        rows.append(ExperimentRow(float(t), y, ref, half, "mc_tail"))
     summary = {
         "slope": probe.slope,
         "ci_halfwidth": probe.ci_halfwidth,

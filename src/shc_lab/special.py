@@ -6,10 +6,10 @@ Two workhorses live here:
 * :func:`mittag_leffler` evaluates E_beta(x) for beta in (0, 1] and
   x <= 0 from one completely monotone integral representation, valid for
   every argument: a closed form where the integrand's weight is 1, and
-  quad elsewhere, in coordinates where neither the kernel's peak nor its
-  tails span decades.  Its absolute error is below 1e-15, and its
-  relative error at large |x| about 1e-13.  It is the independent oracle
-  for the inversion.
+  quad elsewhere, in coordinates that resolve the narrower of the
+  weight's step and the kernel's peak.  Its absolute error is below
+  1e-15, and its relative error at large |x| about 1e-13.  It is the
+  independent oracle for the inversion.
 * :func:`laplace_invert` inverts a Laplace transform on the real line
   with the fixed-Talbot contour rule (Abate & Whitt, INFORMS J. Comput.
   18(4), 2006) in double precision.  The transform is evaluated once per
@@ -56,13 +56,22 @@ def _cm_integral(beta: float, a: float) -> float:
     at t0 = -log(a).  Below T = t0 - 40 beta the weight is 1 to within
     e^-40, and the kernel's mass there is, with w = tanh(T/2), the closed
     form (h + atan(w tan h)) / (beta pi).  From T to t0 + beta log 40,
-    past which the weight is below e^-40, quad integrates in y, where
-    sinh(t/2) = sigma sinh(y) turns the kernel into
-    dy / (2 sigma cosh(y) cosh(t/2)): a bump of unit width with tails
-    exponential in y, so that no piece spans decades of u.  The pieces are
-    split at t0.  For a > 1 the integrand is scaled by a, so that quad's
-    absolute tolerance stays relative to the value, about
-    1 / (a Gamma(1 - beta)).
+    past which the weight is below e^-40, quad integrates in one of two
+    coordinates, split at t0:
+
+    * beta < 1/2: in s = t - t0.  Computed from another coordinate,
+      t - t0 carries the rounding of t (1e-13 at |t0| ~ 700), which
+      1/beta magnifies past the step's width once beta is below about
+      1e-10; s holds the step exactly, and the kernel, whose peak is
+      wider than 0.7 here, does not mind the rounding of t0 + s.
+    * beta >= 1/2: in y, where sinh(t/2) = sigma sinh(y) turns the kernel
+      into dy / (2 sigma cosh(y) cosh(t/2)): a bump of unit width with
+      tails exponential in y however narrow the peak, so that no piece
+      spans decades of u.  Here 1/beta <= 2, so the rounding of t - t0
+      is harmless.
+
+    For a > 1 the integrand is scaled by a, so that quad's absolute
+    tolerance stays relative to the value, about 1 / (a Gamma(1 - beta)).
     """
     h = 0.5 * math.pi * beta
     sigma = math.sin(0.5 * math.pi * (1.0 - beta))  # cos(h), accurate as beta -> 1
@@ -71,21 +80,31 @@ def _cm_integral(beta: float, a: float) -> float:
     t0 = -math.log(a)
     scale = max(a, 1.0)
 
-    def integrand(y: float) -> float:
-        q = sigma * math.sinh(y)
-        t = 2.0 * math.asinh(q)
-        # past e^40 the weight is 0 anyway; the cap keeps a tiny beta,
-        # whose p magnifies the rounding of t - t0, from overflowing exp
-        step = math.exp(-math.exp(min(p * (t - t0), _TAIL)))
-        return scale / math.cosh(y) / math.hypot(1.0, q) * step
+    def step(s: float) -> float:
+        # the weight at t = t0 + s; past e^40 it is 0 anyway, and the cap
+        # keeps a rounded s, times 1/beta, from overflowing exp
+        return math.exp(-math.exp(min(p * s, _TAIL)))
 
-    knots = [t0 - beta * _TAIL, t0, t0 + beta * math.log(_TAIL)]
-    ys = [math.asinh(math.sinh(0.5 * t) / sigma) for t in knots]
-    total = sum(quad(integrand, lo, up, **_QUAD)[0] for lo, up in zip(ys, ys[1:]))
-    # the mass below T = knots[0]: h + atan(w tan h) as one angle, with
+    knots = [-beta * _TAIL, 0.0, beta * math.log(_TAIL)]
+    if beta < 0.5:
+
+        def integrand(s: float) -> float:
+            r = math.hypot(math.sinh(0.5 * (t0 + s)), sigma)
+            return scale / r * (0.5 * sigma / r) * step(s)
+
+        edges = knots
+    else:
+
+        def integrand(y: float) -> float:
+            q = sigma * math.sinh(y)
+            return scale / math.cosh(y) / math.hypot(1.0, q) * step(2.0 * math.asinh(q) - t0)
+
+        edges = [math.asinh(math.sinh(0.5 * (t0 + s)) / sigma) for s in knots]
+    total = sum(quad(integrand, lo, up, **_QUAD)[0] for lo, up in zip(edges, edges[1:]))
+    # the mass below T = t0 + knots[0]: h + atan(w tan h) as one angle, with
     # 1 + w = 1 + tanh(T/2) written 2 e^min(T, 0) / (1 + e^-|T|), so that
     # nothing cancels, overflows or flushes to 0 early for any T
-    low = knots[0]
+    low = t0 + knots[0]
     one_plus_w = 2.0 * math.exp(min(low, 0.0)) / (1.0 + math.exp(-abs(low)))
     below = math.atan2(tan_h * one_plus_w, 1.0 - tan_h * tan_h * math.tanh(0.5 * low))
     return (below + math.sin(h) * total / scale) / (beta * math.pi)
@@ -102,10 +121,12 @@ def mittag_leffler(beta: float, x: float) -> float:
     below 7e-16.  For beta <= 0.999 and |x| from 1e10 to 1e300 the
     relative error, against the asymptotic series, is below 2e-13; as
     beta -> 1 the value at large |x|, about (1 - beta) / |x|, has a small
-    absolute error only.  A value above 1 by rounding (at tiny |x|) is
-    returned as 1.  Positive arguments are rejected: they are not needed
-    for inverse-subordinator Laplace functionals and their evaluation is
-    numerically different.
+    absolute error only.  Below beta = 1e-3 the weight's step stays
+    resolved: at beta = 1e-10 and 1e-14, with |x| = 1e-300 or 1e300, the
+    value is within 1e-10 relative of the beta -> 0 limit 1 / (1 + |x|).
+    A value above 1 by rounding (at tiny |x|) is returned as 1.  Positive
+    arguments are rejected: they are not needed for inverse-subordinator
+    Laplace functionals and their evaluation is numerically different.
     """
     if not 0.0 < beta <= 1.0:
         raise ValidationError(f"beta must be in (0, 1], got {beta}")

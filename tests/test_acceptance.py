@@ -24,6 +24,7 @@ one.  A ``_diagnostic`` test next to 2, 3 and 5a shows the uncorrected
 law holding deeper in t; the diagnostics are not acceptance criteria.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -464,20 +465,46 @@ def test_08d_sampler_ks_cross_checks():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "beta,delta,t_lo,t_hi,n",
-    [
-        pytest.param(0.5, 1.0, 0.023, 0.0434, 20_000_000, id="beta-0.5"),
-        pytest.param(1.0 / 3.0, 0.25, 1.2e-4, 1.2e-3, 10_000_000, id="beta-0.333"),
-    ],
-)
-def test_09_tail_exponent(beta, delta, t_lo, t_hi, n):
+TAIL_CASES = [
+    pytest.param(0.5, 1.0, 0.023, 0.0434, 20_000_000, id="beta-0.5"),
+    pytest.param(1.0 / 3.0, 0.25, 1.2e-4, 1.2e-3, 10_000_000, id="beta-0.333"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def tail_probe(beta, delta, t_lo, t_hi, n):
+    """One probe per case, shared by 9 and 9b."""
     ts = np.logspace(math.log10(t_lo), math.log10(t_hi), 7)
-    res = tail_decay_probe(beta, delta, ts, n, seed=2026)
+    return ts, tail_decay_probe(beta, delta, ts, n, seed=2026)
+
+
+@pytest.mark.parametrize("beta,delta,t_lo,t_hi,n", TAIL_CASES)
+def test_09_tail_exponent(beta, delta, t_lo, t_hi, n):
+    _, res = tail_probe(beta, delta, t_lo, t_hi, n)
     err = abs(res.slope - res.expected_slope)
     ok = err <= 0.15
     report(
         f"9 [tail exponent beta={beta:.3f}]", ok,
         f"slope {res.slope:.4f} +- {res.ci_halfwidth:.4f}, target {res.expected_slope:.4f}, err {err:.4f}",
+    )
+    assert ok
+
+
+@pytest.mark.parametrize("beta,delta,t_lo,t_hi,n", TAIL_CASES)
+def test_09b_tail_exact_window_slope(beta, delta, t_lo, t_hi, n):
+    # 9 compares with the limit -beta/(1-beta); over a finite window the
+    # tail's prefactor bends ln(-ln p), so the Monte Carlo slope is checked
+    # here against the exact slope of the same window, from quadrature of
+    # P(E_t > delta), within 1.5 times its own CI
+    ts, res = tail_probe(beta, delta, t_lo, t_hi, n)
+    exact = [
+        expected_functional(beta, float(t), lambda x: 1.0, lower=delta).value for t in ts
+    ]
+    window = fit_loglog([(t, -math.log(p)) for t, p in zip(ts, exact)]).slope
+    err = abs(res.slope - window)
+    ok = err <= 1.5 * res.ci_halfwidth
+    report(
+        f"9b [tail window slope beta={beta:.3f}]", ok,
+        f"slope {res.slope:.4f} +- {res.ci_halfwidth:.4f}, exact window {window:.5f}, err {err:.4f}",
     )
     assert ok

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from shc_lab import (
     IntervalDomain,
@@ -19,6 +20,7 @@ from shc_lab import (
     expected_laplace,
     expected_monotonized_xlog,
     expected_xlog,
+    fit_loglog,
     frac_perimeter_interval,
     frac_perimeter_numeric,
     large_time_asymptote,
@@ -302,6 +304,21 @@ class TestTailProbe:
         with pytest.raises(UnresolvedTailError):
             tail_decay_probe(0.5, 50.0, [1e-4, 1e-3, 1e-2], 1000, seed=1)
 
+    def test_unresolved_names_smallest_t(self):
+        # the events nest, so the smallest t runs out of hits first
+        with pytest.raises(UnresolvedTailError, match=r"t=0\.0001;"):
+            tail_decay_probe(0.5, 50.0, [1e-2, 1e-3, 1e-4], 1000, seed=1)
+
+    def test_saturated_tail_raises(self):
+        # every sample exceeds a tiny delta: p = 1 has no ln(-ln p)
+        with pytest.raises(UnresolvedTailError, match=r"every sample .* t=40\.0;"):
+            tail_decay_probe(0.5, 1e-6, [10.0, 20.0, 40.0], 1000, seed=1)
+
+    @pytest.mark.parametrize("t", [0.0, -1e-2, math.inf])
+    def test_bad_t_rejected(self, t):
+        with pytest.raises(ValidationError, match="t must be"):
+            tail_decay_probe(0.5, 1.0, [1e-2, 2e-2, t], 1000, seed=1)
+
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf])
     def test_nonpositive_or_infinite_delta_rejected(self, delta):
         with pytest.raises(ValidationError, match="delta"):
@@ -316,3 +333,25 @@ class TestTailProbe:
         # tails shrink as t shrinks
         nl = res.neg_log_tails
         assert all(a >= b for a, b in zip(nl, nl[1:]))
+
+    def test_ci_calibrated_over_seeds(self):
+        # every t counts the same sample of E_1, so the counts are
+        # correlated and the slope CI must carry their covariance; over
+        # 300 seeds the slopes' spread matches the reported half-width /
+        # 1.96 (dropping the covariance reads about 15% narrow and fails),
+        # and the CI covers the exact slope over the same window, from
+        # P(E_t > 1) = erfc(1 / (2 sqrt t)) at beta = 1/2
+        ts = np.logspace(math.log10(0.04), math.log10(0.1), 7)
+        window = fit_loglog(list(zip(ts, -np.log(erfc(0.5 / np.sqrt(ts)))))).slope
+        slopes, halves = [], []
+        for seed in range(300):
+            res = tail_decay_probe(0.5, 1.0, ts, 200_000, seed=seed)
+            nl = res.neg_log_tails
+            # nested events: -ln p_hat never rises as t rises, for any seed
+            assert all(a >= b for a, b in zip(nl, nl[1:]))
+            slopes.append(res.slope)
+            halves.append(res.ci_halfwidth)
+        slopes, halves = np.array(slopes), np.array(halves)
+        spread = float(np.std(slopes, ddof=1))
+        assert abs(spread / (np.median(halves) / 1.96) - 1.0) <= 0.15
+        assert np.mean(np.abs(slopes - window) <= halves) >= 0.90

@@ -223,6 +223,11 @@ class TestRunners:
         res = run_experiment(cfg)
         assert res.summary["expected_slope"] == -1.0
         assert abs(res.summary["slope"] + 1.0) < 0.35
+        # each row carries the 95% half-width of its own -ln p; the slope
+        # CI stays in the summary
+        for row in res.rows:
+            p = math.exp(-row.computed)
+            assert row.error_bound == pytest.approx(1.96 * math.sqrt((1.0 - p) / (100_000 * p)))
 
 
 class TestOutputs:

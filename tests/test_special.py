@@ -1,6 +1,7 @@
 """Mittag-Leffler evaluation and fixed-Talbot inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,18 @@ class TestMittagLeffler:
         for a in (1e-8, 1e-12, 1e-16, 1e-20, 1e-100, 1e-300, 5e-324):
             expected = 1.0 - a / math.gamma(1.0 + beta) + a * a / math.gamma(1.0 + 2.0 * beta)
             assert abs(mittag_leffler(beta, -a) - expected) <= 1e-15
+
+    @pytest.mark.parametrize("beta,a", [(1e-10, 1e300), (1e-14, 1e-300), (1e-14, 1e300)])
+    def test_tiny_beta_extreme_argument(self, beta, a):
+        # at t0 = -log a ~ +-690 the spacing of floats in t = log u is
+        # 1e-13, which 1/beta magnifies past the weight's step (width beta
+        # in t); quad must resolve the step without an IntegrationWarning,
+        # and the value tends to the beta -> 0 limit 1 / (1 + a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = mittag_leffler(beta, -a)
+        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(1.0 / (1.0 + a), rel=1e-6)
 
     @pytest.mark.parametrize("beta", [0.3, 0.7, 0.9, 0.999])
     def test_huge_argument(self, beta):
