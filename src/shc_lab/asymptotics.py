@@ -293,13 +293,16 @@ class TailProbeResult:
     ``neg_log_tails`` holds -ln p_hat per t.  All of them count the same
     sample of E_1, so the events nest and -ln p_hat never rises with t;
     ``ci_halfwidth`` is the 95% half-width of ``slope`` propagated from
-    the covariance of those nested counts.
+    the covariance of those nested counts.  ``neg_log_halfwidths`` holds
+    the 95% half-width of each -ln p_hat on its own,
+    1.96 sqrt((1 - p) / (n p)) by the delta method.
     """
 
     slope: float
     ci_halfwidth: float
     expected_slope: float
     neg_log_tails: tuple[float, ...]  # per t
+    neg_log_halfwidths: tuple[float, ...]  # per t
 
 
 def tail_decay_probe(
@@ -361,4 +364,5 @@ def tail_decay_probe(
         ci_halfwidth=1.96 * math.sqrt(variance),
         expected_slope=-beta / (1.0 - beta),
         neg_log_tails=tuple(neg_log),
+        neg_log_halfwidths=tuple(1.96 * np.sqrt((1.0 - p) / (n_samples * p))),
     )

@@ -493,13 +493,10 @@ def _run_tail_probe(config: ExperimentConfig, workers: int) -> tuple[list, dict]
     neg_log = probe.neg_log_tails
     t0, y0 = float(config.t_grid[0]), neg_log[0]
     rows = []
-    for t, y in zip(config.t_grid, neg_log):
+    # a row's error_bound is the 95% half-width of its own -ln p_hat; the
+    # slope's CI goes to the summary only
+    for t, y, half in zip(config.t_grid, neg_log, probe.neg_log_halfwidths):
         ref = y0 * (float(t) / t0) ** probe.expected_slope
-        # a row's error_bound is the 95% half-width of its own -ln p_hat,
-        # sd(p_hat) / p = sqrt((1 - p) / (n p)) by the delta method; the
-        # slope's CI goes to the summary only
-        p = math.exp(-y)
-        half = 1.96 * math.sqrt((1.0 - p) / (config.n_paths * p))
         rows.append(ExperimentRow(float(t), y, ref, half, "mc_tail"))
     summary = {
         "slope": probe.slope,

@@ -57,18 +57,23 @@ def _cm_integral(beta: float, a: float) -> float:
     e^-40, and the kernel's mass there is, with w = tanh(T/2), the closed
     form (h + atan(w tan h)) / (beta pi).  From T to t0 + beta log 40,
     past which the weight is below e^-40, quad integrates in one of two
-    coordinates, split at t0:
+    coordinates, split at t0, each chosen where it was measured to serve
+    (quad evaluations and error against 40-digit and asymptotic
+    references, |x| from 1e-300 to 1e300):
 
-    * beta < 1/2: in s = t - t0.  Computed from another coordinate,
-      t - t0 carries the rounding of t (1e-13 at |t0| ~ 700), which
-      1/beta magnifies past the step's width once beta is below about
-      1e-10; s holds the step exactly, and the kernel, whose peak is
-      wider than 0.7 here, does not mind the rounding of t0 + s.
+    * beta < 1/2: in s = t - t0, which holds the step exactly.  Computed
+      from another coordinate, t - t0 carries the rounding of t (1e-13 at
+      |t0| ~ 700), which 1/beta magnifies past the step's width: y fails
+      with IntegrationWarning below beta ~ 1e-10 and takes twice the
+      evaluations of s at beta = 1e-8.  From 1e-3 to 0.5 the two take
+      the same evaluations (within 3%) and s is the more accurate at
+      large |x| (at most 8e-14 against up to 2e-13 relative).
     * beta >= 1/2: in y, where sinh(t/2) = sigma sinh(y) turns the kernel
       into dy / (2 sigma cosh(y) cosh(t/2)): a bump of unit width with
       tails exponential in y however narrow the peak, so that no piece
-      spans decades of u.  Here 1/beta <= 2, so the rounding of t - t0
-      is harmless.
+      spans decades of u.  Above 1/2, s needs more evaluations (+7% at
+      beta = 0.7, +55% at 0.999) and loses accuracy as the peak narrows
+      (8e-14 absolute at 0.999 against 3e-16 in y).
 
     For a > 1 the integrand is scaled by a, so that quad's absolute
     tolerance stays relative to the value, about 1 / (a Gamma(1 - beta)).
@@ -80,24 +85,24 @@ def _cm_integral(beta: float, a: float) -> float:
     t0 = -math.log(a)
     scale = max(a, 1.0)
 
-    def step(s: float) -> float:
-        # the weight at t = t0 + s; past e^40 it is 0 anyway, and the cap
-        # keeps a rounded s, times 1/beta, from overflowing exp
-        return math.exp(-math.exp(min(p * s, _TAIL)))
-
     knots = [-beta * _TAIL, 0.0, beta * math.log(_TAIL)]
+    # past e^40 the weight is 0 anyway; the cap keeps a rounded t - t0,
+    # times 1/beta, from overflowing exp
     if beta < 0.5:
 
         def integrand(s: float) -> float:
             r = math.hypot(math.sinh(0.5 * (t0 + s)), sigma)
-            return scale / r * (0.5 * sigma / r) * step(s)
+            step = math.exp(-math.exp(min(p * s, _TAIL)))
+            return scale / r * (0.5 * sigma / r) * step
 
         edges = knots
     else:
 
         def integrand(y: float) -> float:
             q = sigma * math.sinh(y)
-            return scale / math.cosh(y) / math.hypot(1.0, q) * step(2.0 * math.asinh(q) - t0)
+            t = 2.0 * math.asinh(q)
+            step = math.exp(-math.exp(min(p * (t - t0), _TAIL)))
+            return scale / math.cosh(y) / math.hypot(1.0, q) * step
 
         edges = [math.asinh(math.sinh(0.5 * (t0 + s)) / sigma) for s in knots]
     total = sum(quad(integrand, lo, up, **_QUAD)[0] for lo, up in zip(edges, edges[1:]))
@@ -121,9 +126,13 @@ def mittag_leffler(beta: float, x: float) -> float:
     below 7e-16.  For beta <= 0.999 and |x| from 1e10 to 1e300 the
     relative error, against the asymptotic series, is below 2e-13; as
     beta -> 1 the value at large |x|, about (1 - beta) / |x|, has a small
-    absolute error only.  Below beta = 1e-3 the weight's step stays
-    resolved: at beta = 1e-10 and 1e-14, with |x| = 1e-300 or 1e300, the
-    value is within 1e-10 relative of the beta -> 0 limit 1 / (1 + |x|).
+    absolute error only.  Below beta = 1e-3 quad still resolves the
+    weight's step, without a warning, down to beta = 1e-14 at |x| from
+    1e-300 to 1e300.  Against the expansion
+    (1 - gamma beta |x| / (1 + |x|)) / (1 + |x|), whose own error is
+    O(beta^2), the relative error is below 2e-13 from beta = 1e-8 to
+    1e-12; at beta = 1e-14 and |x| ~ 1e300 it is 6e-11, because the
+    closed-form mass below the step goes subnormal there.
     A value above 1 by rounding (at tiny |x|) is returned as 1.  Positive
     arguments are rejected: they are not needed for inverse-subordinator
     Laplace functionals and their evaluation is numerically different.
