@@ -64,7 +64,7 @@ def _cm_integral(beta: float, a: float) -> float:
     * beta < 1/2: in s = t - t0, which holds the step exactly.  Computed
       from another coordinate, t - t0 carries the rounding of t (1e-13 at
       |t0| ~ 700), which 1/beta magnifies past the step's width: y fails
-      with IntegrationWarning below beta ~ 1e-10 and takes twice the
+      with IntegrationWarning from beta = 1e-10 down and takes twice the
       evaluations of s at beta = 1e-8.  From 1e-3 to 0.5 the two take
       the same evaluations (within 3%) and s is the more accurate at
       large |x| (at most 8e-14 against up to 2e-13 relative).
