@@ -1,6 +1,6 @@
 """Stress check of ``shc_lab.special.mittag_leffler``, outside the test suite.
 
-Every warning is an error.  Seven parts, each printing what it checked:
+Every warning is an error.  Eight parts, each printing what it checked:
 
 1. the bounded-and-monotone property of ``tests/test_properties.py``
    with |x| widened to [1e-3, 1e6], over many hypothesis examples;
@@ -16,7 +16,11 @@ Every warning is an error.  Seven parts, each printing what it checked:
    mpmath's power series for |x| <= 1/2 and its Talbot inversion of
    s^(beta-1) / (s^beta + a) at t = 1 above;
 7. the same at |x| within ulps of e^(-40 beta), where the integral's
-   knot t0 - 40 beta, t0 = -log|x|, crosses the kernel's peak at t = 0.
+   knot t0 - 40 beta, t0 = -log|x|, crosses the kernel's peak at t = 0;
+8. tiny beta, log-uniform in [1e-16, 1e-3], with |x| in [1e-300, 1e300],
+   relative to the expansion (1 - gamma beta |x| / (1 + |x|)) / (1 + |x|),
+   whose own error is below beta^2 (its second-order term is
+   (gamma^2 / 2 - pi^2 / 12) beta^2 |x| (|x| - 1) / (1 + |x|)^2 relative).
 
 Needs hypothesis and mpmath (the ``test`` and ``bench`` extras).  Run from
 the repository root:
@@ -134,6 +138,22 @@ def knot_crossings() -> None:
     assert worst <= 1e-15
 
 
+def tiny_indices(rng, n_cases: int) -> None:
+    betas = 10.0 ** rng.uniform(-16.0, -3.0, n_cases)
+    xs = 10.0 ** rng.uniform(-300.0, 300.0, n_cases)
+    worst = excess = 0.0
+    for beta, a in zip(betas, xs):
+        expected = (1.0 - np.euler_gamma * beta * a / (1.0 + a)) / (1.0 + a)
+        rel = abs(mittag_leffler(float(beta), -float(a)) / expected - 1.0)
+        worst = max(worst, rel)
+        excess = max(excess, rel - beta * beta)
+    print(
+        f"tiny beta: {n_cases} arguments, max rel error = {worst:.3g}, "
+        f"{excess:.3g} beyond the expansion's beta^2"
+    )
+    assert excess <= 1e-12
+
+
 def main() -> None:
     n_examples = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000
     rng = np.random.default_rng(20021)
@@ -148,6 +168,7 @@ def main() -> None:
         [1e-300, 1e-100, 1e-40] + np.logspace(-20, 10, 61).tolist(),
     )
     knot_crossings()
+    tiny_indices(rng, 20_000)
 
 
 if __name__ == "__main__":

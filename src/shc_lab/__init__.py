@@ -7,6 +7,7 @@ from .asymptotics import (
     Regime,
     classify_regime,
     expected_monotonized_xlog,
+    expected_supremum,
     expected_xlog,
     frac_perimeter_interval,
     frac_perimeter_numeric,
@@ -59,11 +60,7 @@ from .spectral import (
     save_eigensystem,
     weighted_series,
 )
-from .stable_motion import (
-    SupEstimate,
-    estimate_sup_mean,
-    sample_symmetric_stable,
-)
+from .stable_motion import sample_symmetric_stable
 from .subordinators import (
     DriftExponent,
     LaplaceExponent,

@@ -34,7 +34,6 @@ from .asymptotics import (
     subordinate_log_rate,
     moment_asymptote,
     tail_decay_probe,
-    FROZEN_SUP_MEAN,
 )
 from .errors import ValidationError
 from .heat_content import (
@@ -45,7 +44,6 @@ from .heat_content import (
 )
 from .spectral import IntervalDomain, bm_interval_eigensystem, load_eigensystem
 from .special import laplace_invert, mittag_leffler
-from .stable_motion import estimate_sup_mean
 from .subordinators import (
     DriftExponent,
     StableExponent,
@@ -131,8 +129,8 @@ class ExperimentConfig:
         points = _FIT_POINTS.get(self.experiment, 1)
         if points > 1 and not (self.t_max > self.t_min and self.t_points >= points):
             raise ValidationError(f"{self.experiment} needs t_max > t_min, t_points >= {points}")
-        if self.tolerance <= 0.0:
-            raise ValidationError("tolerance must be positive")
+        if not self.tolerance > 0.0:  # NaN fails every comparison
+            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
         if self.n_paths < 1 or self.n_steps < 1 or self.truncation < 1:
             raise ValidationError("n_paths, n_steps, truncation must be >= 1")
         self.exponent  # a bad phi or exponent parameter fails here, not mid-run
@@ -395,16 +393,6 @@ def _run_subordinate_rate(config: ExperimentConfig, workers: int) -> tuple[list,
     return rows, summary
 
 
-def _sup_mean_for(config: ExperimentConfig) -> float | None:
-    """An estimated E[sup]; None where the asymptote needs none or has a frozen one."""
-    if classify_regime(config.alpha) is not Regime.SUPERCRITICAL:
-        return None
-    if config.alpha in FROZEN_SUP_MEAN:
-        return None  # small_time_asymptote looks the frozen value up
-    # no frozen constant for this alpha: estimate one (documented cost)
-    return estimate_sup_mean(config.alpha, 200_000, 4096, seed=config.seed).value
-
-
 def _run_small_time_mc(config: ExperimentConfig, workers: int) -> tuple[list, dict]:
     """Monte Carlo deficit |D| - Q(t) over the t grid against the small-time law.
 
@@ -418,8 +406,7 @@ def _run_small_time_mc(config: ExperimentConfig, workers: int) -> tuple[list, di
     regime = classify_regime(config.alpha)
     ts = [float(t) for t in config.t_grid]
     # the law first: a config it rejects fails before any path is walked
-    sup_mean = _sup_mean_for(config)
-    refs = [small_time_asymptote(config.alpha, spec, domain, t, sup_mean=sup_mean) for t in ts]
+    refs = [small_time_asymptote(config.alpha, spec, domain, t) for t in ts]
     abscissae = ts
     if regime is Regime.CRITICAL:
         abscissae = [small_time_rate(config.alpha, 1.0 / float(spec(1.0 / t))) for t in ts]

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .seeding import derive_rng
+from .seeding import _check_integer, derive_rng
 from .spectral import EigenSystem, IntervalDomain, weighted_series
 from .stable_motion import critical_scales, walk_exit_steps
 from .subordinators import (
@@ -234,15 +234,13 @@ def _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, wo
 def _validate_mc_args(time_change, t_grid, n_paths, dt, n_steps):
     if not isinstance(time_change, (SubordinatorTime, InverseTime)):
         raise ValidationError(f"unsupported time change {time_change!r}")
-    if n_paths < 1:
-        raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
+    _check_integer("n_paths", n_paths, 1)
     # NaN fails every comparison, so each check asks for the good case
     bad_t = [t for t in t_grid if not 0.0 <= t < math.inf]
     if bad_t:
         raise ValidationError(f"t must be finite and >= 0, got {bad_t[0]}")
     if dt is None:
-        if not n_steps or n_steps < 1:
-            raise ValidationError("adaptive mode needs n_steps >= 1")
+        _check_integer("n_steps (adaptive mode)", n_steps, 1)
     elif not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be finite and > 0, got {dt}")
 

@@ -17,19 +17,21 @@ from .errors import ValidationError
 __all__ = ["derive_rng", "derive_seed_sequence"]
 
 
-def _check_entropy(name: str, value) -> int:
+def _check_integer(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, >= minimum.
+    Seeds, keys and the library's counts share this check."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValidationError(f"{name} must be >= 0, got {value}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
 def derive_seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     """SeedSequence for (seed, key) with a stable counter-based split."""
     return np.random.SeedSequence(
-        entropy=_check_entropy("seed", seed),
-        spawn_key=tuple(_check_entropy("key", k) for k in key),
+        entropy=_check_integer("seed", seed),
+        spawn_key=tuple(_check_integer("key", k) for k in key),
     )
 
 

@@ -20,6 +20,7 @@ Two workhorses live here:
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -111,8 +112,17 @@ def _cm_integral(beta: float, a: float) -> float:
     # nothing cancels, overflows or flushes to 0 early for any T
     low = t0 + knots[0]
     one_plus_w = 2.0 * math.exp(min(low, 0.0)) / (1.0 + math.exp(-abs(low)))
-    below = math.atan2(tan_h * one_plus_w, 1.0 - tan_h * tan_h * math.tanh(0.5 * low))
-    return (below + math.sin(h) * total / scale) / (beta * math.pi)
+    den = 1.0 - tan_h * tan_h * math.tanh(0.5 * low)
+    y = tan_h * one_plus_w
+    if y >= sys.float_info.min:  # a normal double keeps every digit
+        return (math.atan2(y, den) + math.sin(h) * total / scale) / (beta * math.pi)
+    # y is subnormal (beta below about 1e-8 at |x| near 1e300, so tan h is
+    # tiny and den ~ 1): divide by beta pi first, writing atan(z) as
+    # z (atan(z) / z) with z = y / den
+    z = y / den
+    ratio = math.atan(z) / z if z else 1.0
+    below = tan_h / (beta * math.pi) * one_plus_w / den * ratio
+    return below + math.sin(h) / (beta * math.pi) * (total / scale)
 
 
 def mittag_leffler(beta: float, x: float) -> float:
@@ -130,9 +140,9 @@ def mittag_leffler(beta: float, x: float) -> float:
     weight's step, without a warning, down to beta = 1e-14 at |x| from
     1e-300 to 1e300.  Against the expansion
     (1 - gamma beta |x| / (1 + |x|)) / (1 + |x|), whose own error is
-    O(beta^2), the relative error is below 2e-13 from beta = 1e-8 to
-    1e-12; at beta = 1e-14 and |x| ~ 1e300 it is 6e-11, because the
-    closed-form mass below the step goes subnormal there.
+    O(beta^2), the relative error is below 2e-13 from beta = 1e-16 to
+    1e-8 at |x| = 1e300: the closed-form mass below the step is divided
+    by beta pi before it can go subnormal.
     A value above 1 by rounding (at tiny |x|) is returned as 1.  Positive
     arguments are rejected: they are not needed for inverse-subordinator
     Laplace functionals and their evaluation is numerically different.

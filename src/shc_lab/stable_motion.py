@@ -1,5 +1,5 @@
 """One-dimensional symmetric alpha-stable motion: increments, interval
-exits, and the mean running supremum.
+exits, and the extremes of the unit walk.
 
 Conventions: the process has characteristic function
 E[exp(i xi Y_t)] = exp(-t |xi|^alpha); at alpha = 2 this is a Brownian
@@ -14,28 +14,25 @@ a bias band calibrated by step-halving instead.
 Scale freedom: a walk of n steps of size dt has positions
 x0 + dt^(1/alpha) S_j, with S_j the partial sums of standard variates,
 so one unit walk answers every step size at once.  One kernel walks the
-unit partial sums and keeps their running max and min:
+unit partial sums and keeps their running max and min, and
 :func:`critical_scales` turns them into the scale below which each
-path stays inside, and :func:`estimate_sup_mean` scales the max.
+path stays inside.  The mean of the continuum supremum needs no walk:
+it is ``asymptotics.expected_supremum``, from Spitzer's identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .seeding import derive_rng
 from .special import _blockwise, _half_angle_sine
 
 __all__ = [
     "sample_symmetric_stable",
     "walk_exit_steps",
     "critical_scales",
-    "SupEstimate",
-    "estimate_sup_mean",
 ]
 
 
@@ -206,41 +203,3 @@ def critical_scales(
     lower = np.full(n, np.inf)
     np.divide(x0 - a, -bottom, out=lower, where=bottom < 0.0)
     return np.minimum(upper, lower)
-
-
-@dataclass(frozen=True)
-class SupEstimate:
-    """Monte Carlo estimate of E[sup_{s<=1} Y_s] with its 95% CI half width.
-
-    The grid maximum underestimates the true supremum; the bias is
-    monotone downward in the step count and is reported separately by
-    step-doubling in the tests, not folded into the CI.
-    """
-
-    value: float
-    ci_halfwidth: float
-    n_paths: int
-    n_steps: int
-
-
-def estimate_sup_mean(
-    alpha: float,
-    n_paths: int,
-    n_steps: int,
-    seed: int,
-) -> SupEstimate:
-    """Estimate E[sup_{s<=1} Y_s] on an n_steps grid over [0, 1].
-
-    Meaningful for alpha in (1, 2) where the supremum has finite mean;
-    alpha = 2 is allowed as a calibration diagnostic against the
-    reflection principle E|N(0, 2)| = 2/sqrt(pi).
-    """
-    _check_alpha(alpha)
-    if alpha <= 1.0:
-        raise ValidationError("running supremum has infinite mean for alpha <= 1")
-    if n_paths < 2 or n_steps < 1:
-        raise ValidationError("need n_paths >= 2 and n_steps >= 1")
-    top, _ = _unit_extremes(alpha, n_paths, n_steps, derive_rng(seed))
-    sup = top * (1.0 / n_steps) ** (1.0 / alpha)
-    ci = 1.96 * math.sqrt(sup.var() / n_paths)
-    return SupEstimate(float(sup.mean()), ci, n_paths, n_steps)

@@ -136,8 +136,8 @@ class TemperedStableExponent(LaplaceExponent):
 
     def __post_init__(self):
         _check_stable_index(self.beta)
-        if self.kappa <= 0.0:
-            raise ValidationError(f"tempering rate must be > 0, got {self.kappa}")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValidationError(f"tempering rate must be finite and > 0, got {self.kappa}")
 
     def __call__(self, lam):
         return (lam + self.kappa) ** self.beta - self.kappa ** self.beta

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import erfc
 
 from shc_lab import (
+    FROZEN_SUP_MEAN,
     IntervalDomain,
     Regime,
     StableExponent,
@@ -19,6 +20,7 @@ from shc_lab import (
     expected_functional,
     expected_laplace,
     expected_monotonized_xlog,
+    expected_supremum,
     expected_xlog,
     fit_loglog,
     frac_perimeter_interval,
@@ -92,8 +94,11 @@ class TestSmallTimeConstant:
         assert small_time_constant(1.0, g) == pytest.approx(2.0 / math.pi, rel=1e-12)
 
     def test_supercritical_uses_sup_mean(self):
+        # |boundary| E[sup]: the frozen value at 1.5, Spitzer's closed form elsewhere
         g = IntervalDomain(0.0, 1.0)
-        assert small_time_constant(1.5, g, sup_mean=1.25) == pytest.approx(2.5, rel=1e-12)
+        assert small_time_constant(1.5, g) == pytest.approx(2.0 * FROZEN_SUP_MEAN[1.5], rel=1e-12)
+        sup = 1.2 * math.gamma(1.0 - 1.0 / 1.2) / math.pi
+        assert small_time_constant(1.2, g) == pytest.approx(2.0 * sup, rel=1e-12)
 
     def test_subcritical_interval(self):
         g = IntervalDomain(0.0, 1.0)
@@ -143,8 +148,17 @@ class TestSmallTimeAsymptote:
         g = IntervalDomain(0.0, 1.0)
         spec = StableExponent(0.5)
         t = 1e-3
-        v = small_time_asymptote(1.5, spec, g, t, sup_mean=1.25)
-        ref = 2.0 * 1.25 * math.gamma(5.0 / 3.0) / math.gamma(4.0 / 3.0) * t ** (1.0 / 3.0)
+        v = small_time_asymptote(1.5, spec, g, t)
+        ref = (
+            2.0 * FROZEN_SUP_MEAN[1.5] * math.gamma(5.0 / 3.0) / math.gamma(4.0 / 3.0)
+            * t ** (1.0 / 3.0)
+        )
+        assert v == pytest.approx(ref, rel=1e-12)
+        v = small_time_asymptote(1.2, spec, g, t)
+        ref = (
+            2.0 * expected_supremum(1.2) * math.gamma(1.0 + 1.0 / 1.2)
+            / math.gamma(1.0 + 0.5 / 1.2) * t ** (0.5 / 1.2)
+        )
         assert v == pytest.approx(ref, rel=1e-12)
 
     def test_critical_direct_arithmetic(self):
@@ -167,9 +181,9 @@ class TestSmallTimeAsymptote:
 
     def test_positive_and_decaying(self):
         g = IntervalDomain(0.0, 1.0)
-        for alpha in (1.5, 1.0, 0.5):
+        for alpha in (1.5, 1.2, 1.0, 0.5):
             vals = [
-                small_time_asymptote(alpha, StableExponent(0.5), g, t, sup_mean=1.25)
+                small_time_asymptote(alpha, StableExponent(0.5), g, t)
                 for t in np.logspace(-8, -2, 13)
             ]
             assert all(v > 0.0 for v in vals)
@@ -323,6 +337,12 @@ class TestTailProbe:
     def test_nonpositive_or_infinite_delta_rejected(self, delta):
         with pytest.raises(ValidationError, match="delta"):
             tail_decay_probe(0.5, delta, [1e-2, 2e-2, 4e-2], 1000, seed=1)
+
+    @pytest.mark.parametrize("n_samples", [1000.5, 1000.0, True, 99, np.float64(1000.0)])
+    def test_non_integral_sample_count_rejected(self, n_samples):
+        # 1000.5 used to raise TypeError from the sampler
+        with pytest.raises(ValidationError, match="n_samples"):
+            tail_decay_probe(0.5, 1.0, [1e-2, 2e-2, 4e-2], n_samples, seed=1)
 
     def test_quick_slope_sanity(self):
         res = tail_decay_probe(

@@ -371,6 +371,22 @@ class TestCli:
         assert cli_main(["run", str(cfg), "--set", override, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment,override",
+        [
+            ("large_time", "tolerance=nan"),
+            ("transform_consistency", "tolerance=nan"),
+            ("subordinate_rate", "kappa=nan"),
+            ("subordinate_rate", "kappa=inf"),
+        ],
+    )
+    def test_nan_parameter_exit_code(self, tmp_path, experiment, override):
+        # NaN fails a "<= 0" check, so each check asks for the good case
+        out = tmp_path / "out"
+        cfg = CONFIGS / f"{experiment}.cfg"
+        assert cli_main(["run", str(cfg), "--set", override, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_numerical_exit_code(self, tmp_path):
         # truncation budget too small for the requested tolerance
         p = tmp_path / "exp.cfg"

@@ -372,6 +372,28 @@ class TestMonteCarlo:
             monte_carlo_heat_content_grid(1.5, DOMAIN_PI, "bogus", [0.1], n_paths=10, dt=0.01)
 
     @pytest.mark.parametrize(
+        "count",
+        [dict(n_paths=2.5), dict(n_paths=10.0), dict(n_paths=True), dict(n_steps=2.5),
+         dict(n_steps=True), dict(n_steps=np.float64(8.0)), dict(n_steps=None), dict(n_steps=0)],
+        ids=["paths-2.5", "paths-10.0", "paths-True", "steps-2.5", "steps-True",
+             "steps-float64", "steps-None", "steps-0"],
+    )
+    def test_non_integral_counts_rejected(self, count):
+        # 2.5 used to raise TypeError deep in the replicas, and n_steps=True
+        # ran as one step
+        kw = dict(n_paths=10, dt=None, n_steps=8) | count
+        with pytest.raises(ValidationError, match="n_paths|n_steps"):
+            monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, [0.1], **kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        kw = dict(ts=[0.1], dt=None, seed=2)
+        (a,) = monte_carlo_heat_content_grid(
+            1.5, DOMAIN_PI, None, n_paths=np.int64(100), n_steps=np.int32(8), **kw
+        )
+        (b,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, n_paths=100, n_steps=8, **kw)
+        assert a.value == b.value
+
+    @pytest.mark.parametrize(
         "t, dt",
         [(math.nan, 0.01), (math.inf, 0.01), (0.1, math.inf), (0.1, math.nan)],
         ids=["t-nan", "t-inf", "dt-inf", "dt-nan"],

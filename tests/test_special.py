@@ -101,7 +101,13 @@ class TestMittagLeffler:
             assert abs(mittag_leffler(beta, -a) - expected) <= 1e-15
 
     @pytest.mark.parametrize(
-        "beta,a,rel", [(1e-10, 1e300, 1e-12), (1e-14, 1e-300, 1e-12), (1e-14, 1e300, 1e-10)]
+        "beta,a,rel",
+        [
+            (1e-10, 1e300, 1e-12),
+            (1e-14, 1e-300, 1e-12),
+            (1e-14, 1e300, 1e-12),
+            (1e-16, 1e300, 1e-12),
+        ],
     )
     def test_tiny_beta_extreme_argument(self, beta, a, rel):
         # at t0 = -log a ~ +-690 the spacing of floats in t = log u is
@@ -109,9 +115,9 @@ class TestMittagLeffler:
         # in t); quad must resolve the step without an IntegrationWarning.
         # The reference is the expansion in beta, from
         # d/dbeta 1/Gamma(1 + beta k) = gamma k at beta = 0, with an error
-        # of O(beta^2).  At (1e-14, 1e300) the closed-form mass below the
-        # step is subnormal and costs digits (6e-11 relative), hence the
-        # wider bound there.
+        # of O(beta^2).  At |x| = 1e300 and beta = 1e-14 or 1e-16, tan h
+        # (1 + w) in the closed-form mass below the step is subnormal, so
+        # the mass must be divided by beta pi before it is formed.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = mittag_leffler(beta, -a)

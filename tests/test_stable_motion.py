@@ -1,4 +1,4 @@
-"""Symmetric stable increments, interval exits, supremum estimation."""
+"""Symmetric stable increments, interval exits, the unit walk's supremum."""
 
 import math
 
@@ -7,12 +7,13 @@ import pytest
 from scipy.stats import ks_2samp
 
 from shc_lab import (
+    FROZEN_SUP_MEAN,
     ValidationError,
-    estimate_sup_mean,
+    expected_supremum,
     sample_symmetric_stable,
 )
 from shc_lab.seeding import derive_rng
-from shc_lab.stable_motion import critical_scales, walk_exit_steps
+from shc_lab.stable_motion import _unit_extremes, critical_scales, walk_exit_steps
 
 # P(|X| > 10) for the standard Cauchy (scale 1)
 CAUCHY_TAIL_AT_10 = 0.06345103486110704
@@ -292,33 +293,59 @@ class TestCriticalScales:
         )
 
 
+def _grid_sup_mean(alpha, n_paths, n_steps, seed):
+    """Mean of max_{0<=j<=n} S_j / n^(1/alpha) over the unit walks of
+    ``_unit_extremes``, with its 95% CI half-width."""
+    top, _ = _unit_extremes(alpha, n_paths, n_steps, derive_rng(seed))
+    sup = top * (1.0 / n_steps) ** (1.0 / alpha)
+    return float(sup.mean()), 1.96 * math.sqrt(sup.var() / n_paths)
+
+
+def _spitzer_grid_sup(alpha, n_steps):
+    """E[max_{0<=j<=n} S_j] / n^(1/alpha), exact for every n: Spitzer's
+    identity sum_{k<=n} E[S_k^+] / k with E[S_k^+] = k^(1/alpha) Gamma(1 - 1/alpha) / pi."""
+    k = np.arange(1, n_steps + 1, dtype=float)
+    total = math.gamma(1.0 - 1.0 / alpha) / math.pi * float(np.sum(k ** (1.0 / alpha - 1.0)))
+    return total / n_steps ** (1.0 / alpha)
+
+
 class TestSupEstimate:
+    """The grid maximum of the unit walk against Spitzer's identity."""
+
     def test_alpha2_reflection_oracle(self):
         # E[sup] = E|N(0,2)| = 2/sqrt(pi); the grid max is biased low by
-        # ~0.5826 sqrt(2/n_steps) (discrete-maximum correction)
-        est = estimate_sup_mean(2.0, 40_000, 4096, seed=70)
+        # ~0.5826 sqrt(2/n_steps) (discrete-maximum correction), and the
+        # exact grid mean sits within 0.35 of that bias of the correction
+        value, ci = _grid_sup_mean(2.0, 40_000, 4096, seed=70)
         bias = 0.5826 * math.sqrt(2.0 / 4096)
         target = 2.0 / math.sqrt(math.pi) - bias
-        assert abs(est.value - target) <= 1.6 * est.ci_halfwidth + 0.35 * bias
+        assert abs(value - target) <= 1.6 * ci + 0.35 * bias
+        assert abs(_spitzer_grid_sup(2.0, 4096) - target) <= 0.35 * bias
+        assert abs(value - _spitzer_grid_sup(2.0, 4096)) <= 1.6 * ci
 
     def test_bias_monotone_alpha2(self):
-        coarse = estimate_sup_mean(2.0, 200_000, 256, seed=71)
-        fine = estimate_sup_mean(2.0, 200_000, 2048, seed=72)
-        assert fine.value > coarse.value
+        coarse, coarse_ci = _grid_sup_mean(2.0, 200_000, 256, seed=71)
+        fine, fine_ci = _grid_sup_mean(2.0, 200_000, 2048, seed=72)
+        assert fine > coarse
+        assert _spitzer_grid_sup(2.0, 2048) > _spitzer_grid_sup(2.0, 256)
+        assert abs(coarse - _spitzer_grid_sup(2.0, 256)) <= 1.6 * coarse_ci
+        assert abs(fine - _spitzer_grid_sup(2.0, 2048)) <= 1.6 * fine_ci
 
     def test_frozen_regression_alpha15(self):
-        # consistency with the frozen n_paths=1e6, n_steps=1e4 constant;
-        # allowance covers the coarser grid's extra downward bias
-        from shc_lab import FROZEN_SUP_MEAN
-
-        est = estimate_sup_mean(1.5, 20_000, 2048, seed=73)
-        assert abs(est.value - FROZEN_SUP_MEAN[1.5]) <= 1.5 * est.ci_halfwidth + 0.02
+        # the frozen n_paths=1e6, n_steps=1e4 constant against the closed
+        # form, within its own 95% CI half-width, and a coarser walk against
+        # both (the 0.02 covers the coarser grid's extra downward bias)
+        assert abs(FROZEN_SUP_MEAN[1.5] - expected_supremum(1.5)) <= 0.016
+        value, ci = _grid_sup_mean(1.5, 20_000, 2048, seed=73)
+        assert abs(value - FROZEN_SUP_MEAN[1.5]) <= 1.5 * ci + 0.02
+        assert abs(value - _spitzer_grid_sup(1.5, 2048)) <= 1.5 * ci
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            estimate_sup_mean(1.0, 1000, 100, seed=0)
-        with pytest.raises(ValidationError):
-            estimate_sup_mean(1.5, 1, 100, seed=0)
+        # the running supremum's mean is infinite for alpha <= 1
+        for alpha in (1.0, 0.5, 2.5, math.nan):
+            with pytest.raises(ValidationError):
+                expected_supremum(alpha)
+        assert expected_supremum(2.0) == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-14)
 
 
 class TestSeeding:

@@ -82,8 +82,9 @@ class TestLaplaceExponents:
     def test_validation(self):
         with pytest.raises(ValidationError):
             StableExponent(1.0)
-        with pytest.raises(ValidationError):
-            TemperedStableExponent(0.5, 0.0)
+        for kappa in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                TemperedStableExponent(0.5, kappa)
         with pytest.raises(ValidationError):
             SumOfStablesExponent(0.0, 0.9)  # a = 0 breaks phi(0+) = 0
         with pytest.raises(ValidationError):
