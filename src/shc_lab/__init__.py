@@ -56,8 +56,7 @@ from .spectral import (
     IntervalDomain,
     SeriesValue,
     bm_interval_eigensystem,
-    load_eigensystem,
-    save_eigensystem,
+    stable_interval_eigensystem,
     weighted_series,
 )
 from .stable_motion import sample_symmetric_stable

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma as _gamma
+from scipy.special import beta as _beta, gamma as _gamma
 
 from .errors import UnresolvedTailError, ValidationError
 from .seeding import _check_integer, derive_rng
-from .spectral import EigenSystem, IntervalDomain, weighted_series
+from .spectral import IntervalDomain
 from .subordinators import (
     LaplaceExponent,
     expected_functional,
@@ -172,15 +172,23 @@ def small_time_constant(alpha: float, domain: IntervalDomain) -> float:
     return frac_perimeter_interval(alpha, domain.volume)
 
 
-def large_time_constant(eig: EigenSystem, beta: float) -> float:
-    """C = sum_n m_n^2 / (lambda_n Gamma(1-beta)), tail-certified."""
+def large_time_constant(alpha: float, domain: IntervalDomain, beta: float) -> float:
+    """C = sum_n m_n^2 / (lambda_n Gamma(1-beta)), with sum_n m_n^2 / lambda_n
+    the integral of the mean exit time (Getoor, Trans. AMS 101, 1961), on an
+    interval of length L: L^(1+alpha) B(1 + alpha/2, 1 + alpha/2) / Gamma(1 + alpha).
+    """
+    if not 0.0 < alpha <= 2.0:
+        raise ValidationError(f"alpha must be in (0, 2], got {alpha}")
     if not 0.0 <= beta < 1.0:
         raise ValidationError(f"large-time law needs beta in [0, 1), got {beta}")
-    g = _gamma(1.0 - beta)
-    return weighted_series(eig, lambda lam: 1.0 / (lam * g)).value
+    h = 1.0 + alpha / 2.0
+    torsion = domain.volume ** (1.0 + alpha) * _beta(h, h) / _gamma(1.0 + alpha)
+    return torsion / _gamma(1.0 - beta)
 
 
-def large_time_asymptote(eig: EigenSystem, spec: LaplaceExponent, t: float) -> float:
+def large_time_asymptote(
+    alpha: float, domain: IntervalDomain, spec: LaplaceExponent, t: float
+) -> float:
     """phi(1/t) * C, the claimed polynomial large-time decay."""
     beta = spec.index_at_zero
     if beta >= 1.0:
@@ -190,7 +198,7 @@ def large_time_asymptote(eig: EigenSystem, spec: LaplaceExponent, t: float) -> f
         )
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
-    return float(spec(1.0 / t)) * large_time_constant(eig, beta)
+    return float(spec(1.0 / t)) * large_time_constant(alpha, domain, beta)
 
 
 def small_time_asymptote(

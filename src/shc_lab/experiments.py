@@ -18,7 +18,7 @@ import math
 import platform
 import time
 import typing
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -42,7 +42,7 @@ from .heat_content import (
     heat_content_subordinate,
     monte_carlo_heat_content_grid,
 )
-from .spectral import IntervalDomain, bm_interval_eigensystem, load_eigensystem
+from .spectral import IntervalDomain, bm_interval_eigensystem, stable_interval_eigensystem
 from .special import laplace_invert, mittag_leffler
 from .subordinators import (
     DriftExponent,
@@ -76,9 +76,9 @@ EXPERIMENTS = {
 
 # experiments whose references are closed forms of the stable exponent
 _STABLE_ONLY = ("transform_consistency", "moment_laws", "tail_probe")
-# experiments on an eigen series: the built-in one is the Brownian (alpha = 2)
-# sine basis, so another alpha needs its own eigen_table
-_SERIES = ("large_time", "subordinate_rate")
+# experiments on an eigen series, whose Galerkin build below alpha = 2 costs O(truncation^3)
+_EIGEN = ("large_time", "subordinate_rate")
+_MAX_BASIS = 1000
 # experiments that fit across the t grid, with the grid points each fit needs
 _FIT_POINTS = {"large_time": 2, "subordinate_rate": 2, "small_time_mc": 2, "tail_probe": 3}
 _MOMENT_PS = (1.0 / 1.5, 1.0, 2.0)
@@ -110,7 +110,6 @@ class ExperimentConfig:
     truncation: int = 2001
     tolerance: float = 1e-8
     delta: float = 1.0
-    eigen_table: str | None = None
     out: str = "."
 
     def __post_init__(self):
@@ -122,6 +121,11 @@ class ExperimentConfig:
             raise ValidationError("seed is mandatory (reproducibility; no entropy default)")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        bad = [k for k, v in vars(self).items() if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ValidationError(f"config values must be finite: {', '.join(bad)}")
+        if not 0.0 < self.alpha <= 2.0:
+            raise ValidationError(f"alpha must be in (0, 2], got {self.alpha}")
         if not self.t_min > 0.0 or not self.t_max >= self.t_min:
             raise ValidationError("need 0 < t_min <= t_max")
         if self.t_points < 1:
@@ -129,7 +133,7 @@ class ExperimentConfig:
         points = _FIT_POINTS.get(self.experiment, 1)
         if points > 1 and not (self.t_max > self.t_min and self.t_points >= points):
             raise ValidationError(f"{self.experiment} needs t_max > t_min, t_points >= {points}")
-        if not self.tolerance > 0.0:  # NaN fails every comparison
+        if not self.tolerance > 0.0:
             raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
         if self.n_paths < 1 or self.n_steps < 1 or self.truncation < 1:
             raise ValidationError("n_paths, n_steps, truncation must be >= 1")
@@ -137,11 +141,9 @@ class ExperimentConfig:
         self.domain  # so does an empty or unordered domain
         if self.experiment in _STABLE_ONLY and self.phi != "stable":
             raise ValidationError(f"{self.experiment} needs phi = stable, got {self.phi!r}")
-        if self.experiment in _SERIES and self.alpha != 2.0 and not self.eigen_table:
-            raise ValidationError(
-                f"{self.experiment} builds the alpha = 2 eigen series; "
-                f"alpha = {self.alpha} needs an eigen_table"
-            )
+        if self.experiment in _EIGEN and self.alpha < 2.0 and self.truncation > _MAX_BASIS:
+            raise ValidationError(f"below alpha = 2 truncation must be <= {_MAX_BASIS}, "
+                                  f"got {self.truncation}: the basis costs O(truncation^3)")
 
     @property
     def domain(self) -> IntervalDomain:
@@ -166,13 +168,7 @@ class ExperimentConfig:
         return np.logspace(math.log10(self.t_min), math.log10(self.t_max), self.t_points)
 
 
-def _scalar_type(hint) -> type:
-    """The type a config value parses to: ``str | None`` -> str."""
-    return next(t for t in (*typing.get_args(hint), hint) if t is not type(None))
-
-
-_HINTS = typing.get_type_hints(ExperimentConfig)
-_SCHEMA: dict[str, type] = {f.name: _scalar_type(_HINTS[f.name]) for f in fields(ExperimentConfig)}
+_SCHEMA: dict[str, type] = typing.get_type_hints(ExperimentConfig)
 
 
 def _parse_int(v: str) -> int:
@@ -211,11 +207,7 @@ def parse_config_file(path: str | Path, overrides: Sequence[str] = ()) -> Experi
             kwargs[k] = _parse_int(v) if typ is int else typ(v)
         except ValueError as exc:
             raise ValidationError(f"config key {k}={v!r} is not a valid {typ.__name__}") from exc
-    if "experiment" not in kwargs:
-        raise ValidationError("config must set 'experiment'")
-    if "seed" not in kwargs:
-        raise ValidationError("config must set 'seed'")
-    for k in ("t_min", "t_max"):
+    for k in ("experiment", "seed", "t_min", "t_max"):
         if k not in kwargs:
             raise ValidationError(f"config must set '{k}'")
     return ExperimentConfig(**kwargs)
@@ -293,17 +285,7 @@ class ExperimentResult:
             summary["final_ratio"] = _json_number(summary["final_ratio"])
         payload = {
             "config": self.config,
-            "rows": [
-                {
-                    "t": r.t,
-                    "computed": r.computed,
-                    "reference": r.reference,
-                    "ratio": _json_number(r.ratio),
-                    "error_bound": r.error_bound,
-                    "method": r.method,
-                }
-                for r in self.rows
-            ],
+            "rows": [{**asdict(r), "ratio": _json_number(r.ratio)} for r in self.rows],
             "summary": summary,
         }
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -345,9 +327,10 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, 
 
 
 def _eigensystem(config: ExperimentConfig):
-    if config.eigen_table:
-        return load_eigensystem(config.eigen_table)
-    return bm_interval_eigensystem(config.domain, config.truncation)
+    # exact sine modes at alpha = 2; below it the Galerkin build on N = truncation
+    if config.alpha == 2.0:
+        return bm_interval_eigensystem(config.domain, config.truncation)
+    return stable_interval_eigensystem(config.domain, config.alpha, config.truncation)
 
 
 def _run_large_time(config: ExperimentConfig, workers: int) -> tuple[list, dict]:
@@ -356,7 +339,7 @@ def _run_large_time(config: ExperimentConfig, workers: int) -> tuple[list, dict]
     rows = []
     for t in config.t_grid:
         hv = heat_content_inverse(eig, spec, float(t), tol=config.tolerance)
-        ref = large_time_asymptote(eig, spec, float(t))
+        ref = large_time_asymptote(config.alpha, config.domain, spec, float(t))
         rows.append(ExperimentRow(float(t), hv.value, ref, hv.error, hv.method))
     fit = fit_loglog([(r.t, r.computed) for r in rows])
     summary = {
@@ -507,9 +490,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     """Run one experiment; deterministic for a fixed config and any workers."""
     start = time.perf_counter()
     rows, summary = _RUNNERS[config.experiment](config, workers)
-    echo = {k: v for k, v in asdict(config).items() if v is not None}
     return ExperimentResult(
-        config=echo,
+        config=asdict(config),
         rows=tuple(rows),
         summary=summary,
         wall_clock=time.perf_counter() - start,

@@ -70,7 +70,10 @@ class HeatContentValue:
     ``error`` is a certified series tail bound for the series/transform
     methods and a 95% CI half width for Monte Carlo.  For ``transform``
     it is the series tail alone: the Talbot node gap of each weight (at
-    most 1e-9, ``expected_laplace``'s tolerance) is not included.
+    most 1e-9, ``expected_laplace``'s tolerance) is not included.  Nor, on
+    eigen data from ``stable_interval_eigensystem``, is the measured gap
+    between its N and 2N Galerkin builds, at most (kept modes * L/2 + L)
+    * 1e-12 for weights in [0, 1] with |lambda w'| <= 1.
     """
 
     t: float

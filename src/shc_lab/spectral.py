@@ -3,18 +3,19 @@
 Only two pieces of eigen data enter any heat-content formula: the
 eigenvalues lambda_n and the squared eigenfunction masses
 m_n^2 = (int_Omega psi_n)^2.  Exact pairs are available at alpha = 2
-(Dirichlet Laplacian sine basis on an interval); fractional eigenpairs
-are not approximated here but can be supplied from a file.
+(Dirichlet Laplacian sine basis on an interval); for alpha < 2 a
+Galerkin build in a weighted Jacobi basis computes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import eigh
+from scipy.special import poch, roots_jacobi
 
 from .errors import TruncationBudgetError, ValidationError
 
@@ -22,10 +23,9 @@ __all__ = [
     "IntervalDomain",
     "EigenSystem",
     "bm_interval_eigensystem",
+    "stable_interval_eigensystem",
     "SeriesValue",
     "weighted_series",
-    "load_eigensystem",
-    "save_eigensystem",
 ]
 
 
@@ -37,8 +37,8 @@ class IntervalDomain:
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValidationError(f"need a < b, got ({self.a}, {self.b})")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValidationError(f"need a < b, both finite, got ({self.a}, {self.b})")
 
     @property
     def volume(self) -> float:
@@ -108,6 +108,55 @@ def bm_interval_eigensystem(domain: IntervalDomain, n_modes: int) -> EigenSystem
     lam = (n * math.pi / L) ** 2
     msq = np.where(n % 2 == 1, 8.0 * L / (n ** 2 * math.pi ** 2), 0.0)
     return EigenSystem(lambdas=lam, masses_sq=msq, total_mass=L)
+
+
+def _galerkin_modes(mass: np.ndarray, n_modes: int, scale: float):
+    """The lowest (lambda_n, m_n^2) on (-1, 1) from the mass matrix D B D."""
+    mu, y = eigh(mass)  # mu = 1 / lambda, ascending
+    mu, y0 = mu[::-1][:n_modes], y[0, ::-1][:n_modes]
+    return 1.0 / mu, scale * y0 ** 2 / mu
+
+
+def stable_interval_eigensystem(domain: IntervalDomain, alpha: float, n_modes: int) -> EigenSystem:
+    """Dirichlet eigenpairs of (-Delta)^(alpha/2) on an interval, alpha in (0, 2].
+
+    Galerkin on (-1, 1) in the basis (1 - x^2)^(alpha/2) p_2k, k < N =
+    ``n_modes``, p_j orthonormal for the weight (1 - x^2)^(alpha/2); odd
+    modes carry no mass.  The stiffness is diagonal, Gamma(alpha + 2k + 1) /
+    (2k)! (Dyda, Fract. Calc. Appl. Anal. 15, 2012), the mass matrix B exact
+    under Gauss-Jacobi, and D B D, D = stiffness^(-1/2), has eigenvalues
+    1/lambda.  Leading modes whose lambda (relative) and m^2 (absolute)
+    agree to 1e-12 between N and 2N basis functions are kept, else
+    :class:`TruncationBudgetError`.  Like the Talbot node gap, that gap is
+    measured, not certified: at most (kept modes * L/2 + L) * 1e-12 in a
+    series with weights in [0, 1] and |lambda w'| <= 1.  The total mass is
+    L, so the tail certificate of ``weighted_series`` covers dropped modes.
+    """
+    if not (0.0 < alpha <= 2.0 and n_modes >= 1):
+        raise ValidationError(f"need alpha in (0, 2], n_modes >= 1; got {alpha}, {n_modes}")
+    n, a = 2 * n_modes, alpha / 2.0
+    # 2n nodes are exact to degree 4n - 1; the integrand is even, so keep x > 0
+    x, wq = (v[n:] for v in roots_jacobi(2 * n, alpha, alpha))
+    h0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    j = np.arange(1.0, 2 * n)
+    b = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a - 1) * (2 * j + 2 * a + 1)))
+    rows = np.empty((n, x.size))
+    prev, cur = np.zeros_like(x), np.full_like(x, h0 ** -0.5)
+    for d in range(2 * n - 1):  # x p_d = b[d] p_(d+1) + b[d-1] p_(d-1), p_(-1) = 0
+        if d % 2 == 0:
+            rows[d // 2] = cur
+        prev, cur = cur, (x * cur - b[d - 1] * prev) / b[d]
+    dinv = poch(2.0 * np.arange(n) + 1.0, alpha) ** -0.5
+    rows *= dinv[:, None] * np.sqrt(2.0 * wq)
+    mass = rows @ rows.T
+    lam_n, msq_n = _galerkin_modes(mass[:n_modes, :n_modes], n_modes, h0 * dinv[0] ** 2)
+    lam, msq = _galerkin_modes(mass, n_modes, h0 * dinv[0] ** 2)
+    agree = (np.abs(lam_n - lam) <= 1e-12 * lam) & (np.abs(msq_n - msq) <= 1e-12)
+    keep = n_modes if agree.all() else int(np.argmin(agree))
+    if keep == 0:
+        raise TruncationBudgetError(f"no mode agrees between {n_modes} and {n} basis functions")
+    L = domain.volume
+    return EigenSystem(lam[:keep] * (2.0 / L) ** alpha, msq[:keep] * L / 2.0, L)
 
 
 # Nonzero-mass modes per weight evaluation in weighted_series: bounds its
@@ -182,46 +231,3 @@ def weighted_series(
     if not math.isfinite(cert):
         cert = eig.total_mass  # no finite weight evaluated (all masses zero)
     return SeriesValue(value=total, tail_bound=cert, n_terms=n_used)
-
-
-# ---------------------------------------------------------------------------
-# Eigen-table file format: '#mass <value>' header, 'lambda m_sq' rows,
-# '#' starts a comment.
-# ---------------------------------------------------------------------------
-
-
-def save_eigensystem(eig: EigenSystem, path: str | Path) -> None:
-    lines = [f"#mass {float(eig.total_mass)!r}"]
-    lines += [f"{float(l)!r} {float(m)!r}" for l, m in zip(eig.lambdas, eig.masses_sq)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_eigensystem(path: str | Path) -> EigenSystem:
-    mass = None
-    lams: list[float] = []
-    msqs: list[float] = []
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("mass"):
-                try:
-                    mass = float(body.split()[1])
-                except (IndexError, ValueError) as exc:
-                    raise ValidationError(f"{path}:{ln}: malformed mass header") from exc
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValidationError(f"{path}:{ln}: expected 'lambda m_sq', got {line!r}")
-        try:
-            lams.append(float(parts[0]))
-            msqs.append(float(parts[1]))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{ln}: non-numeric entry") from exc
-    if mass is None:
-        raise ValidationError(f"{path}: missing '#mass <value>' header")
-    if not lams:
-        raise ValidationError(f"{path}: no eigen rows")
-    return EigenSystem(lambdas=np.array(lams), masses_sq=np.array(msqs), total_mass=mass)

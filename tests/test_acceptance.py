@@ -82,11 +82,14 @@ def eig_pi():
 def test_01_large_time_ratio(eig_pi):
     from shc_lab import large_time_constant
 
-    C = large_time_constant(eig_pi, 0.5)
+    C = large_time_constant(2.0, DOMAIN_PI, 0.5)
     # independent brute-force oracle: C = (pi^3/12)/Gamma(1/2)
     n = np.arange(1, 2_000_001, 2, dtype=float)
     brute = float(np.sum(8.0 / (math.pi * n ** 4))) / math.gamma(0.5)
     assert C == pytest.approx(brute, rel=1e-8)
+    # and the certified eigen series of the same modes brackets it
+    sv = weighted_series(eig_pi, lambda lam: 1.0 / (lam * math.gamma(0.5)))
+    assert sv.value <= C <= sv.value + sv.tail_bound
 
     spec = StableExponent(0.5)
     ratios = []
@@ -120,7 +123,7 @@ def _second_order_term(eig, spec, ts: np.ndarray) -> np.ndarray:
     L^-1[s^(g-1)](t) = t^(-g)/Gamma(1-g), which vanishes at g = 1.  For
     phi(s) = s^beta this is the k = 2 term of the Mittag-Leffler expansion
     E_beta(-x) = sum_k (-1)^(k+1) x^(-k)/Gamma(1 - k beta).  The
-    coefficient is a certified series, as C_1 is in large_time_constant.
+    coefficient is a certified series.
     """
     coef = weighted_series(eig, lambda lam: 1.0 / lam ** 2).value
     terms = _power_terms(spec)

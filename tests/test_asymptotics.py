@@ -34,6 +34,7 @@ from shc_lab import (
     small_time_rate,
     subordinate_log_rate,
     tail_decay_probe,
+    weighted_series,
     xlog_asymptote,
 )
 
@@ -106,10 +107,23 @@ class TestSmallTimeConstant:
 
 
 class TestLargeTimeLaw:
+    @staticmethod
+    def _series(eig, beta):
+        """sum m^2 / (lambda Gamma(1 - beta)) with its tail certificate."""
+        g = math.gamma(1.0 - beta)
+        return weighted_series(eig, lambda lam: 1.0 / (lam * g))
+
     def test_constant_closed_form(self):
-        eig = bm_interval_eigensystem(IntervalDomain(0.0, math.pi), 100_001)
-        c = large_time_constant(eig, 0.5)
+        d = IntervalDomain(0.0, math.pi)
+        eig = bm_interval_eigensystem(d, 100_001)
+        c = large_time_constant(2.0, d, 0.5)
         assert c == pytest.approx(LARGE_TIME_C_HALF, rel=1e-5)
+        # the certificate is for exact arithmetic: summing 50,001 terms in
+        # floating point may leave the value below the exact sum by up to
+        # n u * value (it is 1.5e-13 here against a tail bound of 7e-16)
+        sv = self._series(eig, 0.5)
+        slack = sv.n_terms * np.finfo(float).eps * sv.value
+        assert sv.value - slack <= c <= sv.value + sv.tail_bound + slack
 
     def test_constant_brute_force_oracle(self):
         # sum_odd (8/pi) n^-4 / Gamma(1/2) over 10^6 terms
@@ -118,29 +132,31 @@ class TestLargeTimeLaw:
         assert brute == pytest.approx(LARGE_TIME_C_HALF, rel=1e-12)
 
     def test_beta_zero_gamma_one(self):
-        eig = bm_interval_eigensystem(IntervalDomain(0.0, math.pi), 1001)
-        c0 = large_time_constant(eig, 0.0)
+        d = IntervalDomain(0.0, math.pi)
+        eig = bm_interval_eigensystem(d, 1001)
+        sv = self._series(eig, 0.0)
         direct = float(np.sum(eig.masses_sq / eig.lambdas))
-        assert c0 == pytest.approx(direct, rel=1e-14)
+        assert sv.value == pytest.approx(direct, rel=1e-14)
+        assert sv.value <= large_time_constant(2.0, d, 0.0) <= sv.value + sv.tail_bound
 
-    def test_single_mode(self):
-        from shc_lab import EigenSystem
-
-        eig = EigenSystem(
-            lambdas=np.array([1.0]), masses_sq=np.array([8.0 / math.pi]),
-            total_mass=8.0 / math.pi,
-        )
-        for beta in (0.0, 0.3, 0.7):
-            assert large_time_constant(eig, beta) == pytest.approx(
-                8.0 / math.pi / math.gamma(1.0 - beta), rel=1e-14
-            )
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+    def test_closed_form_in_series_bracket(self, beta):
+        # the closed form exceeds the 4,001-mode sum by its tail, 2.6e-12
+        d = IntervalDomain(0.0, math.pi)
+        sv = self._series(bm_interval_eigensystem(d, 4001), beta)
+        c = large_time_constant(2.0, d, beta)
+        assert sv.value <= c <= sv.value + sv.tail_bound
+        assert c / sv.value - 1.0 == pytest.approx(2.56e-12, rel=0.01)
 
     def test_asymptote_and_index_guard(self):
-        eig = bm_interval_eigensystem(IntervalDomain(0.0, math.pi), 1001)
-        v = large_time_asymptote(eig, StableExponent(0.5), 1e4)
-        assert v == pytest.approx(1e-2 * large_time_constant(eig, 0.5), rel=1e-9)
+        d = IntervalDomain(0.0, math.pi)
+        v = large_time_asymptote(2.0, d, StableExponent(0.5), 1e4)
+        assert v == pytest.approx(1e-2 * large_time_constant(2.0, d, 0.5), rel=1e-9)
         with pytest.raises(ValidationError):
-            large_time_asymptote(eig, TemperedStableExponent(0.5, 1.0), 1e4)
+            large_time_asymptote(2.0, d, TemperedStableExponent(0.5, 1.0), 1e4)
+        for alpha in (0.0, 2.5, math.nan):
+            with pytest.raises(ValidationError):
+                large_time_constant(alpha, d, 0.5)
 
 
 class TestSmallTimeAsymptote:

@@ -16,6 +16,7 @@ from shc_lab import (
     fit_loglog,
     parse_config_file,
     run_experiment,
+    stable_interval_eigensystem,
     write_outputs,
 )
 from shc_lab import experiments
@@ -120,14 +121,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("experiment", ["large_time", "subordinate_rate"])
     def test_series_experiment_rejects_ignored_alpha(self, tmp_path, experiment):
-        # the built-in eigen series is the alpha = 2 sine basis, whatever alpha is
+        # every alpha in (0, 2] has its eigen series; one outside is rejected
         p = tmp_path / "exp.cfg"
         p.write_text(f"experiment = {experiment}\nseed = 1\nt_min = 1\nt_max = 2\n")
-        with pytest.raises(ValidationError, match="eigen_table"):
-            parse_config_file(p, overrides=["alpha=1.5"])
+        assert parse_config_file(p, overrides=["alpha=1.5", "truncation=500"]).alpha == 1.5
         assert parse_config_file(p, overrides=["alpha=2"]).alpha == 2.0
-        cfg = parse_config_file(p, overrides=["alpha=1.5", "eigen_table=modes.npz"])
-        assert cfg.alpha == 1.5
+        for alpha in ("0", "2.5"):
+            with pytest.raises(ValidationError, match="alpha must be in"):
+                parse_config_file(p, overrides=[f"alpha={alpha}"])
+        # the Galerkin basis below alpha = 2 costs O(truncation^3)
+        with pytest.raises(ValidationError, match="truncation must be <= 1000"):
+            parse_config_file(p, overrides=["alpha=1.5", "truncation=1001"])
 
     @pytest.mark.parametrize("domain_b", ["-1", "0"])
     def test_unordered_domain_fails_at_parse(self, tmp_path, domain_b):
@@ -184,6 +188,32 @@ class TestRunners:
         res = run_experiment(cfg)
         assert res.summary["log_derivative"] == pytest.approx(
             math.sqrt(3.0) - math.sqrt(2.0), rel=1e-6
+        )
+
+    def test_large_time_alpha_below_two(self):
+        # the Galerkin eigen series drives the experiment at alpha = 1.5
+        cfg = ExperimentConfig(
+            experiment="large_time", seed=3, t_min=1e2, t_max=1e4, t_points=3,
+            alpha=1.5, beta=0.5, truncation=500, tolerance=1e-8,
+        )
+        res = run_experiment(cfg)
+        ratios = [r.ratio for r in res.rows]
+        assert all(abs(b - 1.0) < abs(a - 1.0) for a, b in zip(ratios, ratios[1:]))
+        assert abs(ratios[-1] - 1.0) < 0.001
+        assert all(0.0 < r.error_bound <= 1e-8 for r in res.rows)
+
+    def test_subordinate_rate_alpha_below_two(self):
+        cfg = ExperimentConfig(
+            experiment="subordinate_rate", seed=6, t_min=10.0, t_max=50.0, t_points=5,
+            alpha=1.5, phi="tempered", beta=0.5, kappa=2.0, truncation=300, tolerance=1e-30,
+        )
+        res = run_experiment(cfg)
+        lam1 = stable_interval_eigensystem(cfg.domain, 1.5, 300).lambdas[0]
+        assert res.summary["expected_rate"] == pytest.approx(
+            math.sqrt(lam1 + 2.0) - math.sqrt(2.0), rel=1e-14
+        )
+        assert res.summary["log_derivative"] == pytest.approx(
+            res.summary["expected_rate"], rel=1e-6
         )
 
     def test_small_time_mc_runs_and_is_deterministic(self):
@@ -284,24 +314,6 @@ class TestOutputs:
             "large_time.csv", "large_time.json", "large_time.run.json",
         ]
 
-    def test_eigen_table_input(self, tmp_path):
-        # an externally supplied eigen table drives the same experiment
-        import math as _math
-
-        from shc_lab import IntervalDomain, bm_interval_eigensystem, save_eigensystem
-
-        table = tmp_path / "table.txt"
-        save_eigensystem(
-            bm_interval_eigensystem(IntervalDomain(0.0, _math.pi), 1001), table
-        )
-        cfg = ExperimentConfig(
-            experiment="large_time", seed=10, t_min=1e2, t_max=1e3, t_points=3,
-            beta=0.5, truncation=1001, tolerance=1e-8, eigen_table=str(table),
-        )
-        res = run_experiment(cfg)
-        ref = run_experiment(self._cfg())
-        assert [r.computed for r in res.rows] == [r.computed for r in ref.rows]
-
 
 class TestCli:
     def _write_cfg(self, tmp_path):
@@ -346,6 +358,7 @@ class TestCli:
         assert not out.exists()
 
     def test_ignored_alpha_exit_code(self, tmp_path):
+        # truncation 1001 is above the cap for a Galerkin basis (alpha < 2)
         p = self._write_cfg(tmp_path)
         out = tmp_path / "out4"
         assert cli_main(["run", str(p), "--set", "alpha=1.5", "--out", str(out)]) == 2
@@ -386,6 +399,38 @@ class TestCli:
         cfg = CONFIGS / f"{experiment}.cfg"
         assert cli_main(["run", str(cfg), "--set", override, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment,override",
+        [
+            ("large_time", "tolerance=inf"),
+            ("transform_consistency", "tolerance=inf"),
+            ("moment_laws", "alpha=nan"),
+            ("moment_laws", "alpha=inf"),
+            ("moment_laws", "alpha=0"),
+            ("tail_probe", "alpha=2.5"),
+            ("large_time", "t_max=inf"),
+            ("small_time_mc", "domain_b=inf"),
+            ("small_time_mc", "domain_a=-inf"),
+            ("large_time", "alpha=1.5"),  # the shipped truncation 4001 is above the cap
+        ],
+    )
+    def test_bad_float_exit_code(self, tmp_path, experiment, override):
+        # rejected at parse; most of these used to run before failing or finishing
+        out = tmp_path / "out"
+        cfg = CONFIGS / f"{experiment}.cfg"
+        assert cli_main(["run", str(cfg), "--set", override, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_alpha_below_two_run(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = CONFIGS / "large_time.cfg"
+        args = ["--set", "alpha=1.5", "--set", "truncation=500", "--out", str(out)]
+        assert cli_main(["run", str(cfg), *args]) == 0
+        payload = json.loads((out / "large_time.json").read_text())
+        assert len(payload["rows"]) == 9
+        assert all(row["error_bound"] <= 1e-8 for row in payload["rows"])
+        assert abs(payload["summary"]["final_ratio"] - 1.0) <= 1e-5
 
     def test_numerical_exit_code(self, tmp_path):
         # truncation budget too small for the requested tolerance

@@ -22,6 +22,7 @@ from shc_lab import (
     heat_content_subordinate,
     monte_carlo_heat_content_grid,
     sample_increments,
+    stable_interval_eigensystem,
 )
 from shc_lab.seeding import derive_rng
 
@@ -134,6 +135,17 @@ class TestSeriesEvaluators:
         assert signs[0] is np.False_ or signs[0] is False
         assert signs[-1] is np.True_ or signs[-1] is True
         assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) == 1
+
+    def test_inverse_exact_deficits_alpha15(self):
+        # |D| - Q(t) at alpha = 1.5, inverse 0.5-stable, (0, 1), on the
+        # Galerkin eigen series; the deficits are quoted to 6 decimals, so
+        # each lies within 5e-7 of the certified bracket [1 - value - error, 1 - value]
+        eig = stable_interval_eigensystem(IntervalDomain(0.0, 1.0), 1.5, 300)
+        quoted = (0.110555, 0.140886, 0.179009, 0.226531, 0.285006, 0.355469, 0.437558)
+        for t, deficit in zip(np.logspace(-4, -2, 7), quoted):
+            hv = heat_content_inverse(eig, StableExponent(0.5), float(t), tol=1e-5)
+            assert hv.error <= 1e-5
+            assert 1.0 - hv.value - hv.error - 5e-7 <= deficit <= 1.0 - hv.value + 5e-7
 
     def test_values_within_mass_bound(self, eig):
         for t in (0.01, 1.0):

@@ -20,7 +20,7 @@ from shc_lab import (
     sample_increments,
     weighted_series,
 )
-from shc_lab.experiments import _FIT_POINTS, _SERIES, _STABLE_ONLY, EXPERIMENTS
+from shc_lab.experiments import _EIGEN, _FIT_POINTS, _MAX_BASIS, _STABLE_ONLY, EXPERIMENTS
 from shc_lab.seeding import derive_rng
 from shc_lab.stable_motion import walk_exit_steps
 
@@ -38,13 +38,14 @@ def configs(draw) -> ExperimentConfig:
     a = draw(index)
     experiment = draw(st.sampled_from(sorted(EXPERIMENTS)))
     phis = ["stable"] if experiment in _STABLE_ONLY else ["stable", "tempered", "sum", "drift"]
-    eigen_table = draw(st.none() | word)
-    # the built-in eigen series is the alpha = 2 one
-    alphas = st.just(2.0) if experiment in _SERIES and not eigen_table else finite
+    alpha = draw(st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
+    # below alpha = 2 an eigen series caps its Galerkin basis
+    capped = experiment in _EIGEN and alpha < 2.0
     domain_a, domain_b = draw(st.lists(finite, min_size=2, max_size=2, unique=True).map(sorted))
     # a fitting experiment needs a grid of distinct points
     points = _FIT_POINTS.get(experiment, 1)
     t_max = t_min * draw(st.floats(min_value=1.0, max_value=1e6))
+    assume(math.isfinite(t_max))
     assume(experiment not in _FIT_POINTS or t_max > t_min)
     return ExperimentConfig(
         experiment=experiment,
@@ -52,7 +53,7 @@ def configs(draw) -> ExperimentConfig:
         t_min=t_min,
         t_max=t_max,
         t_points=draw(st.integers(min_value=points, max_value=10 ** 6)),
-        alpha=draw(alphas),
+        alpha=alpha,
         phi=draw(st.sampled_from(phis)),
         beta=draw(index),
         kappa=draw(positive),
@@ -62,10 +63,9 @@ def configs(draw) -> ExperimentConfig:
         domain_b=domain_b,
         n_paths=draw(st.integers(min_value=1, max_value=10 ** 12)),
         n_steps=draw(st.integers(min_value=1, max_value=10 ** 6)),
-        truncation=draw(st.integers(min_value=1, max_value=10 ** 6)),
+        truncation=draw(st.integers(min_value=1, max_value=_MAX_BASIS if capped else 10 ** 6)),
         tolerance=draw(positive),
         delta=draw(finite),
-        eigen_table=eigen_table,
         out=draw(word),
     )
 
@@ -73,11 +73,10 @@ def configs(draw) -> ExperimentConfig:
 @settings(max_examples=200, deadline=None)
 @given(cfg=configs())
 def test_config_round_trip(tmp_path_factory, cfg):
-    # every field written as key = value (None means: leave the key out)
+    # every field written as key = value
     lines = [
         f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}"
         for k, v in vars(cfg).items()
-        if v is not None
     ]
     path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
     path.write_text("\n".join(lines) + "\n")

@@ -11,8 +11,8 @@ from shc_lab import (
     TruncationBudgetError,
     ValidationError,
     bm_interval_eigensystem,
-    load_eigensystem,
-    save_eigensystem,
+    large_time_constant,
+    stable_interval_eigensystem,
     weighted_series,
 )
 
@@ -26,6 +26,11 @@ class TestIntervalDomain:
     def test_validation(self):
         with pytest.raises(ValidationError):
             IntervalDomain(1.0, 1.0)
+
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_non_finite_endpoints_rejected(self, a, b):
+        with pytest.raises(ValidationError, match="both finite"):
+            IntervalDomain(a, b)
 
 
 class TestBmEigensystem:
@@ -58,6 +63,21 @@ class TestBmEigensystem:
             EigenSystem(lambdas=np.array([1.0]), masses_sq=np.array([2.0]), total_mass=1.0)
         with pytest.raises(ValidationError):
             bm_interval_eigensystem(IntervalDomain(0.0, 1.0), 0)
+
+    @pytest.mark.parametrize(
+        "lambdas,masses_sq,total_mass",
+        [
+            ([1.0, 4.0], [0.2, 0.1], math.nan),
+            ([1.0, 4.0], [0.2, 0.1], math.inf),
+            ([1.0, 4.0], [math.nan, 0.1], 1.0),
+            ([1.0, math.nan], [0.2, 0.1], 1.0),
+        ],
+        ids=["mass-nan", "mass-inf", "row-mass-nan", "row-lambda-nan"],
+    )
+    def test_non_finite_data_rejected(self, lambdas, masses_sq, total_mass):
+        # such data would give uncertified series values
+        with pytest.raises(ValidationError):
+            EigenSystem(np.array(lambdas), np.array(masses_sq), total_mass)
 
 
 class TestWeightedSeries:
@@ -178,48 +198,46 @@ class TestWeightedSeries:
         assert qCL == pytest.approx(c * qL, abs=1e-10)
 
 
-class TestEigenTableFile:
-    def test_roundtrip(self, tmp_path):
-        eig = bm_interval_eigensystem(IntervalDomain(0.0, 2.0), 7)
-        p = tmp_path / "eig.txt"
-        save_eigensystem(eig, p)
-        back = load_eigensystem(p)
-        assert back.total_mass == eig.total_mass
-        assert np.array_equal(back.lambdas, eig.lambdas)
-        assert np.array_equal(back.masses_sq, eig.masses_sq)
+class TestStableIntervalEigensystem:
+    """The Galerkin eigenpairs of (-Delta)^(alpha/2) on an interval."""
 
-    def test_comments_and_header(self, tmp_path):
-        p = tmp_path / "eig.txt"
-        p.write_text("# a comment\n#mass 2.0\n1.0 1.5\n# another\n4.0 0.25\n")
-        eig = load_eigensystem(p)
-        assert eig.total_mass == 2.0
-        assert eig.size == 2
+    def test_alpha2_matches_sine_modes(self):
+        # the odd sine modes carry all the mass; the builder keeps only those
+        d = IntervalDomain(0.0, math.pi)
+        eig = stable_interval_eigensystem(d, 2.0, 100)
+        exact = bm_interval_eigensystem(d, 2 * eig.size)
+        assert eig.size > 40
+        np.testing.assert_allclose(eig.lambdas, exact.lambdas[::2], rtol=1e-12)
+        np.testing.assert_allclose(eig.masses_sq, exact.masses_sq[::2], rtol=0.0, atol=1e-13)
+        assert eig.total_mass == d.volume
 
-    def test_missing_mass_header(self, tmp_path):
-        p = tmp_path / "eig.txt"
-        p.write_text("1.0 1.5\n")
+    def test_kwasnicki_first_eigenvalue(self):
+        # alpha = 1 on (-1, 1): lambda_1 = 1.1577738836977 (Kwasnicki,
+        # J. Funct. Anal. 262, 2012)
+        eig = stable_interval_eigensystem(IntervalDomain(-1.0, 1.0), 1.0, 100)
+        assert eig.lambdas[0] == pytest.approx(1.1577738836977, rel=1e-11)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.5])
+    def test_getoor_constant_in_series_bracket(self, alpha):
+        # sum m^2 / lambda is the integral of the mean exit time (Getoor)
+        d = IntervalDomain(0.0, math.pi)
+        eig = stable_interval_eigensystem(d, alpha, 300)
+        sv = weighted_series(eig, lambda lam: 1.0 / lam)
+        assert sv.value <= large_time_constant(alpha, d, 0.0) <= sv.value + sv.tail_bound
+
+    def test_scaling_to_the_interval(self):
+        # lambda scales by (2/L)^alpha and m^2 by L/2 from (-1, 1)
+        unit = stable_interval_eigensystem(IntervalDomain(-1.0, 1.0), 1.5, 50)
+        eig = stable_interval_eigensystem(IntervalDomain(3.0, 8.0), 1.5, 50)
+        np.testing.assert_allclose(eig.lambdas, unit.lambdas * 0.4 ** 1.5, rtol=1e-14)
+        np.testing.assert_allclose(eig.masses_sq, unit.masses_sq * 2.5, rtol=1e-14)
+
+    def test_no_agreeing_mode_raises(self):
+        # one basis function against two: no mode agrees to 1e-12
+        with pytest.raises(TruncationBudgetError):
+            stable_interval_eigensystem(IntervalDomain(0.0, 1.0), 1.0, 1)
+
+    @pytest.mark.parametrize("alpha,n_modes", [(0.0, 10), (2.5, 10), (math.nan, 10), (1.5, 0)])
+    def test_validation(self, alpha, n_modes):
         with pytest.raises(ValidationError):
-            load_eigensystem(p)
-
-    def test_malformed_row(self, tmp_path):
-        p = tmp_path / "eig.txt"
-        p.write_text("#mass 2.0\n1.0 1.5 9.9\n")
-        with pytest.raises(ValidationError):
-            load_eigensystem(p)
-
-    @pytest.mark.parametrize(
-        "table",
-        [
-            "#mass nan\n1.0 0.2\n4.0 0.1\n",  # value with error nan
-            "#mass inf\n1.0 0.2\n4.0 0.1\n",
-            "#mass 1.0\n1.0 nan\n4.0 0.1\n",  # value nan with error 1.0
-            "#mass 1.0\n1.0 0.2\nnan 0.1\n",
-        ],
-        ids=["mass-nan", "mass-inf", "row-mass-nan", "row-lambda-nan"],
-    )
-    def test_non_finite_data_rejected(self, tmp_path, table):
-        # such tables used to load and give uncertified series values
-        p = tmp_path / "eig.txt"
-        p.write_text(table)
-        with pytest.raises(ValidationError):
-            load_eigensystem(p)
+            stable_interval_eigensystem(IntervalDomain(0.0, 1.0), alpha, n_modes)

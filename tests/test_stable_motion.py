@@ -324,12 +324,24 @@ class TestSupEstimate:
         assert abs(value - _spitzer_grid_sup(2.0, 4096)) <= 1.6 * ci
 
     def test_bias_monotone_alpha2(self):
-        coarse, coarse_ci = _grid_sup_mean(2.0, 200_000, 256, seed=71)
-        fine, fine_ci = _grid_sup_mean(2.0, 200_000, 2048, seed=72)
-        assert fine > coarse
-        assert _spitzer_grid_sup(2.0, 2048) > _spitzer_grid_sup(2.0, 256)
-        assert abs(coarse - _spitzer_grid_sup(2.0, 256)) <= 1.6 * coarse_ci
-        assert abs(fine - _spitzer_grid_sup(2.0, 2048)) <= 1.6 * fine_ci
+        # one coupled walk: the 256-step walk is every 8th partial sum of the
+        # 2,048-step walk, so the fine grid maximum is >= the coarse one path
+        # by path, and their difference is far less noisy than either
+        n_paths, rng = 20_000, derive_rng(71)
+        total, fine, coarse = np.zeros(n_paths), np.zeros(n_paths), np.zeros(n_paths)
+        for _ in range(2048 // 128):
+            sums = total + np.cumsum(sample_symmetric_stable(rng, 2.0, (128, n_paths)), axis=0)
+            np.maximum(fine, sums.max(axis=0), out=fine)
+            np.maximum(coarse, sums[7::8].max(axis=0), out=coarse)
+            total = sums[-1]
+        fine, coarse = fine / math.sqrt(2048), coarse / math.sqrt(2048)
+        assert np.all(fine >= coarse)
+        exact_fine, exact_coarse = _spitzer_grid_sup(2.0, 2048), _spitzer_grid_sup(2.0, 256)
+        assert exact_fine > exact_coarse
+        for sup, exact in ((coarse, exact_coarse), (fine, exact_fine),
+                           (fine - coarse, exact_fine - exact_coarse)):
+            ci = 1.96 * math.sqrt(sup.var() / n_paths)
+            assert abs(sup.mean() - exact) <= 1.6 * ci
 
     def test_frozen_regression_alpha15(self):
         # the frozen n_paths=1e6, n_steps=1e4 constant against the closed
