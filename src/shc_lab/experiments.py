@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy
 
 from .asymptotics import (
     Regime,
@@ -303,6 +302,8 @@ class ExperimentResult:
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, Path]:
     """Write ``<exp>.csv`` and ``<exp>.json`` (deterministic results) and
     ``<exp>.run.json`` (wall clock and versions); returns the first two."""
+    import scipy
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = result.config["experiment"]

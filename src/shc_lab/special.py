@@ -15,6 +15,10 @@ Two workhorses live here:
   18(4), 2006) in double precision.  The transform is evaluated once per
   contour node on whole arrays, so the transforms of many functions (one
   per eigenvalue) invert in one call; two fixed node counts must agree.
+
+SciPy (``quad``) is imported on first use, not with the module, so that
+the Monte Carlo and series routes start and run without its 0.5 s and
+40 MB.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import sys
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InversionError, ValidationError
 
@@ -79,6 +82,8 @@ def _cm_integral(beta: float, a: float) -> float:
     For a > 1 the integrand is scaled by a, so that quad's absolute
     tolerance stays relative to the value, about 1 / (a Gamma(1 - beta)).
     """
+    from scipy.integrate import quad
+
     h = 0.5 * math.pi * beta
     sigma = math.sin(0.5 * math.pi * (1.0 - beta))  # cos(h), accurate as beta -> 1
     tan_h = math.sin(h) / sigma

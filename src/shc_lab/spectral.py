@@ -5,17 +5,20 @@ eigenvalues lambda_n and the squared eigenfunction masses
 m_n^2 = (int_Omega psi_n)^2.  Exact pairs are available at alpha = 2
 (Dirichlet Laplacian sine basis on an interval); for alpha < 2 a
 Galerkin build in a weighted Jacobi basis computes them.
+
+SciPy (``eigh``, ``poch``, ``roots_jacobi``) is imported on first use by
+that build, so that the Monte Carlo and series routes start and run
+without its 0.5 s and 40 MB.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.special import poch, roots_jacobi
 
 from .errors import TruncationBudgetError, ValidationError
 
@@ -39,6 +42,8 @@ class IntervalDomain:
     def __post_init__(self):
         if not -math.inf < self.a < self.b < math.inf:
             raise ValidationError(f"need a < b, both finite, got ({self.a}, {self.b})")
+        if not math.isfinite(self.b - self.a):
+            raise ValidationError(f"the length b - a overflows, got ({self.a}, {self.b})")
 
     @property
     def volume(self) -> float:
@@ -112,6 +117,8 @@ def bm_interval_eigensystem(domain: IntervalDomain, n_modes: int) -> EigenSystem
 
 def _galerkin_modes(mass: np.ndarray, n_modes: int, scale: float):
     """The lowest (lambda_n, m_n^2) on (-1, 1) from the mass matrix D B D."""
+    from scipy.linalg import eigh
+
     mu, y = eigh(mass)  # mu = 1 / lambda, ascending
     mu, y0 = mu[::-1][:n_modes], y[0, ::-1][:n_modes]
     return 1.0 / mu, scale * y0 ** 2 / mu
@@ -132,6 +139,8 @@ def stable_interval_eigensystem(domain: IntervalDomain, alpha: float, n_modes: i
     series with weights in [0, 1] and |lambda w'| <= 1.  The total mass is
     L, so the tail certificate of ``weighted_series`` covers dropped modes.
     """
+    from scipy.special import poch, roots_jacobi
+
     if not (0.0 < alpha <= 2.0 and n_modes >= 1):
         raise ValidationError(f"need alpha in (0, 2], n_modes >= 1; got {alpha}, {n_modes}")
     n, a = 2 * n_modes, alpha / 2.0
@@ -162,6 +171,7 @@ def stable_interval_eigensystem(domain: IntervalDomain, alpha: float, n_modes: i
 # Nonzero-mass modes per weight evaluation in weighted_series: bounds its
 # memory whatever the eigen table size.
 _BLOCK = 512
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -177,6 +187,20 @@ class SeriesValue:
     n_terms: int
 
 
+def _bracket(total: float, cert: float, n_terms: int) -> SeriesValue:
+    """The bracket of a running sum ``total`` of at most ``n_terms`` rounded
+    products w m^2 >= 0 whose truncation certificate is ``cert``.
+
+    Summed in order, each product and each addition rounds by at most
+    eps / 2 relative, so the rounded total is within n_terms * eps * total
+    of the exact partial sum (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, section 4.2); value moves down by that amount and
+    tail_bound widens by twice it.
+    """
+    rounding = n_terms * _EPS * total
+    return SeriesValue(value=total - rounding, tail_bound=cert + 2.0 * rounding, n_terms=n_terms)
+
+
 def weighted_series(
     eig: EigenSystem,
     weights: Callable[[np.ndarray], np.ndarray],
@@ -188,7 +212,10 @@ def weighted_series(
     weights, which must be nonincreasing and nonnegative (checked on the
     evaluated sequence).  After the last evaluated term the tail obeys
 
-        tail <= w(lambda_N) * (total_mass - partial_mass_N).
+        tail <= w(lambda_N) * (total_mass - partial_mass_N),
+
+    and the returned bracket also covers the rounding of the running sum
+    (see :func:`_bracket`); ``tol`` applies to the truncation alone.
 
     Weights are evaluated on blocks of ``_BLOCK`` nonzero-mass modes (a
     zero-mass mode never costs a weight evaluation).  With ``tol`` given,
@@ -223,11 +250,11 @@ def weighted_series(
         mass_used, prev_w = float(mass[n - 1]), float(w[-1])
         cert, n_used = float(certs[n - 1]), int(idx[n - 1]) + 1
         if tol is not None and cert <= tol:
-            return SeriesValue(value=total, tail_bound=cert, n_terms=n_used)
+            return _bracket(total, cert, n_used)
     if tol is not None and cert > tol:
         raise TruncationBudgetError(
             f"tail certificate {cert} above tol={tol} after {eig.size} modes"
         )
     if not math.isfinite(cert):
         cert = eig.total_mass  # no finite weight evaluated (all masses zero)
-    return SeriesValue(value=total, tail_bound=cert, n_terms=n_used)
+    return _bracket(total, cert, n_used)

@@ -357,6 +357,15 @@ class TestCli:
         assert cli_main(["run", str(p), "--set", "domain_b=-1", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["small_time_mc", "large_time"])
+    def test_overflowing_domain_exit_code(self, tmp_path, experiment):
+        # finite endpoints whose length b - a overflows fail at parse
+        out = tmp_path / "out"
+        cfg = CONFIGS / f"{experiment}.cfg"
+        args = ["--set", "domain_a=-1e308", "--set", "domain_b=1e308", "--out", str(out)]
+        assert cli_main(["run", str(cfg), *args]) == 2
+        assert not out.exists()
+
     def test_ignored_alpha_exit_code(self, tmp_path):
         # truncation 1001 is above the cap for a Galerkin basis (alpha < 2)
         p = self._write_cfg(tmp_path)

@@ -1,7 +1,12 @@
-"""The public API surface: every exported name resolves."""
+"""The public API surface: every exported name resolves, and the import loads
+no SciPy submodule."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import shc_lab
 
@@ -17,3 +22,38 @@ def test_all_names_resolve():
     namespace = {}
     exec("from shc_lab import *", namespace)
     assert "heat_content" in namespace
+
+
+_IMPORT_BOUNDARY = """
+import math, sys
+import shc_lab, shc_lab.cli
+from shc_lab import (
+    InverseTime, IntervalDomain, StableExponent, bm_interval_eigensystem,
+    heat_content_inverse, mittag_leffler, monte_carlo_heat_content_grid,
+)
+
+HEAVY = ("scipy.integrate", "scipy.special", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+
+def loaded():
+    return sorted(m for m in HEAVY if m in sys.modules)
+
+assert loaded() == [], ("import", loaded())
+domain, change = IntervalDomain(0.0, math.pi), InverseTime(StableExponent(0.5))
+monte_carlo_heat_content_grid(2.0, domain, change, [0.1, 0.5], 300, dt=1e-2, seed=1)
+monte_carlo_heat_content_grid(2.0, domain, change, [0.1, 0.5], 300, n_steps=64, seed=2)
+heat_content_inverse(bm_interval_eigensystem(domain, 1001), StableExponent(0.5), 1.0, tol=1e-6)
+assert loaded() == [], ("Monte Carlo and series", loaded())
+
+from scipy.special import erfcx
+assert abs(mittag_leffler(0.5, -1.0) - erfcx(1.0)) <= 1e-14
+"""
+
+
+def test_scipy_loaded_only_on_first_use():
+    # a fresh interpreter: the test session itself has imported SciPy
+    src = str(Path(shc_lab.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr

@@ -42,6 +42,7 @@ def configs(draw) -> ExperimentConfig:
     # below alpha = 2 an eigen series caps its Galerkin basis
     capped = experiment in _EIGEN and alpha < 2.0
     domain_a, domain_b = draw(st.lists(finite, min_size=2, max_size=2, unique=True).map(sorted))
+    assume(math.isfinite(domain_b - domain_a))  # an overflowing length is rejected
     # a fitting experiment needs a grid of distinct points
     points = _FIT_POINTS.get(experiment, 1)
     t_max = t_min * draw(st.floats(min_value=1.0, max_value=1e6))

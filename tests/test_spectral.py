@@ -1,6 +1,7 @@
 """Interval eigen data and certified series sums."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ class TestIntervalDomain:
     def test_non_finite_endpoints_rejected(self, a, b):
         with pytest.raises(ValidationError, match="both finite"):
             IntervalDomain(a, b)
+
+    def test_overflowing_length_rejected(self):
+        # both endpoints are finite, but b - a is not
+        with pytest.raises(ValidationError, match="overflows"):
+            IntervalDomain(-1e308, 1e308)
+        assert IntervalDomain(-8e307, 8e307).volume == 1.6e308
 
 
 class TestBmEigensystem:
@@ -142,7 +149,8 @@ class TestWeightedSeries:
                 weighted_series(eig, w, tol=tol)
             return
         sv = weighted_series(eig, w, tol=tol)
-        assert (sv.value, sv.tail_bound, sv.n_terms) == (total, cert, n_used)
+        rounding = n_used * sys.float_info.epsilon * total
+        assert (sv.value, sv.tail_bound, sv.n_terms) == (total - rounding, cert + 2.0 * rounding, n_used)
 
     def test_blocks_bound_memory_and_stop_early(self):
         # weights are asked for in blocks of nonzero-mass modes only, and
@@ -187,6 +195,16 @@ class TestWeightedSeries:
     def test_weight_monotonicity_enforced(self):
         with pytest.raises(ValidationError):
             weighted_series(self.eig, lambda lam: lam)
+
+    def test_bracket_covers_summation_rounding(self):
+        # 50,001 nonzero terms of sum m_n^2 / (lambda_n Gamma(1/2)) = pi^3 / (12 sqrt(pi)):
+        # the sequential sum lies 1.05e-13 relative below the exact value,
+        # far more than the 7e-16 truncation certificate
+        eig = bm_interval_eigensystem(IntervalDomain(0.0, math.pi), 100_001)
+        sv = weighted_series(eig, lambda lam: 1.0 / (lam * math.gamma(0.5)))
+        exact = math.pi ** 3 / (12.0 * math.sqrt(math.pi))
+        assert sv.value <= exact <= sv.value + sv.tail_bound
+        assert sv.tail_bound <= 1e-10 * exact
 
     def test_scaling_law(self):
         # Q_{cL}(c^2 t) = c Q_L(t) for the alpha=2 weights
