@@ -81,6 +81,21 @@ def classify_regime(alpha: float) -> Regime:
     return Regime.SUBCRITICAL
 
 
+def _small_time_indices(alpha: float, spec: LaplaceExponent) -> tuple[Regime, float]:
+    """alpha's regime and phi's index at infinity, where the small-time law has them."""
+    beta = spec.index_at_infinity
+    if not 0.0 < beta < 1.0:
+        raise ValidationError(f"small-time law needs index at infinity in (0, 1), got {beta}")
+    return classify_regime(alpha), beta
+
+
+def _large_time_index(spec: LaplaceExponent) -> float:
+    """phi's index at 0+, where the large-time law has it (below 1)."""
+    if not spec.index_at_zero < 1.0:
+        raise ValidationError(f"large-time law needs index at 0+ below 1, got {spec.index_at_zero}")
+    return spec.index_at_zero
+
+
 def small_time_rate(alpha: float, s: float) -> float:
     """The regime rate r_alpha(s): s^(1/alpha), s ln(1/s) (for s < 1), or s.
 
@@ -200,15 +215,9 @@ def large_time_asymptote(
     alpha: float, domain: IntervalDomain, spec: LaplaceExponent, t: float
 ) -> float:
     """phi(1/t) * C, the claimed polynomial large-time decay."""
-    beta = spec.index_at_zero
-    if beta >= 1.0:
-        raise ValidationError(
-            "large-time law needs a Laplace exponent regularly varying at 0+ "
-            f"with index < 1; {type(spec).__name__} has index {beta}"
-        )
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
-    return float(spec(1.0 / t)) * large_time_constant(alpha, domain, beta)
+    return float(spec(1.0 / t)) * large_time_constant(alpha, domain, _large_time_index(spec))
 
 
 def small_time_asymptote(
@@ -225,12 +234,7 @@ def small_time_asymptote(
     """
     from scipy.special import gamma
 
-    regime = classify_regime(alpha)
-    beta = spec.index_at_infinity
-    if not 0.0 < beta < 1.0:
-        raise ValidationError(
-            f"small-time law needs index at infinity in (0, 1), got {beta}"
-        )
+    regime, beta = _small_time_indices(alpha, spec)
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
     rate = small_time_rate(alpha, 1.0 / float(spec(1.0 / t)))

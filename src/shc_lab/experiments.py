@@ -28,7 +28,9 @@ from .asymptotics import (
     Regime,
     classify_regime,
     large_time_asymptote,
+    _large_time_index,
     small_time_asymptote,
+    _small_time_indices,
     small_time_rate,
     subordinate_log_rate,
     moment_asymptote,
@@ -37,10 +39,11 @@ from .asymptotics import (
 from .errors import ValidationError
 from .heat_content import (
     InverseTime,
-    heat_content_inverse,
-    heat_content_subordinate,
+    SubordinatorTime,
+    heat_content,
     monte_carlo_heat_content_grid,
 )
+from .seeding import _check_integer
 from .spectral import IntervalDomain, bm_interval_eigensystem, stable_interval_eigensystem
 from .special import laplace_invert, mittag_leffler
 from .subordinators import (
@@ -116,10 +119,7 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
             )
-        if self.seed is None:
-            raise ValidationError("seed is mandatory (reproducibility; no entropy default)")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _check_integer("seed", self.seed)  # mandatory: no entropy default
         bad = [k for k, v in vars(self).items() if isinstance(v, float) and not math.isfinite(v)]
         if bad:
             raise ValidationError(f"config values must be finite: {', '.join(bad)}")
@@ -138,6 +138,11 @@ class ExperimentConfig:
             raise ValidationError("n_paths, n_steps, truncation must be >= 1")
         self.exponent  # a bad phi or exponent parameter fails here, not mid-run
         self.domain  # so does an empty or unordered domain
+        # and so do an alpha or an exponent that the experiment's law lacks
+        if self.experiment == "small_time_mc":
+            _small_time_indices(self.alpha, self.exponent)
+        if self.experiment == "large_time":
+            _large_time_index(self.exponent)
         if self.experiment in _STABLE_ONLY and self.phi != "stable":
             raise ValidationError(f"{self.experiment} needs phi = stable, got {self.phi!r}")
         if self.experiment in _EIGEN and self.alpha < 2.0 and self.truncation > _MAX_BASIS:
@@ -339,7 +344,7 @@ def _run_large_time(config: ExperimentConfig, workers: int) -> tuple[list, dict]
     spec = config.exponent
     rows = []
     for t in config.t_grid:
-        hv = heat_content_inverse(eig, spec, float(t), tol=config.tolerance)
+        hv = heat_content(eig, float(t), InverseTime(spec), tol=config.tolerance)
         ref = large_time_asymptote(config.alpha, config.domain, spec, float(t))
         rows.append(ExperimentRow(float(t), hv.value, ref, hv.error, hv.method))
     fit = fit_loglog([(r.t, r.computed) for r in rows])
@@ -361,7 +366,7 @@ def _run_subordinate_rate(config: ExperimentConfig, workers: int) -> tuple[list,
     rows = []
     logq = []
     for t in config.t_grid:
-        hv = heat_content_subordinate(eig, spec, float(t), tol=config.tolerance)
+        hv = heat_content(eig, float(t), SubordinatorTime(spec), tol=config.tolerance)
         if hv.value <= 0.0:
             raise ValidationError(f"heat content underflowed at t={t}; shrink t_max")
         computed = -math.log(hv.value) / float(t)

@@ -1,32 +1,26 @@
-"""The three spectral heat contents: plain, subordinate, and
-inverse-time-changed, each by one eigen series whose weights are
-computed a block of eigenvalues at a time (closed forms for the first
-two, Talbot inversion of the double Laplace transform for the third),
-plus a Monte Carlo evaluator driven by exit-time simulation.
+"""The spectral heat content Q(t) under a time change: ``SubordinatorTime``
+runs the motion up to D_t, ``InverseTime`` up to E_t.  ``heat_content`` is
+one eigen series whose weights the time change supplies a block of
+eigenvalues at a time (closed form under D_t, Talbot inversion of the
+double Laplace transform under E_t); Monte Carlo simulates exit times.
 
-Series evaluators refuse small t when the truncation budget cannot
-certify the requested tolerance; Monte Carlo is the intended tool in
-that regime.  It splits paths into fixed-size replicas with derived
-seeds, so results are independent of worker count, and draws in a fixed
-per-replica order, so a common seed yields common random numbers across
-a whole t-grid (which makes the estimates exactly monotone in t).  Each
-time change draws its own randomness; ``time_change=None`` is the
-identity time change ``InverseTime(DriftExponent())``, E_t = t, which
-draws none.  With a fixed dt its budgets are whole steps
-(``step_budgets``): ``InverseTime`` takes the exponent's
-``inverse_steps``, #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) exactly,
-and ``SubordinatorTime`` floors D_t.
-Each path walks only up to its largest grid budget: the walk's
-budget-ordered layout ties a path's variates to the budgets alone, so a
-path that has used up its budget draws nothing more.
-In adaptive mode (``dt=None``) path i takes n_steps steps of size
-h_i(t) / n_steps: its unit walk scaled by (h_i(t) / n_steps)^(1/alpha),
-which stays inside exactly when h_i(t) < u*_i = n_steps c*_i^alpha, c*_i
-being its critical scale (``stable_motion.critical_scales``).  So one
-unit walk per path serves every grid point, and each time change answers
-"h(t) < u*?" (``budgets_below``); for ``InverseTime`` that is D_{u*} > t
-(Meerschaert & Scheffler, J. Appl. Probab. 41, 2004), exact for every
-exponent, with no E_t sampled.
+The series refuses small t when the truncation budget cannot certify the
+requested tolerance; Monte Carlo is the tool there.  It splits paths into
+fixed-size replicas with derived seeds, so results do not depend on the
+worker count, and draws in a fixed per-replica order, so a common seed
+gives common random numbers across a t-grid (and estimates exactly
+monotone in t).  Each time change draws its own randomness;
+``time_change=None``, the identity E_t = t, draws none.  With a fixed dt
+its budgets are whole steps (``step_budgets``), and each path walks only
+up to its largest grid budget: the walk's budget-ordered layout ties a
+path's variates to the budgets alone.  In adaptive mode (``dt=None``)
+path i takes n_steps steps of size h_i(t) / n_steps, its unit walk scaled
+by (h_i(t) / n_steps)^(1/alpha), which stays inside exactly when
+h_i(t) < u*_i = n_steps c*_i^alpha (``stable_motion.critical_scales``).
+So one unit walk per path serves every grid point, and each time change
+answers "h(t) < u*?" (``budgets_below``); for ``InverseTime`` that is
+D_{u*} > t (Meerschaert & Scheffler, J. Appl. Probab. 41, 2004), exact
+for every exponent, with no E_t sampled.
 """
 
 from __future__ import annotations
@@ -83,46 +77,37 @@ class HeatContentValue:
 
 
 # ---------------------------------------------------------------------------
-# Series / transform evaluators
+# Series
 # ---------------------------------------------------------------------------
 
 
-def heat_content(eig: EigenSystem, t: float, tol: float = 1e-10) -> HeatContentValue:
-    """Q(t) = sum_n exp(-lambda_n t) m_n^2: the subordinate one of phi(lam) = lam."""
-    return heat_content_subordinate(eig, DriftExponent(), t, tol)
+def heat_content(eig: EigenSystem, t: float,
+                 time_change: SubordinatorTime | InverseTime | None = None,
+                 tol: float = 1e-10) -> HeatContentValue:
+    """Q(t) = sum_n w_n m_n^2 with the weights w_n = E[exp(-lambda_n h(t))] and
+    the method label that the time change supplies; ``time_change=None`` is
+    the plain motion, w_n = exp(-lambda_n t), as the drift subordinator."""
+    time_change = _time_change(time_change, SubordinatorTime(DriftExponent()))
+    if not 0.0 < t < math.inf:
+        raise ValidationError(f"t must be finite and > 0, got {t}")
+    sv = weighted_series(eig, lambda lams: time_change.series_weights(lams, t), tol=tol)
+    return HeatContentValue(t, sv.value, time_change.series_method, sv.tail_bound)
 
 
-def heat_content_subordinate(
-    eig: EigenSystem, spec: LaplaceExponent, t: float, tol: float = 1e-10
-) -> HeatContentValue:
-    """Q(t) for the subordinate process: weights exp(-t phi(lambda_n))."""
-    if t <= 0.0:
-        raise ValidationError(f"t must be > 0, got {t}")
-    sv = weighted_series(eig, lambda lams: np.exp(-t * spec(lams)), tol=tol)
-    return HeatContentValue(t=t, value=sv.value, method="series", error=sv.tail_bound)
+def heat_content_subordinate(eig: EigenSystem, spec: LaplaceExponent, t: float,
+                             tol: float = 1e-10) -> HeatContentValue:
+    """``heat_content`` under D_t; kept only because the benchmark calls this name."""
+    return heat_content(eig, t, SubordinatorTime(spec), tol)
 
 
-def heat_content_inverse(
-    eig: EigenSystem,
-    spec: LaplaceExponent,
-    t: float,
-    tol: float = 1e-10,
-) -> HeatContentValue:
-    """Q(t) for the inverse time change: weights E[exp(-lambda_n E_t)].
-
-    The weights are Laplace functionals of the inverse subordinator,
-    computed for a whole block of eigenvalues per call; they are
-    nonincreasing in lambda and bounded by 1, so the usual tail
-    certificate applies.
-    """
-    if t <= 0.0:
-        raise ValidationError(f"t must be > 0, got {t}")
-    sv = weighted_series(eig, lambda lams: expected_laplace(spec, lams, t), tol=tol)
-    return HeatContentValue(t=t, value=sv.value, method="transform", error=sv.tail_bound)
+def heat_content_inverse(eig: EigenSystem, spec: LaplaceExponent, t: float,
+                         tol: float = 1e-10) -> HeatContentValue:
+    """``heat_content`` under E_t; kept only because the benchmark calls this name."""
+    return heat_content(eig, t, InverseTime(spec), tol)
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo
+# Time changes and Monte Carlo
 # ---------------------------------------------------------------------------
 
 
@@ -131,6 +116,11 @@ class SubordinatorTime:
     """Run the outer motion up to D_t (subordinate heat content)."""
 
     spec: LaplaceExponent
+    series_method = "series"
+
+    def series_weights(self, lams: np.ndarray, t: float) -> np.ndarray:
+        """E[exp(-lambda D_t)] = exp(-t phi(lambda)) per eigenvalue."""
+        return np.exp(-t * self.spec(lams))
 
     def horizons(self, ts: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
         """D_t per (t, path) on a nondecreasing grid: independent increments
@@ -166,6 +156,11 @@ class InverseTime:
     """
 
     spec: LaplaceExponent
+    series_method = "transform"
+
+    def series_weights(self, lams: np.ndarray, t: float) -> np.ndarray:
+        """E[exp(-lambda E_t)] per eigenvalue: nonincreasing and in [0, 1]."""
+        return expected_laplace(self.spec, lams, t)
 
     def step_budgets(
         self, ts: np.ndarray, dt: float, size: int, rng: np.random.Generator
@@ -189,6 +184,15 @@ class InverseTime:
             left[live] -= delta
             live = live[(left[live] > 0.0) & (level[live] <= ts.max(initial=0.0))]
         return level > ts[:, None]
+
+
+def _time_change(time_change, plain):
+    """``time_change``, or ``plain`` for None: the check both routes share."""
+    if time_change is None:
+        return plain
+    if not isinstance(time_change, (SubordinatorTime, InverseTime)):
+        raise ValidationError(f"unsupported time change {time_change!r}")
+    return time_change
 
 
 def _replica_sizes(n_paths: int) -> list[int]:
@@ -234,9 +238,7 @@ def _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, wo
     return np.sum(counts, axis=0)
 
 
-def _validate_mc_args(time_change, t_grid, n_paths, dt, n_steps):
-    if not isinstance(time_change, (SubordinatorTime, InverseTime)):
-        raise ValidationError(f"unsupported time change {time_change!r}")
+def _validate_mc_args(t_grid, n_paths, dt, n_steps):
     _check_integer("n_paths", n_paths, 1)
     # NaN fails every comparison, so each check asks for the good case
     bad_t = [t for t in t_grid if not 0.0 <= t < math.inf]
@@ -286,11 +288,10 @@ def monte_carlo_heat_content_grid(
     nonincreasing in t (up to the fixed-dt budget quantization, shared
     across the grid).  One t is the one-point grid.
     """
-    if time_change is None:
-        time_change = InverseTime(DriftExponent())
+    time_change = _time_change(time_change, InverseTime(DriftExponent()))
     ts = list(ts)
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t grid must be nondecreasing")
-    _validate_mc_args(time_change, ts, n_paths, dt, n_steps)
+    _validate_mc_args(ts, n_paths, dt, n_steps)
     counts = _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, workers)
     return _mc_values(domain, ts, counts, n_paths)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["derive_rng", "derive_seed_sequence"]
+__all__ = ["derive_rng"]
 
 
 def _check_integer(name: str, value, minimum: int = 0) -> int:
@@ -27,14 +27,10 @@ def _check_integer(name: str, value, minimum: int = 0) -> int:
     return int(value)
 
 
-def derive_seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    """SeedSequence for (seed, key) with a stable counter-based split."""
-    return np.random.SeedSequence(
+def derive_rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator for the stream identified by (seed, *key): a SeedSequence
+    with ``seed`` as entropy and ``key`` as a stable counter-based spawn key."""
+    return np.random.default_rng(np.random.SeedSequence(
         entropy=_check_integer("seed", seed),
         spawn_key=tuple(_check_integer("key", k) for k in key),
-    )
-
-
-def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the stream identified by (seed, *key)."""
-    return np.random.default_rng(derive_seed_sequence(seed, *key))
+    ))

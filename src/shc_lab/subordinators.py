@@ -56,7 +56,7 @@ _TILT_BUDGET = 0.7
 # paths (at this count about 0.1 s for one path, 3 s for 8,192); the test
 # suite reaches 58 pieces, its increment property strategy at most 128
 _PIECE_CAP = 1_000
-# increments per block of _grid_steps (one column when more paths are live)
+# increments per block of the base inverse_steps (one column past that many paths)
 _STEP_BLOCK = 16_384
 
 
@@ -96,8 +96,27 @@ class LaplaceExponent:
 
     def inverse_steps(self, ts, dt: float, size: int, rng) -> np.ndarray:
         """Step budgets #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) per
-        (t, path), int64 of shape (len(ts), size), coupled across the grid."""
-        return _grid_steps(self, ts, dt, size, rng)
+        (t, path), int64 of shape (len(ts), size), coupled across the grid.
+
+        E_t >= k dt exactly when D_{k dt} <= t.  Every path grows on the grid
+        k * dt together, ``_STEP_BLOCK`` increments per block shared among the
+        paths whose level is still <= max(ts); a tie D_{k dt} = D_{(k-1) dt}
+        cannot change the count.
+        """
+        ts = np.asarray(ts, dtype=float)
+        steps = np.zeros((ts.size, size), dtype=np.int64)
+        horizon = float(ts.max())
+        level = np.zeros(size)
+        # D_dt > 0 almost surely, so t = 0 needs no draws
+        live = np.arange(size if horizon > 0.0 else 0)
+        while live.size:
+            cols = max(1, _STEP_BLOCK // live.size)
+            inc = sample_increments(self, dt, live.size * cols, rng).reshape(live.size, cols)
+            path = level[live, None] + np.cumsum(inc, axis=1)
+            steps[:, live] += np.count_nonzero(path <= ts[:, None, None], axis=2)
+            level[live] = path[:, -1]
+            live = live[path[:, -1] <= horizon]
+        return steps
 
 
 @dataclass(frozen=True)
@@ -357,32 +376,6 @@ def _floor_steps(times: np.ndarray, dt: float) -> np.ndarray:
     """Whole steps of size dt within each time, as int64; the 1e-9 keeps a
     time that is an exact multiple of dt from losing a step to round-off."""
     return np.floor(times / dt + 1e-9).astype(np.int64)
-
-
-def _grid_steps(
-    spec: LaplaceExponent, ts, dt: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """#{k >= 1 : D_{k dt} <= t} per (t, path), int64 of shape (len(ts), size).
-
-    E_t >= k dt exactly when D_{k dt} <= t.  Every path grows on the grid
-    k * dt together, ``_STEP_BLOCK`` increments per block shared among the
-    paths whose level is still <= max(ts); a tie D_{k dt} = D_{(k-1) dt}
-    cannot change the count.
-    """
-    ts = np.asarray(ts, dtype=float)
-    steps = np.zeros((ts.size, size), dtype=np.int64)
-    horizon = float(ts.max())
-    level = np.zeros(size)
-    # D_dt > 0 almost surely, so t = 0 needs no draws
-    live = np.arange(size if horizon > 0.0 else 0)
-    while live.size:
-        cols = max(1, _STEP_BLOCK // live.size)
-        inc = sample_increments(spec, dt, live.size * cols, rng).reshape(live.size, cols)
-        path = level[live, None] + np.cumsum(inc, axis=1)
-        steps[:, live] += np.count_nonzero(path <= ts[:, None, None], axis=2)
-        level[live] = path[:, -1]
-        live = live[path[:, -1] <= horizon]
-    return steps
 
 
 def sample_inverse_stable(beta: float, t: float, rng: np.random.Generator, size=None):

@@ -135,8 +135,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("domain_b", ["-1", "0"])
     def test_unordered_domain_fails_at_parse(self, tmp_path, domain_b):
+        # alpha = 1.5: the small-time law has no regime at the default alpha = 2
         p = tmp_path / "exp.cfg"
-        p.write_text("experiment = small_time_mc\nseed = 1\nt_min = 1\nt_max = 2\n")
+        p.write_text("experiment = small_time_mc\nseed = 1\nt_min = 1\nt_max = 2\nalpha = 1.5\n")
         with pytest.raises(ValidationError, match="need a < b"):
             parse_config_file(p, overrides=[f"domain_b={domain_b}"])
         assert parse_config_file(p, overrides=["domain_b=0.5"]).domain_b == 0.5
@@ -236,14 +237,14 @@ class TestRunners:
         assert r1.to_csv() == r2.to_csv()
 
     def test_small_time_law_fails_before_the_walk(self, monkeypatch):
-        # the drift exponent has index 1 at infinity, outside the law
+        # the drift exponent has index 1 at infinity, outside the law; the
+        # parser rejects it, so no config reaches the walk
         def walk(*args, **kwargs):
             raise AssertionError("paths walked for a config the law rejects")
 
         monkeypatch.setattr(experiments, "monte_carlo_heat_content_grid", walk)
-        cfg = parse_config_file(CONFIGS / "small_time_mc.cfg", ["phi=drift"])
         with pytest.raises(ValidationError, match="index at infinity"):
-            run_experiment(cfg)
+            run_experiment(parse_config_file(CONFIGS / "small_time_mc.cfg", ["phi=drift"]))
 
     def test_tail_probe_runner(self):
         cfg = ExperimentConfig(
@@ -364,6 +365,26 @@ class TestCli:
         cfg = CONFIGS / f"{experiment}.cfg"
         args = ["--set", "domain_a=-1e308", "--set", "domain_b=1e308", "--out", str(out)]
         assert cli_main(["run", str(cfg), *args]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment,overrides",
+        [
+            ("small_time_mc", ["alpha=2"]),
+            ("small_time_mc", ["phi=drift"]),
+            ("small_time_mc", ["phi=sum", "b=1"]),
+            ("large_time", ["phi=tempered"]),
+            ("large_time", ["phi=drift"]),
+        ],
+    )
+    def test_law_domain_mismatch_exit_code(self, tmp_path, experiment, overrides):
+        # an alpha or exponent outside the experiment's law fails at parse
+        cfg = CONFIGS / f"{experiment}.cfg"
+        with pytest.raises(ValidationError, match="law needs|regimes need"):
+            parse_config_file(cfg, overrides)
+        out = tmp_path / "out"
+        args = [a for o in overrides for a in ("--set", o)]
+        assert cli_main(["run", str(cfg), *args, "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_ignored_alpha_exit_code(self, tmp_path):

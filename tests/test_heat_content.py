@@ -23,6 +23,7 @@ from shc_lab import (
     monte_carlo_heat_content_grid,
     sample_increments,
     stable_interval_eigensystem,
+    weighted_series,
 )
 from shc_lab.seeding import derive_rng
 
@@ -151,6 +152,46 @@ class TestSeriesEvaluators:
         for t in (0.01, 1.0):
             hv = heat_content_inverse(eig, StableExponent(0.3), t, tol=1e-9)
             assert 0.0 <= hv.value <= math.pi + hv.error
+
+
+class TestOneEvaluator:
+    """``heat_content`` takes its weights and method label from the time change."""
+
+    @pytest.mark.parametrize("spec", ALL_EXPONENTS, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("t", [1e-2, 1.0, 1e2])
+    def test_kept_names_are_the_evaluator(self, eig, spec, t):
+        for kept, change in (
+            (heat_content_subordinate, SubordinatorTime(spec)),
+            (heat_content_inverse, InverseTime(spec)),
+        ):
+            # bit for bit, value and error alike
+            assert kept(eig, spec, t, tol=1e-8) == heat_content(eig, t, change, tol=1e-8)
+        assert heat_content(eig, t, SubordinatorTime(spec), tol=1e-8).method == "series"
+        assert heat_content(eig, t, InverseTime(spec), tol=1e-8).method == "transform"
+
+    @pytest.mark.parametrize("t", [1e-2, 1.0, 1e2])
+    def test_plain_motion_is_the_drift_series(self, eig, t):
+        hv = heat_content(eig, t, tol=1e-10)
+        sv = weighted_series(eig, lambda lams: np.exp(-t * lams), tol=1e-10)
+        assert (hv.value, hv.error, hv.method) == (sv.value, sv.tail_bound, "series")
+
+    def test_unsupported_time_change_rejected(self, eig):
+        # the series and Monte Carlo routes share one check
+        with pytest.raises(ValidationError, match="unsupported time change"):
+            heat_content(eig, 1.0, "bogus")
+        with pytest.raises(ValidationError, match="unsupported time change"):
+            monte_carlo_heat_content_grid(2.0, DOMAIN_PI, "bogus", [1.0], n_paths=10, n_steps=4)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t_rejected(self, eig, t):
+        spec = StableExponent(0.5)
+        for call in (
+            lambda: heat_content(eig, t),
+            lambda: heat_content_subordinate(eig, spec, t),
+            lambda: heat_content_inverse(eig, spec, t),
+        ):
+            with pytest.raises(ValidationError, match="t must be finite and > 0"):
+                call()
 
 
 class TestMonteCarlo:

@@ -1,5 +1,5 @@
-"""The public API surface: every exported name resolves, and the import loads
-no SciPy submodule."""
+"""The public API surface: every exported name resolves, and neither the
+import nor parsing the shipped configs loads SciPy."""
 
 import importlib
 import os
@@ -54,6 +54,29 @@ def test_scipy_loaded_only_on_first_use():
     src = str(Path(shc_lab.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_BOUNDARY],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+
+
+_PARSE_BOUNDARY = """
+import sys
+from pathlib import Path
+from shc_lab import parse_config_file
+
+for path in sorted(Path(sys.argv[1]).glob("*.cfg")):
+    parse_config_file(path)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded == [], loaded
+"""
+
+
+def test_config_parse_loads_no_scipy():
+    # the parser checks each experiment's law without the laws' SciPy constants
+    src = str(Path(shc_lab.__file__).resolve().parent.parent)
+    configs = str(Path(__file__).resolve().parents[1] / "configs")
+    out = subprocess.run(
+        [sys.executable, "-c", _PARSE_BOUNDARY, configs],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr

@@ -37,8 +37,19 @@ def configs(draw) -> ExperimentConfig:
     t_min = draw(positive)
     a = draw(index)
     experiment = draw(st.sampled_from(sorted(EXPERIMENTS)))
-    phis = ["stable"] if experiment in _STABLE_ONLY else ["stable", "tempered", "sum", "drift"]
-    alpha = draw(st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
+    # the parser rejects what a law lacks: small_time_mc needs alpha < 2 and
+    # phi's index at infinity below 1 (so no drift, and b < 1 for a sum),
+    # large_time phi's index at 0+ below 1 (so no drift, no tempered)
+    small_time = experiment == "small_time_mc"
+    phis = ["stable", "tempered", "sum", "drift"]
+    if experiment in _STABLE_ONLY:
+        phis = ["stable"]
+    elif small_time:
+        phis = ["stable", "tempered", "sum"]
+    elif experiment == "large_time":
+        phis = ["stable", "sum"]
+    phi = draw(st.sampled_from(phis))
+    alpha = draw(st.floats(min_value=0.0, max_value=2.0, exclude_min=True, exclude_max=small_time))
     # below alpha = 2 an eigen series caps its Galerkin basis
     capped = experiment in _EIGEN and alpha < 2.0
     domain_a, domain_b = draw(st.lists(finite, min_size=2, max_size=2, unique=True).map(sorted))
@@ -48,6 +59,8 @@ def configs(draw) -> ExperimentConfig:
     t_max = t_min * draw(st.floats(min_value=1.0, max_value=1e6))
     assume(math.isfinite(t_max))
     assume(experiment not in _FIT_POINTS or t_max > t_min)
+    b_below_one = small_time and phi == "sum"  # a sum's index at infinity is b
+    bs = st.floats(min_value=a, max_value=1.0, exclude_min=True, exclude_max=b_below_one)
     return ExperimentConfig(
         experiment=experiment,
         seed=draw(st.integers(min_value=0, max_value=2 ** 70)),
@@ -55,11 +68,11 @@ def configs(draw) -> ExperimentConfig:
         t_max=t_max,
         t_points=draw(st.integers(min_value=points, max_value=10 ** 6)),
         alpha=alpha,
-        phi=draw(st.sampled_from(phis)),
+        phi=phi,
         beta=draw(index),
         kappa=draw(positive),
         a=a,
-        b=draw(st.one_of(st.just(1.0), st.floats(min_value=a, max_value=1.0, exclude_min=True))),
+        b=draw(bs if b_below_one else st.one_of(st.just(1.0), bs)),
         domain_a=domain_a,
         domain_b=domain_b,
         n_paths=draw(st.integers(min_value=1, max_value=10 ** 12)),
