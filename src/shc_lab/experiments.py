@@ -140,7 +140,14 @@ class ExperimentConfig:
         self.domain  # so does an empty or unordered domain
         # and so do an alpha or an exponent that the experiment's law lacks
         if self.experiment == "small_time_mc":
-            _small_time_indices(self.alpha, self.exponent)
+            regime, _ = _small_time_indices(self.alpha, self.exponent)
+            # the critical rate s ln(1/s) needs s = 1/phi(1/t) < 1 at every t,
+            # and phi increases, so t_max decides
+            phi = float(self.exponent(1.0 / self.t_max))
+            if regime is Regime.CRITICAL and not phi > 1.0:
+                raise ValidationError(
+                    f"the critical law needs phi(1/t_max) > 1, got {phi} at t_max = {self.t_max}"
+                )
         if self.experiment == "large_time":
             _large_time_index(self.exponent)
         if self.experiment in _STABLE_ONLY and self.phi != "stable":

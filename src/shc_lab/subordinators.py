@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InversionError, RejectionBudgetError, ValidationError
-from .special import _blockwise, _half_angle_sine, laplace_invert
+from .special import _blocks, _half_angle_sine, laplace_invert
 
 __all__ = [
     "StableExponent",
@@ -297,34 +297,58 @@ def sample_positive_stable(rng: np.random.Generator, beta: float, size) -> np.nd
             * (sin((1-beta) U) / W)^((1-beta)/beta)
           = (sin(beta U)^beta sin((1-beta) U)^(1-beta) / (sin(U) W^(1-beta)))^(1/beta),
 
-    evaluated in the second form, each sine by its half-angle tangent
-    (``special._half_angle_sine``), over blocks of
-    ``special._VARIATE_BLOCK`` variates; all U are drawn first, then all W.
-    Only S itself can leave the float range, and there it is taken in
-    logs; a variate past the float range is inf.
+    evaluated in the second form by :func:`_kanter`.  All U are drawn
+    first, U = pi R from R = ``rng.random()``, then all W; the draws are
+    those of ``rng.uniform(0, pi, size)`` followed by
+    ``rng.exponential(1.0, size)``, bit for bit.  Only S itself can leave
+    the float range, and there it is taken in logs; a variate past the
+    float range is inf.
     """
     return _scaled_stable(rng, beta, 1.0, 1.0, size)
 
 
 def _scaled_stable(rng: np.random.Generator, beta: float, delta, root, size) -> np.ndarray:
     """delta^(1/beta) S, one S per path as in :func:`sample_positive_stable`,
-    given ``root`` = ``_root(delta, beta)``: the product root * S, or
-    exp(ln delta / beta + ln S) from the same draws where that is no
-    positive float (a factor past the float range, 0 * inf, 0 / 0)."""
+    given ``root`` = ``_root(delta, beta)``."""
     _check_stable_index(beta)
-    u = np.asarray(rng.uniform(0.0, math.pi, size))
-    w = np.asarray(rng.exponential(1.0, size))
+    shape = () if size is None else size
+    u, w = np.empty(shape), np.empty(shape)
+    rng.random(size, out=u)
+    u *= math.pi
+    rng.standard_exponential(size, out=w)
+    return _kanter(u, w, beta, delta, root)[()]
 
-    def kanter(u, w):
-        ratio = (
-            _half_angle_sine(np.tan(0.5 * beta * u)) ** beta
-            * (_half_angle_sine(np.tan(0.5 * (1.0 - beta) * u)) / w) ** (1.0 - beta)
-            / _half_angle_sine(np.tan(0.5 * u))
-        )
-        return ratio ** (1.0 / beta)
 
+def _kanter(u: np.ndarray, w: np.ndarray, beta: float, delta, root) -> np.ndarray:
+    """delta^(1/beta) S from the angles ``u`` and exponentials ``w`` (left
+    intact): the product root * S, or exp(ln delta / beta + ln S) from the
+    same draws where that is no positive float (a factor past the float
+    range, 0 * inf, 0 / 0).  S is evaluated in place over blocks of
+    ``special._VARIATE_BLOCK`` variates, each sine by its half-angle
+    tangent (``special._half_angle_sine``)."""
+    out = np.empty(u.shape)
+    flat_u, flat_w, flat_out = u.reshape(-1), w.reshape(-1), out.reshape(-1)
     with np.errstate(all="ignore"):
-        out = _blockwise(kanter, u, w)
+        for block, (a, b) in _blocks(flat_out.size, 2):
+            s, ub = flat_out[block], flat_u[block]
+            # sin(beta U)^beta
+            np.multiply(ub, 0.5 * beta, out=a)
+            np.tan(a, out=a)
+            _half_angle_sine(a, s)
+            a **= beta
+            # times (sin((1 - beta) U) / W)^(1 - beta)
+            np.multiply(ub, 0.5 * (1.0 - beta), out=b)
+            np.tan(b, out=b)
+            _half_angle_sine(b, s)
+            b /= flat_w[block]
+            b **= 1.0 - beta
+            a *= b
+            # over sin(U), to the power 1/beta
+            np.multiply(ub, 0.5, out=b)
+            np.tan(b, out=b)
+            _half_angle_sine(b, s)
+            np.divide(a, b, out=s)
+            s **= 1.0 / beta
         out *= root
     odd = ~((0.0 < out) & (out < math.inf))
     if odd.any():
@@ -344,7 +368,7 @@ def _scaled_stable(rng: np.random.Generator, beta: float, delta, root, size) -> 
         log_delta = np.log(np.broadcast_to(delta, out.shape)[odd])
         with np.errstate(over="ignore"):
             out[odd] = np.exp(log_delta / beta + log_s)
-    return out[()]
+    return out
 
 
 def sample_increments(

@@ -387,6 +387,22 @@ class TestCli:
         assert cli_main(["run", str(cfg), *args, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_critical_t_grid_exit_code(self, tmp_path):
+        # at alpha = 1 the rate s ln(1/s) needs s = 1/phi(1/t) < 1: with
+        # phi(lam) = lam^0.5, t_max = 2 gives s = 2^0.5, which fails at parse
+        cfg = CONFIGS / "small_time_mc.cfg"
+        overrides = ["alpha=1", "t_max=2"]
+        with pytest.raises(ValidationError, match="critical law needs phi"):
+            parse_config_file(cfg, overrides)
+        out = tmp_path / "out"
+        args = [a for o in overrides for a in ("--set", o)]
+        assert cli_main(["run", str(cfg), *args, "--out", str(out)]) == 2
+        assert not out.exists()
+        # t_max = 1 gives s = 1, where s ln(1/s) vanishes: also rejected
+        with pytest.raises(ValidationError, match="critical law needs phi"):
+            parse_config_file(cfg, ["alpha=1", "t_max=1"])
+        assert parse_config_file(cfg, ["alpha=1"]).alpha == 1.0
+
     def test_ignored_alpha_exit_code(self, tmp_path):
         # truncation 1001 is above the cap for a Galerkin basis (alpha < 2)
         p = self._write_cfg(tmp_path)

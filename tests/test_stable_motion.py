@@ -13,7 +13,7 @@ from shc_lab import (
     sample_symmetric_stable,
 )
 from shc_lab.seeding import derive_rng
-from shc_lab.stable_motion import _unit_extremes, critical_scales, walk_exit_steps
+from shc_lab.stable_motion import _UNIT_BLOCK, _unit_extremes, critical_scales, walk_exit_steps
 
 # P(|X| > 10) for the standard Cauchy (scale 1)
 CAUCHY_TAIL_AT_10 = 0.06345103486110704
@@ -181,9 +181,9 @@ class TestWalkBudgets:
         sizes = []
         original = sm.sample_symmetric_stable
 
-        def counting(rng, alpha, size):
+        def counting(rng, alpha, size, out=None):
             sizes.append(size)
-            return original(rng, alpha, size)
+            return original(rng, alpha, size, out=out)
 
         monkeypatch.setattr(sm, "sample_symmetric_stable", counting)
         budgets = derive_rng(96).integers(0, 40, 500)
@@ -246,7 +246,11 @@ class TestCriticalScales:
             [0.0, 0.0, 0.0, 1.0],
         ])
         x0 = np.array([0.5, 0.25, 0.75, 0.125])
-        monkeypatch.setattr(sm, "sample_symmetric_stable", lambda rng, alpha, size: z)
+        def fixed(rng, alpha, size, out):
+            out[...] = z
+            return out
+
+        monkeypatch.setattr(sm, "sample_symmetric_stable", fixed)
         c_star = critical_scales(1.5, 0.0, 1.0, x0, 4, derive_rng(0))
         # S hits 0 (paths 0, 1, 3), stays 0 (path 2), or never goes up (path 1)
         assert c_star.tolist() == [0.5, 0.5, math.inf, 0.0625]
@@ -271,9 +275,9 @@ class TestCriticalScales:
         sizes = []
         original = sm.sample_symmetric_stable
 
-        def counting(rng, alpha, size):
+        def counting(rng, alpha, size, out=None):
             sizes.append(size)
-            return original(rng, alpha, size)
+            return original(rng, alpha, size, out=out)
 
         monkeypatch.setattr(sm, "sample_symmetric_stable", counting)
         x0 = np.array([0.2, 0.5, 0.9])
@@ -291,6 +295,26 @@ class TestCriticalScales:
         np.testing.assert_allclose(
             c_star, np.minimum((1.0 - x0) / top, x0 / -bottom), rtol=1e-9
         )
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
+def test_unit_extremes_same_bits_as_cumsum(alpha):
+    # 1,000 paths make blocks of 131 steps, so 300 steps end in a partial
+    # block; the in-place partial sums are the ones np.cumsum forms
+    n_paths, n_steps = 1_000, 300
+    rows = _UNIT_BLOCK // n_paths
+    assert n_steps % rows
+    top, bottom = _unit_extremes(alpha, n_paths, n_steps, derive_rng(103))
+    rng, total = derive_rng(103), np.zeros(n_paths)
+    want_top, want_bottom = np.zeros(n_paths), np.zeros(n_paths)
+    for done in range(0, n_steps, rows):
+        z = sample_symmetric_stable(rng, alpha, (min(rows, n_steps - done), n_paths))
+        sums = np.cumsum(z, axis=0) + total
+        want_top = np.maximum(want_top, sums.max(axis=0))
+        want_bottom = np.minimum(want_bottom, sums.min(axis=0))
+        total = sums[-1]
+    assert np.array_equal(top, want_top)
+    assert np.array_equal(bottom, want_bottom)
 
 
 def _grid_sup_mean(alpha, n_paths, n_steps, seed):
