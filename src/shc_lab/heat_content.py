@@ -2,7 +2,7 @@
 runs the motion up to D_t, ``InverseTime`` up to E_t.  ``heat_content`` is
 one eigen series whose weights the time change supplies a block of
 eigenvalues at a time (closed form under D_t, Talbot inversion of the
-double Laplace transform under E_t); Monte Carlo simulates exit times.
+double Laplace transform under E_t); Monte Carlo simulates the walk.
 
 The series refuses small t when the truncation budget cannot certify the
 requested tolerance; Monte Carlo is the tool there.  It splits paths into
@@ -13,14 +13,31 @@ monotone in t).  Each time change draws its own randomness;
 ``time_change=None``, the identity E_t = t, draws none.  With a fixed dt
 its budgets are whole steps (``step_budgets``), and each path walks only
 up to its largest grid budget: the walk's budget-ordered layout ties a
-path's variates to the budgets alone.  In adaptive mode (``dt=None``)
-path i takes n_steps steps of size h_i(t) / n_steps, its unit walk scaled
-by (h_i(t) / n_steps)^(1/alpha), which stays inside exactly when
-h_i(t) < u*_i = n_steps c*_i^alpha (``stable_motion.critical_scales``).
-So one unit walk per path serves every grid point, and each time change
-answers "h(t) < u*?" (``budgets_below``); for ``InverseTime`` that is
-D_{u*} > t (Meerschaert & Scheffler, J. Appl. Probab. 41, 2004), exact
-for every exponent, with no E_t sampled.
+path's variates to the budgets alone.
+
+In adaptive mode (``dt=None``) path i takes n_steps steps of size
+h_i(t) / n_steps, so its positions are x0 + c_i(t) S_ij with
+c_i(t) = (h_i(t) / n_steps)^(1/alpha) and S_ij one unit walk that serves
+every grid point.  On (a, b) of length L that walk stays inside exactly
+when a - c min_j S_j < x0 < b - c max_j S_j, so the start points that
+survive fill a length (L - c R)^+, R = max_j S_j - min_j S_j the unit
+walk's range, and the uniform start point integrates out in closed form:
+
+    |Omega| - Q(t) = E[min(L, (h(t) / n_steps)^(1/alpha) R)].
+
+The range route ("monte_carlo_range") averages this deficit, one per path,
+wherever the time change draws h(t) exactly: every ``SubordinatorTime``
+(D_t from its increments) and ``InverseTime`` of the stable family and the
+drift, whose E_t = (t / D_1)^beta and E_t = t are closed forms
+(``inverse_times``).  It draws no start point, and its variance is a few
+times lower than that of the comparison route's 0/1 survivor indicator.
+The inverse tempered and sum-of-stables clocks have no exact E_t sampler,
+so they take the comparison route ("monte_carlo"): x0 is drawn, path i
+survives t exactly when h_i(t) < u*_i = n_steps c*_i^alpha
+(``stable_motion.critical_scales``), and the time change answers
+"E_t < u*?" (``budgets_below``) as D_{u*} > t (Meerschaert & Scheffler,
+J. Appl. Probab. 41, 2004), exact for every exponent, with no E_t sampled.
+Both routes share the walk's bias at a given n_steps.
 """
 
 from __future__ import annotations
@@ -35,7 +52,7 @@ import numpy as np
 from .errors import ValidationError
 from .seeding import _check_integer, derive_rng
 from .spectral import EigenSystem, IntervalDomain, weighted_series
-from .stable_motion import critical_scales, walk_exit_steps
+from .stable_motion import _unit_extremes, critical_scales, walk_exit_steps
 from .subordinators import (
     DriftExponent,
     LaplaceExponent,
@@ -62,7 +79,12 @@ class HeatContentValue:
     """One heat-content evaluation: value with its error accounting.
 
     ``error`` is a certified series tail bound for the series/transform
-    methods and a 95% CI half width for Monte Carlo.  For ``transform``
+    methods and a 95% CI half width for Monte Carlo: of the survivor
+    fraction for ``monte_carlo`` (fixed dt, and adaptive under the inverse
+    tempered and sum-of-stables clocks), of the mean per-path deficit
+    min(L, (h(t) / n_steps)^(1/alpha) R) for ``monte_carlo_range``
+    (adaptive under every other clock); neither includes the walk's step
+    bias.  For ``transform``
     it is the series tail alone: the Talbot node gap of each weight (at
     most 1e-9, ``expected_laplace``'s tolerance) is not included.  Nor, on
     eigen data from ``stable_interval_eigensystem``, is the measured gap
@@ -117,6 +139,8 @@ class SubordinatorTime:
 
     spec: LaplaceExponent
     series_method = "series"
+    # D_t is drawn exactly for every exponent
+    draws_horizons = True
 
     def series_weights(self, lams: np.ndarray, t: float) -> np.ndarray:
         """E[exp(-lambda D_t)] = exp(-t phi(lambda)) per eigenvalue."""
@@ -142,17 +166,14 @@ class SubordinatorTime:
         """Whole steps of size dt within D_t per (t, path)."""
         return _floor_steps(self.horizons(ts, size, rng), dt)
 
-    def budgets_below(self, ts: np.ndarray, u_star: np.ndarray, rng) -> np.ndarray:
-        """D_t < u* per (t, path), for adaptive mode."""
-        return self.horizons(ts, u_star.size, rng) < u_star
-
 
 @dataclass(frozen=True)
 class InverseTime:
     """Run the outer motion up to E_t (inverse-subordinator time change).
 
-    Both modes are exact in distribution for every exponent: fixed-dt
-    step counts on the walk's own grid, and adaptive "E_t < u*?" by D_{u*}.
+    Every route is exact in distribution for every exponent: fixed-dt
+    step counts on the walk's own grid; in adaptive mode E_t itself where
+    the exponent draws it (``horizons``), else "E_t < u*?" by D_{u*}.
     """
 
     spec: LaplaceExponent
@@ -161,6 +182,15 @@ class InverseTime:
     def series_weights(self, lams: np.ndarray, t: float) -> np.ndarray:
         """E[exp(-lambda E_t)] per eigenvalue: nonincreasing and in [0, 1]."""
         return expected_laplace(self.spec, lams, t)
+
+    @property
+    def draws_horizons(self) -> bool:
+        """Whether E_t is drawn exactly: for the stable family and the drift."""
+        return self.spec.inverse_times is not None
+
+    def horizons(self, ts: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+        """E_t per (t, path), coupled along the grid; needs ``draws_horizons``."""
+        return self.spec.inverse_times(ts, size, rng)
 
     def step_budgets(
         self, ts: np.ndarray, dt: float, size: int, rng: np.random.Generator
@@ -200,12 +230,21 @@ def _replica_sizes(n_paths: int) -> list[int]:
     return [REPLICA_PATHS] * full + ([rem] if rem else [])
 
 
+def _range_route(time_change, dt) -> bool:
+    """Whether x0 is integrated out: adaptive mode with h(t) drawn exactly."""
+    return dt is None and time_change.draws_horizons
+
+
 def _replica_task(args) -> np.ndarray:
-    """Survivor counts for one replica, shape (len(ts),)."""
+    """Sums over one replica's paths: on the range route the deficits and
+    their squares, shape (2, len(ts)), else survivor counts, (len(ts),)."""
     (alpha, a, b, time_change, ts, size, dt, n_steps, seed, replica) = args
     rng = derive_rng(seed, replica)
-    x0 = rng.uniform(a, b, size)
     ts = np.asarray(ts, float)
+    if _range_route(time_change, dt):
+        deficits = _range_deficits(alpha, b - a, time_change, ts, size, n_steps, rng)
+        return np.stack([deficits.sum(axis=1), np.square(deficits).sum(axis=1)])
+    x0 = rng.uniform(a, b, size)
     if dt is None:
         # path i survives t exactly when h_i(t) < u*_i; a c* too large to
         # raise to alpha survives every t, so inf is the right u* for it
@@ -224,6 +263,22 @@ def _replica_task(args) -> np.ndarray:
     return np.count_nonzero(steps > ks, axis=1)
 
 
+def _range_deficits(alpha, length, time_change, ts, size, n_steps, rng) -> np.ndarray:
+    """min(L, (h(t) / n_steps)^(1/alpha) R) per (t, path), R the range of
+    the path's unit walk; nondecreasing in t, as h(t) is."""
+    top, bottom = _unit_extremes(alpha, size, n_steps, rng)
+    h = time_change.horizons(ts, size, rng)
+    # past the float range a range, scale or product is inf, which caps at
+    # L; a zero scale (h = 0, as at t = 0) leaves 0 even against R = inf
+    with np.errstate(over="ignore"):
+        span = top - bottom
+        scale = (h / n_steps) ** (1.0 / alpha)
+        deficits = np.multiply(
+            scale, span, out=np.zeros(scale.shape), where=(scale > 0.0) & (span > 0.0)
+        )
+    return np.minimum(deficits, length, out=deficits)
+
+
 def _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, workers):
     sizes = _replica_sizes(n_paths)
     tasks = [
@@ -232,10 +287,10 @@ def _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, wo
     ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_replica_task, tasks))
+            sums = list(pool.map(_replica_task, tasks))
     else:
-        counts = [_replica_task(t) for t in tasks]
-    return np.sum(counts, axis=0)
+        sums = [_replica_task(t) for t in tasks]
+    return np.sum(sums, axis=0)
 
 
 def _validate_mc_args(t_grid, n_paths, dt, n_steps):
@@ -250,7 +305,7 @@ def _validate_mc_args(t_grid, n_paths, dt, n_steps):
         raise ValidationError(f"dt must be finite and > 0, got {dt}")
 
 
-def _mc_values(domain, ts, counts, n_paths) -> list[HeatContentValue]:
+def _survivor_values(domain, ts, counts, n_paths) -> list[HeatContentValue]:
     """|Omega| times the survivor fraction at each t, with its 95% CI."""
     vol = domain.volume
     out = []
@@ -258,6 +313,16 @@ def _mc_values(domain, ts, counts, n_paths) -> list[HeatContentValue]:
         p = c / n_paths
         ci = 1.96 * vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
         out.append(HeatContentValue(t=float(t), value=vol * p, method="monte_carlo", error=ci))
+    return out
+
+
+def _range_values(domain, ts, sums, n_paths) -> list[HeatContentValue]:
+    """|Omega| minus the mean deficit at each t, with the 95% CI of that mean."""
+    out = []
+    for t, total, squares in zip(ts, *sums):
+        mean = float(total) / n_paths
+        ci = 1.96 * math.sqrt(max(float(squares) / n_paths - mean * mean, 0.0) / n_paths)
+        out.append(HeatContentValue(float(t), domain.volume - mean, "monte_carlo_range", ci))
     return out
 
 
@@ -272,26 +337,37 @@ def monte_carlo_heat_content_grid(
     seed: int = 0,
     workers: int = 1,
 ) -> list[HeatContentValue]:
-    """Monte Carlo Q(t) on a nondecreasing grid with common random numbers:
-    the average of |Omega| * 1{exit time > budget}, one value per t.
+    """Monte Carlo Q(t) on a nondecreasing grid with common random numbers,
+    one value per t.
 
     Starting points are uniform on the domain; the time budget is D_t or
     E_t per the time change, and t for ``time_change=None``, which means
-    ``InverseTime(DriftExponent())``.  With ``dt=None`` the walk uses
-    n_steps per path with a per-path step t_budget/n_steps, and one unit
-    walk per path serves every row; otherwise budgets are resolved to the
-    fixed-dt grid (one-step quantization is part of the documented
-    discretization bias, which tests calibrate by step-halving).  The 95%
-    CI half width is reported as the error; the dt bias is documented, not
-    signaled.  All grid points share paths, starting points, and
-    time-change randomness, so the estimates are exactly monotone
-    nonincreasing in t (up to the fixed-dt budget quantization, shared
-    across the grid).  One t is the one-point grid.
+    ``InverseTime(DriftExponent())``.  With a fixed ``dt`` budgets are
+    resolved to the fixed-dt grid (one-step quantization is part of the
+    documented discretization bias, which tests calibrate by
+    step-halving), and Q(t) is the average of |Omega| * 1{exit time >
+    budget} ("monte_carlo").  With ``dt=None`` the walk uses n_steps per
+    path with a per-path step h(t)/n_steps, and one unit walk per path
+    serves every row.  Where the time change draws h(t) exactly (every
+    ``SubordinatorTime``; ``InverseTime`` of the stable family and the
+    drift, so also ``None``) the start point is integrated out: Q(t) is
+    |Omega| minus the average deficit min(L, (h(t)/n_steps)^(1/alpha) R),
+    R the unit walk's range ("monte_carlo_range"), whose variance is a few
+    times lower than the indicator's.  The inverse tempered and
+    sum-of-stables clocks have no exact E_t sampler, so they average the
+    indicator, asked exactly as D_{u*} > t ("monte_carlo").  The 95% CI
+    half width of the average is reported as the error; the step bias is
+    documented, not signaled.  All grid points share paths, starting
+    points, and time-change randomness, so the estimates are exactly
+    monotone nonincreasing in t (up to the fixed-dt budget quantization,
+    shared across the grid).  One t is the one-point grid.
     """
     time_change = _time_change(time_change, InverseTime(DriftExponent()))
     ts = list(ts)
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t grid must be nondecreasing")
     _validate_mc_args(ts, n_paths, dt, n_steps)
-    counts = _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, workers)
-    return _mc_values(domain, ts, counts, n_paths)
+    sums = _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, workers)
+    if _range_route(time_change, dt):
+        return _range_values(domain, ts, sums, n_paths)
+    return _survivor_values(domain, ts, sums, n_paths)

@@ -14,9 +14,11 @@ a bias band calibrated by step-halving instead.
 Scale freedom: a walk of n steps of size dt has positions
 x0 + dt^(1/alpha) S_j, with S_j the partial sums of standard variates,
 so one unit walk answers every step size at once.  One kernel walks the
-unit partial sums and keeps their running max and min, and
+unit partial sums and keeps their running max and min;
 :func:`critical_scales` turns them into the scale below which each
-path stays inside.  The mean of the continuum supremum needs no walk:
+path stays inside, and the heat-content Monte Carlo takes their
+difference, the range, against which a uniform start point integrates
+out.  The mean of the continuum supremum needs no walk:
 it is ``asymptotics.expected_supremum``, from Spitzer's identity.
 
 Memory: both walks draw into buffers allocated once per call and reused

@@ -11,7 +11,8 @@ its Laplace functional E[exp(-a E_t)] of the inverse
 E_t = inf{u : D_u > t}, and its fixed-dt step budgets
 #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt): the base counts them on
 the grid, all paths grown together, and the stable family
-(E_t =d (t / D_1)^beta) and the drift floor their exact E_t.  The
+(E_t =d (t / D_1)^beta) and the drift floor the exact E_t of their
+``inverse_times``, which adaptive Monte Carlo draws directly.  The
 functional takes a whole array of a (one per eigenvalue): the base
 inverts phi(s) / (s (phi(s) + a)) on one Talbot contour, evaluating phi
 once per node; only the drift (exp(-a t)) overrides it.
@@ -77,6 +78,10 @@ class LaplaceExponent:
 
     # longest increment drawn at the cost of one variate per path
     piece_length = math.inf
+    # exact E_t per (t, path), coupled along the grid: a method
+    # inverse_times(ts, size, rng) where the exponent has one (the stable
+    # family and the drift), None where it has not
+    inverse_times = None
 
     def increments(self, delta, size, rng: np.random.Generator) -> np.ndarray:
         """Independent increments D_delta, exact in distribution; ``delta``
@@ -142,10 +147,15 @@ class StableExponent(LaplaceExponent):
     def increments(self, delta, size, rng):
         return _scaled_stable(rng, self.beta, delta, _root(delta, self.beta), size)
 
-    def inverse_steps(self, ts, dt, size, rng):
-        """Floored exact E_t =d (t / D_1)^beta, one D_1 per path (self-similarity)."""
+    def inverse_times(self, ts, size, rng):
+        """Exact E_t =d (t / D_1)^beta per (t, path), one D_1 per path
+        (self-similarity), so each path's E_t is nondecreasing along ``ts``."""
         s = sample_positive_stable(rng, self.beta, size)
-        return _floor_steps((np.asarray(ts, dtype=float)[:, None] / s[None, :]) ** self.beta, dt)
+        return (np.asarray(ts, dtype=float)[:, None] / s[None, :]) ** self.beta
+
+    def inverse_steps(self, ts, dt, size, rng):
+        """Floored exact E_t."""
+        return _floor_steps(self.inverse_times(ts, size, rng), dt)
 
 
 @dataclass(frozen=True)
@@ -277,9 +287,13 @@ class DriftExponent(LaplaceExponent):
     def laplace_functional(self, a, t, tol):
         return np.exp(-np.asarray(a, dtype=float) * t)[()]
 
+    def inverse_times(self, ts, size, rng):
+        """E_t = t per (t, path), the same for every path; no draw."""
+        return np.repeat(np.asarray(ts, dtype=float)[:, None], size, axis=1)
+
     def inverse_steps(self, ts, dt, size, rng):
-        """Floored E_t = t, the same for every path."""
-        return _floor_steps(np.repeat(np.asarray(ts, dtype=float)[:, None], size, axis=1), dt)
+        """Floored E_t = t."""
+        return _floor_steps(self.inverse_times(ts, size, rng), dt)
 
 
 # ---------------------------------------------------------------------------

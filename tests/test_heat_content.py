@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from shc_lab import (
     stable_interval_eigensystem,
     weighted_series,
 )
+from shc_lab.experiments import parse_config_file, run_experiment
 from shc_lab.seeding import derive_rng
+from shc_lab.stable_motion import critical_scales
 
 # direct summation oracles on (0, pi), generator convention e^{-t |xi|^2}
 Q_SERIES_T1 = 0.9368322222222483          # sum_odd e^{-n^2} 8/(pi n^2)
@@ -36,6 +40,8 @@ DOMAIN_PI = IntervalDomain(0.0, math.pi)
 
 # the module, which the package's attribute of the same name (a function) hides
 HEAT_CONTENT = importlib.import_module("shc_lab.heat_content")
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 ALL_EXPONENTS = [
     StableExponent(0.5),
@@ -493,3 +499,142 @@ class TestMonteCarlo:
         (a,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, seed=np.int64(2), **kw)
         (b,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, seed=2, **kw)
         assert a.value == b.value
+
+
+class FixedHorizons:
+    """A time change whose budgets h(t) are given, one row per t."""
+
+    draws_horizons = True
+
+    def __init__(self, h):
+        self.h = np.asarray(h, dtype=float)
+
+    def horizons(self, ts, size, rng):
+        return self.h
+
+
+def _comparison_estimate(alpha, spec, ts, n_paths, n_steps, seed):
+    """Q(t) and its binomial 95% CI on (0, 1) from drawn start points: path i
+    survives t exactly when E_t < u*_i = n_steps c*_i^alpha, asked as D_{u*} > t."""
+    rng = derive_rng(seed)
+    x0 = rng.uniform(0.0, 1.0, n_paths)
+    u_star = n_steps * critical_scales(alpha, 0.0, 1.0, x0, n_steps, rng) ** alpha
+    p = InverseTime(spec).budgets_below(np.asarray(ts), u_star, rng).mean(axis=1)
+    return p, 1.96 * np.sqrt(p * (1.0 - p) / n_paths)
+
+
+class TestRangeRoute:
+    """Adaptive Monte Carlo with the start point integrated out: each path
+    contributes min(L, (h(t) / n_steps)^(1/alpha) R), R its unit walk's range."""
+
+    UNIT = IntervalDomain(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "tc, method",
+        [
+            (None, "monte_carlo_range"),
+            (InverseTime(StableExponent(0.5)), "monte_carlo_range"),
+            (InverseTime(DriftExponent()), "monte_carlo_range"),
+            (SubordinatorTime(StableExponent(0.5)), "monte_carlo_range"),
+            (SubordinatorTime(TemperedStableExponent(0.5, 1.0)), "monte_carlo_range"),
+            (InverseTime(TemperedStableExponent(0.5, 1.0)), "monte_carlo"),
+            (InverseTime(SumOfStablesExponent(0.3, 0.9)), "monte_carlo"),
+        ],
+        ids=["none", "inverse-stable", "inverse-drift", "subordinate-stable",
+             "subordinate-tempered", "inverse-tempered", "inverse-sum"],
+    )
+    def test_route_label_and_origin(self, tc, method):
+        # the clock picks the route; t = 0 is |Omega| with error 0 on each
+        vals = monte_carlo_heat_content_grid(
+            1.5, DOMAIN_PI, tc, [0.0, 0.0, 0.01], n_paths=4000, dt=None, n_steps=16, seed=20
+        )
+        assert {v.method for v in vals} == {method}
+        assert [(v.value, v.error) for v in vals[:2]] == [(math.pi, 0.0)] * 2
+        assert 0.0 < vals[2].value < math.pi and vals[2].error > 0.0
+
+    def test_fixed_dt_keeps_the_indicator(self):
+        vals = monte_carlo_heat_content_grid(
+            1.5, DOMAIN_PI, InverseTime(StableExponent(0.5)), [0.0, 0.01],
+            n_paths=2000, dt=1e-3, seed=21,
+        )
+        assert [v.method for v in vals] == ["monte_carlo"] * 2
+        assert (vals[0].value, vals[0].error) == (math.pi, 0.0)
+
+    def _deficits(self, monkeypatch, h, top, bottom, length=1.0):
+        top, bottom = np.asarray(top, float), np.asarray(bottom, float)
+        monkeypatch.setattr(HEAT_CONTENT, "_unit_extremes", lambda *args: (top, bottom))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return HEAT_CONTENT._range_deficits(
+                1.5, length, FixedHorizons(h), np.zeros(len(h)), top.size, 8, derive_rng(0)
+            )
+
+    def test_zero_budget_against_infinite_range(self, monkeypatch):
+        # 0 * inf would be NaN: a zero budget moves no path, so deficit 0
+        d = self._deficits(monkeypatch, [[0.0, 0.0, 0.0]], [math.inf, 1.0, 2.0],
+                           [-1.0, -math.inf, -3.0])
+        assert d.tolist() == [[0.0, 0.0, 0.0]]
+
+    def test_infinite_budget_or_range_gives_length(self, monkeypatch):
+        d = self._deficits(
+            monkeypatch,
+            [[math.inf, 1.0, 1.0, 1e300], [math.inf, math.inf, 8.0, 1e300]],
+            [1.0, math.inf, 1e-3, 1e300],
+            [-1.0, -1.0, 0.0, -1e300],
+            length=2.5,
+        )
+        # (1 / 8)^(2/3) * 1e-3 = 2.5e-4 and (8 / 8)^(2/3) * 1e-3 = 1e-3 stay
+        # below L; (1e300 / 8)^(2/3) * 2e300 passes the float range and caps at L
+        assert d[0].tolist() == [2.5, 2.5, pytest.approx(2.5e-4), 2.5]
+        assert d[1].tolist() == [2.5, 2.5, pytest.approx(1e-3), 2.5]
+
+    @pytest.mark.parametrize(
+        "tc",
+        [None, SubordinatorTime(TemperedStableExponent(0.5, 1.0)), InverseTime(StableExponent(0.3))],
+        ids=["none", "subordinate-tempered", "inverse-stable"],
+    )
+    def test_worker_count_invariance_and_monotone_deficits(self, tc):
+        ts = [1e-4, 1e-3, 1e-3, 0.01, 0.1, 1.0]
+        kw = dict(n_paths=20_000, dt=None, n_steps=16, seed=22)
+        a = monte_carlo_heat_content_grid(1.5, self.UNIT, tc, ts, workers=1, **kw)
+        b = monte_carlo_heat_content_grid(1.5, self.UNIT, tc, ts, workers=2, **kw)
+        assert a == b
+        deficits = [1.0 - v.value for v in a]
+        assert all(x <= y for x, y in zip(deficits, deficits[1:]))
+        assert 0.0 < deficits[0] and deficits[-1] <= 1.0
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0])
+    def test_agrees_with_comparison_estimate(self, alpha):
+        # the same law, the same walk bias at n_steps: the two estimates of
+        # one Q(t) differ by their noise alone, within 2.5 times the combined
+        # 95% half-width (about 4.9 standard deviations)
+        spec, ts, n_paths, n_steps = StableExponent(0.5), [1e-4, 1e-3, 1e-2, 0.1], 20_000, 32
+        vals = monte_carlo_heat_content_grid(
+            alpha, self.UNIT, InverseTime(spec), ts, n_paths=n_paths, dt=None,
+            n_steps=n_steps, seed=23,
+        )
+        p, ci = _comparison_estimate(alpha, spec, ts, n_paths, n_steps, seed=24)
+        for v, q, w in zip(vals, p, ci):
+            assert 0.02 < q < 0.98
+            assert abs(v.value - q) <= 2.5 * math.hypot(v.error, w)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.7])
+    def test_narrower_than_binomial(self, alpha):
+        # at equal paths and seed every row's CI is no wider than the
+        # survivor indicator's binomial CI
+        spec, ts, n_paths, n_steps = StableExponent(0.5), [1e-4, 1e-3, 1e-2, 0.1], 20_000, 32
+        vals = monte_carlo_heat_content_grid(
+            alpha, self.UNIT, InverseTime(spec), ts, n_paths=n_paths, dt=None,
+            n_steps=n_steps, seed=25,
+        )
+        _, ci = _comparison_estimate(alpha, spec, ts, n_paths, n_steps, seed=25)
+        assert all(v.error <= w for v, w in zip(vals, ci))
+
+    def test_shipped_config_ci_no_wider_than_before(self):
+        # the shipped small_time_mc rows at 40,000 paths against the row CIs
+        # of the survivor indicator at 100,000 paths (the config's former size)
+        former = (0.00192, 0.00214, 0.00236, 0.00258, 0.00278, 0.00295, 0.00307)
+        res = run_experiment(parse_config_file(CONFIGS / "small_time_mc.cfg"))
+        assert res.config["n_paths"] == 40_000
+        assert [r.method for r in res.rows] == ["monte_carlo_range"] * 7
+        assert all(r.error_bound <= bound for r, bound in zip(res.rows, former))

@@ -313,6 +313,35 @@ class TestInverseSteps:
         assert sizes and max(sizes) <= sub._STEP_BLOCK
 
 
+class TestInverseTimes:
+    """Exact E_t per (t, path), where an exponent has it."""
+
+    def test_only_stable_and_drift_draw_inverse_times(self):
+        assert TemperedStableExponent(0.5, 2.0).inverse_times is None
+        assert SumOfStablesExponent(0.3, 0.9).inverse_times is None
+        assert callable(StableExponent(0.5).inverse_times)
+        assert callable(DriftExponent().inverse_times)
+
+    def test_stable_is_the_self_similar_closed_form(self):
+        # one D_1 per path: E_t = (t / D_1)^beta with the sampler's own draws,
+        # and the fixed-dt budgets floor exactly those values
+        ts, beta = np.array([0.0, 1e-3, 0.2, 0.2, 1.0]), 0.3
+        spec = StableExponent(beta)
+        e = spec.inverse_times(ts, 1000, derive_rng(44))
+        s = sample_positive_stable(derive_rng(44), beta, 1000)
+        assert np.array_equal(e, (ts[:, None] / s[None, :]) ** beta)
+        assert np.all(e[0] == 0.0) and np.all(np.diff(e, axis=0) >= 0.0)
+        k = spec.inverse_steps(ts, 1e-3, 1000, derive_rng(44))
+        assert np.array_equal(k, np.floor(e / 1e-3 + 1e-9).astype(np.int64))
+
+    def test_drift_is_t_without_draws(self):
+        rng = derive_rng(45)
+        state = rng.bit_generator.state
+        e = DriftExponent().inverse_times([0.0, 0.5, 2.0], 3, rng)
+        assert e.tolist() == [[0.0] * 3, [0.5] * 3, [2.0] * 3]
+        assert rng.bit_generator.state == state
+
+
 class TestExactInverseSampler:
     def test_mean_moment_identity(self):
         # E[E_1] = 1/Gamma(1.5) = 2/sqrt(pi)
