@@ -15,29 +15,27 @@ its budgets are whole steps (``step_budgets``), and each path walks only
 up to its largest grid budget: the walk's budget-ordered layout ties a
 path's variates to the budgets alone.
 
+One estimator serves every route: path i contributes a deficit d_i(t) in
+[0, L], L = |Omega|, and Q(t) is |Omega| minus the mean deficit, with the
+95% CI of that mean; only the deficit differs.  With a fixed dt it is
+L * 1{exit step <= budget}, from a uniform start point ("monte_carlo").
 In adaptive mode (``dt=None``) path i takes n_steps steps of size
 h_i(t) / n_steps, so its positions are x0 + c_i(t) S_ij with
 c_i(t) = (h_i(t) / n_steps)^(1/alpha) and S_ij one unit walk that serves
-every grid point.  On (a, b) of length L that walk stays inside exactly
-when a - c min_j S_j < x0 < b - c max_j S_j, so the start points that
-survive fill a length (L - c R)^+, R = max_j S_j - min_j S_j the unit
-walk's range, and the uniform start point integrates out in closed form:
-
-    |Omega| - Q(t) = E[min(L, (h(t) / n_steps)^(1/alpha) R)].
-
-The range route ("monte_carlo_range") averages this deficit, one per path,
-wherever the time change draws h(t) exactly: every ``SubordinatorTime``
-(D_t from its increments) and ``InverseTime`` of the stable family and the
-drift, whose E_t = (t / D_1)^beta and E_t = t are closed forms
-(``inverse_times``).  It draws no start point, and its variance is a few
-times lower than that of the comparison route's 0/1 survivor indicator.
-The inverse tempered and sum-of-stables clocks have no exact E_t sampler,
-so they take the comparison route ("monte_carlo"): x0 is drawn, path i
-survives t exactly when h_i(t) < u*_i = n_steps c*_i^alpha
-(``stable_motion.critical_scales``), and the time change answers
-"E_t < u*?" (``budgets_below``) as D_{u*} > t (Meerschaert & Scheffler,
-J. Appl. Probab. 41, 2004), exact for every exponent, with no E_t sampled.
-Both routes share the walk's bias at a given n_steps.
+every grid point.  That walk stays inside (a, b) exactly when
+a - c min_j S_j < x0 < b - c max_j S_j, so from a uniform x0 it survives
+scale c with chance (L - c R)^+ / L, R = max_j S_j - min_j S_j the unit
+walk's range.  Where the time change draws h(t) exactly (every
+``SubordinatorTime``, and ``InverseTime`` of the stable family and the
+drift, whose E_t have closed forms, ``inverse_times``) x0 integrates out:
+d = min(L, c(t) R) ("monte_carlo_range"), a few times less variable than
+an indicator.  The inverse tempered and sum-of-stables clocks have no
+exact E_t sampler, so they keep the indicator ("monte_carlo"):
+d = L * 1{h(t) >= u*}, u* = n_steps (Y / R)^alpha with Y uniform on
+(0, L], as P(Y / R > c) is that same (L - c R)^+ / L.  The time change
+answers "E_t < u*?" (``budgets_below``) as D_{u*} > t (Meerschaert &
+Scheffler, J. Appl. Probab. 41, 2004), exact for every exponent, with no
+E_t sampled.  Both adaptive routes share the walk's bias at a given n_steps.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ import numpy as np
 from .errors import ValidationError
 from .seeding import _check_integer, derive_rng
 from .spectral import EigenSystem, IntervalDomain, weighted_series
-from .stable_motion import _unit_extremes, critical_scales, walk_exit_steps
+from .stable_motion import _unit_extremes, walk_exit_steps
 from .subordinators import (
     DriftExponent,
     LaplaceExponent,
@@ -79,12 +77,12 @@ class HeatContentValue:
     """One heat-content evaluation: value with its error accounting.
 
     ``error`` is a certified series tail bound for the series/transform
-    methods and a 95% CI half width for Monte Carlo: of the survivor
-    fraction for ``monte_carlo`` (fixed dt, and adaptive under the inverse
-    tempered and sum-of-stables clocks), of the mean per-path deficit
-    min(L, (h(t) / n_steps)^(1/alpha) R) for ``monte_carlo_range``
-    (adaptive under every other clock); neither includes the walk's step
-    bias.  For ``transform``
+    methods and, for Monte Carlo, the 95% CI half width of the mean
+    per-path deficit: L times the loss indicator for ``monte_carlo``
+    (fixed dt, and adaptive under the inverse tempered and sum-of-stables
+    clocks), min(L, (h(t) / n_steps)^(1/alpha) R) for
+    ``monte_carlo_range`` (adaptive under every other clock); neither
+    includes the walk's step bias.  For ``transform``
     it is the series tail alone: the Talbot node gap of each weight (at
     most 1e-9, ``expected_laplace``'s tolerance) is not included.  Nor, on
     eigen data from ``stable_interval_eigensystem``, is the measured gap
@@ -173,7 +171,9 @@ class InverseTime:
 
     Every route is exact in distribution for every exponent: fixed-dt
     step counts on the walk's own grid; in adaptive mode E_t itself where
-    the exponent draws it (``horizons``), else "E_t < u*?" by D_{u*}.
+    the exponent draws it (``horizons``), else "E_t < u*?" by D_{u*}, with
+    u* the budget a path's unit walk and uniform Y survive
+    (``budgets_below``).
     """
 
     spec: LaplaceExponent
@@ -230,28 +230,25 @@ def _replica_sizes(n_paths: int) -> list[int]:
     return [REPLICA_PATHS] * full + ([rem] if rem else [])
 
 
-def _range_route(time_change, dt) -> bool:
-    """Whether x0 is integrated out: adaptive mode with h(t) drawn exactly."""
-    return dt is None and time_change.draws_horizons
-
-
 def _replica_task(args) -> np.ndarray:
-    """Sums over one replica's paths: on the range route the deficits and
-    their squares, shape (2, len(ts)), else survivor counts, (len(ts),)."""
+    """Sums over one replica's paths of the per-path deficits and of their
+    squares, shape (2, len(ts))."""
     (alpha, a, b, time_change, ts, size, dt, n_steps, seed, replica) = args
     rng = derive_rng(seed, replica)
     ts = np.asarray(ts, float)
-    if _range_route(time_change, dt):
+    if dt is not None:
+        deficits = _exit_deficits(alpha, a, b, time_change, ts, size, dt, rng)
+    elif time_change.draws_horizons:
         deficits = _range_deficits(alpha, b - a, time_change, ts, size, n_steps, rng)
-        return np.stack([deficits.sum(axis=1), np.square(deficits).sum(axis=1)])
+    else:
+        deficits = _indicator_deficits(alpha, b - a, time_change, ts, size, n_steps, rng)
+    return np.stack([deficits.sum(axis=1), np.square(deficits).sum(axis=1)])
+
+
+def _exit_deficits(alpha, a, b, time_change, ts, size, dt, rng) -> np.ndarray:
+    """L * 1{exit step <= budget} per (t, path) for the fixed-dt walk from a
+    uniform start point."""
     x0 = rng.uniform(a, b, size)
-    if dt is None:
-        # path i survives t exactly when h_i(t) < u*_i; a c* too large to
-        # raise to alpha survives every t, so inf is the right u* for it
-        c_star = critical_scales(alpha, a, b, x0, n_steps, rng)
-        with np.errstate(over="ignore"):
-            u_star = n_steps * c_star ** alpha
-        return np.count_nonzero(time_change.budgets_below(ts, u_star, rng), axis=1)
     # budgets are coupled across the grid, so each path's budget is
     # nondecreasing in t; each path walks up to its largest grid budget,
     # and a survivor's exit step is that budget + 1, so it exceeds every
@@ -260,7 +257,22 @@ def _replica_task(args) -> np.ndarray:
     steps = walk_exit_steps(
         alpha, a, b, x0, np.float64(dt ** (1.0 / alpha)), ks.max(axis=0), rng
     )
-    return np.count_nonzero(steps > ks, axis=1)
+    return np.where(steps > ks, 0.0, b - a)
+
+
+def _indicator_deficits(alpha, length, time_change, ts, size, n_steps, rng) -> np.ndarray:
+    """L * 1{E_t >= u*} per (t, path), u* = n_steps (Y / R)^alpha with R the
+    range of the path's unit walk and Y uniform on (0, L]: the scale Y / R,
+    below which the walk survives, has the law of the critical scale of a
+    uniform start point, P(Y / R > c) = (L - c R)^+ / L."""
+    top, bottom = _unit_extremes(alpha, size, n_steps, rng)
+    # Y > 0, so E_0 = 0 < u* and t = 0 loses nothing
+    y = (1.0 - rng.random(size)) * length
+    # R = 0 gives u* = inf, R = inf gives u* = 0, and a u* past the float
+    # range is inf, which survives every t
+    with np.errstate(divide="ignore", over="ignore"):
+        u_star = n_steps * (y / (top - bottom)) ** alpha
+    return np.where(time_change.budgets_below(ts, u_star, rng), 0.0, length)
 
 
 def _range_deficits(alpha, length, time_change, ts, size, n_steps, rng) -> np.ndarray:
@@ -305,24 +317,16 @@ def _validate_mc_args(t_grid, n_paths, dt, n_steps):
         raise ValidationError(f"dt must be finite and > 0, got {dt}")
 
 
-def _survivor_values(domain, ts, counts, n_paths) -> list[HeatContentValue]:
-    """|Omega| times the survivor fraction at each t, with its 95% CI."""
+def _values(domain, ts, sums, n_paths, method) -> list[HeatContentValue]:
+    """|Omega| minus the mean deficit at each t, with the 95% CI of that mean."""
     vol = domain.volume
     out = []
-    for t, c in zip(ts, counts):
-        p = c / n_paths
-        ci = 1.96 * vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
-        out.append(HeatContentValue(t=float(t), value=vol * p, method="monte_carlo", error=ci))
-    return out
-
-
-def _range_values(domain, ts, sums, n_paths) -> list[HeatContentValue]:
-    """|Omega| minus the mean deficit at each t, with the 95% CI of that mean."""
-    out = []
     for t, total, squares in zip(ts, *sums):
-        mean = float(total) / n_paths
+        # deficits lie in [0, L], but the rounded sum of n deficits of L
+        # can put their mean above L, which would make Q negative
+        mean = min(float(total) / n_paths, vol)
         ci = 1.96 * math.sqrt(max(float(squares) / n_paths - mean * mean, 0.0) / n_paths)
-        out.append(HeatContentValue(float(t), domain.volume - mean, "monte_carlo_range", ci))
+        out.append(HeatContentValue(float(t), vol - mean, method, ci))
     return out
 
 
@@ -340,27 +344,26 @@ def monte_carlo_heat_content_grid(
     """Monte Carlo Q(t) on a nondecreasing grid with common random numbers,
     one value per t.
 
-    Starting points are uniform on the domain; the time budget is D_t or
-    E_t per the time change, and t for ``time_change=None``, which means
-    ``InverseTime(DriftExponent())``.  With a fixed ``dt`` budgets are
-    resolved to the fixed-dt grid (one-step quantization is part of the
-    documented discretization bias, which tests calibrate by
-    step-halving), and Q(t) is the average of |Omega| * 1{exit time >
-    budget} ("monte_carlo").  With ``dt=None`` the walk uses n_steps per
-    path with a per-path step h(t)/n_steps, and one unit walk per path
-    serves every row.  Where the time change draws h(t) exactly (every
-    ``SubordinatorTime``; ``InverseTime`` of the stable family and the
-    drift, so also ``None``) the start point is integrated out: Q(t) is
-    |Omega| minus the average deficit min(L, (h(t)/n_steps)^(1/alpha) R),
-    R the unit walk's range ("monte_carlo_range"), whose variance is a few
-    times lower than the indicator's.  The inverse tempered and
-    sum-of-stables clocks have no exact E_t sampler, so they average the
-    indicator, asked exactly as D_{u*} > t ("monte_carlo").  The 95% CI
-    half width of the average is reported as the error; the step bias is
-    documented, not signaled.  All grid points share paths, starting
-    points, and time-change randomness, so the estimates are exactly
-    monotone nonincreasing in t (up to the fixed-dt budget quantization,
-    shared across the grid).  One t is the one-point grid.
+    Q(t) is |Omega| minus the mean per-path deficit, and the error is the
+    95% CI half width of that mean; the walk's step bias is documented,
+    not signaled.  Starting points are uniform on the domain; the time
+    budget is D_t or E_t per the time change, and t for
+    ``time_change=None``, which means ``InverseTime(DriftExponent())``.
+    With a fixed ``dt`` budgets are resolved to the fixed-dt grid
+    (one-step quantization is part of the documented discretization bias,
+    which tests calibrate by step-halving), and the deficit is
+    |Omega| * 1{exit step <= budget} ("monte_carlo").  With ``dt=None``
+    each path takes n_steps steps of size h(t)/n_steps, and one unit walk
+    per path serves every row: where the time change draws h(t) exactly
+    (every ``SubordinatorTime``; ``InverseTime`` of the stable family and
+    the drift, so also ``None``) the start point integrates out into the
+    deficit min(L, (h(t)/n_steps)^(1/alpha) R), R the unit walk's range
+    ("monte_carlo_range"); the inverse tempered and sum-of-stables clocks
+    keep the deficit L * 1{D_{u*} <= t}, u* = n_steps (Y / R)^alpha with Y
+    uniform on (0, L] ("monte_carlo").  All grid points share paths,
+    starting points, and time-change randomness, so the estimates are
+    exactly monotone nonincreasing in t (up to the fixed-dt budget
+    quantization, shared across the grid).  One t is the one-point grid.
     """
     time_change = _time_change(time_change, InverseTime(DriftExponent()))
     ts = list(ts)
@@ -368,6 +371,7 @@ def monte_carlo_heat_content_grid(
         raise ValidationError("t grid must be nondecreasing")
     _validate_mc_args(ts, n_paths, dt, n_steps)
     sums = _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, workers)
-    if _range_route(time_change, dt):
-        return _range_values(domain, ts, sums, n_paths)
-    return _survivor_values(domain, ts, sums, n_paths)
+    # x0 integrates out in adaptive mode wherever h(t) is drawn exactly
+    range_route = dt is None and time_change.draws_horizons
+    method = "monte_carlo_range" if range_route else "monte_carlo"
+    return _values(domain, ts, sums, n_paths, method)

@@ -14,11 +14,11 @@ a bias band calibrated by step-halving instead.
 Scale freedom: a walk of n steps of size dt has positions
 x0 + dt^(1/alpha) S_j, with S_j the partial sums of standard variates,
 so one unit walk answers every step size at once.  One kernel walks the
-unit partial sums and keeps their running max and min;
-:func:`critical_scales` turns them into the scale below which each
-path stays inside, and the heat-content Monte Carlo takes their
-difference, the range, against which a uniform start point integrates
-out.  The mean of the continuum supremum needs no walk:
+unit partial sums and keeps their running max and min: the walk of scale
+c from x0 stays inside (a, b) exactly when x0 + c max_j S_j < b and
+x0 + c min_j S_j > a, so for a uniform x0 only the range
+R = max_j S_j - min_j S_j matters, which the heat-content Monte Carlo
+uses.  The mean of the continuum supremum needs no walk:
 it is ``asymptotics.expected_supremum``, from Spitzer's identity.
 
 Memory: both walks draw into buffers allocated once per call and reused
@@ -42,7 +42,6 @@ from .special import _blocks, _half_angle_sine
 __all__ = [
     "sample_symmetric_stable",
     "walk_exit_steps",
-    "critical_scales",
 ]
 
 
@@ -233,34 +232,3 @@ def _unit_extremes(
         total[:] = sums[-1]
         done += k
     return top, bottom
-
-
-def critical_scales(
-    alpha: float,
-    a: float,
-    b: float,
-    x0: np.ndarray,
-    n_steps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per path, the scale c* below which an n_steps walk stays in (a, b).
-
-    Each path walks the unit partial sums S_j = z_1 + ... + z_j, j <=
-    n_steps, of standard symmetric alpha-stable variates; the walk with
-    step scale c has positions x0 + c S_j, so it stays inside (a, b)
-    through step n_steps exactly when c < c*, with
-
-        c* = min((b - x0) / max_j S_j, (x0 - a) / (-min_j S_j)),
-
-    a side whose extreme has the wrong sign giving +inf.  ``x0`` must
-    lie in (a, b).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    top, bottom = _unit_extremes(alpha, n, n_steps, rng)
-    # masked divisions: an extreme of the wrong sign never binds
-    upper = np.full(n, np.inf)
-    np.divide(b - x0, top, out=upper, where=top > 0.0)
-    lower = np.full(n, np.inf)
-    np.divide(x0 - a, -bottom, out=lower, where=bottom < 0.0)
-    return np.minimum(upper, lower)

@@ -29,7 +29,7 @@ from shc_lab import (
 )
 from shc_lab.experiments import parse_config_file, run_experiment
 from shc_lab.seeding import derive_rng
-from shc_lab.stable_motion import critical_scales
+from shc_lab.stable_motion import _unit_extremes
 
 # direct summation oracles on (0, pi), generator convention e^{-t |xi|^2}
 Q_SERIES_T1 = 0.9368322222222483          # sum_odd e^{-n^2} 8/(pi n^2)
@@ -351,8 +351,8 @@ class TestMonteCarlo:
         assert vals[1].value < math.pi
 
     def test_adaptive_inverse_draws_bounded_pieces(self, monkeypatch):
-        # one step at alpha = 2 puts u* = c*^2 up to 2.7e12 over these 100k
-        # paths; D_{u*} is drawn in pieces no longer than the tempered
+        # one step at alpha = 2 puts u* = (Y / R)^2 up to 1.5e10 over these
+        # 100k paths; D_{u*} is drawn in pieces no longer than the tempered
         # exponent's cheap piece, and only until it passes max(ts), so the
         # whole grid costs a few pieces per path
         spec = TemperedStableExponent(0.5, 2.0)
@@ -513,12 +513,26 @@ class FixedHorizons:
         return self.h
 
 
+class StableWithoutInverseTimes(StableExponent):
+    """The stable clock without its exact E_t sampler: adaptive Monte Carlo
+    takes the indicator route on it, as on the tempered and sum clocks."""
+
+    inverse_times = None
+
+
 def _comparison_estimate(alpha, spec, ts, n_paths, n_steps, seed):
     """Q(t) and its binomial 95% CI on (0, 1) from drawn start points: path i
-    survives t exactly when E_t < u*_i = n_steps c*_i^alpha, asked as D_{u*} > t."""
+    survives t exactly when E_t < u*_i = n_steps c*_i^alpha, asked as D_{u*} > t,
+    with c*_i the scale below which its unit walk stays inside from x0_i."""
     rng = derive_rng(seed)
     x0 = rng.uniform(0.0, 1.0, n_paths)
-    u_star = n_steps * critical_scales(alpha, 0.0, 1.0, x0, n_steps, rng) ** alpha
+    top, bottom = _unit_extremes(alpha, n_paths, n_steps, rng)
+    # an extreme of the wrong sign never binds
+    c_star = np.minimum(
+        np.divide(1.0 - x0, top, out=np.full(n_paths, np.inf), where=top > 0.0),
+        np.divide(x0, -bottom, out=np.full(n_paths, np.inf), where=bottom < 0.0),
+    )
+    u_star = n_steps * c_star ** alpha
     p = InverseTime(spec).budgets_below(np.asarray(ts), u_star, rng).mean(axis=1)
     return p, 1.96 * np.sqrt(p * (1.0 - p) / n_paths)
 
@@ -588,6 +602,27 @@ class TestRangeRoute:
         assert d[0].tolist() == [2.5, 2.5, pytest.approx(2.5e-4), 2.5]
         assert d[1].tolist() == [2.5, 2.5, pytest.approx(1e-3), 2.5]
 
+    def test_indicator_budget_at_zero_or_infinite_range(self, monkeypatch):
+        # a walk of range 0 never leaves (u* = inf), one of range inf leaves
+        # at every scale (u* = 0); neither divides with a warning
+        top, bottom = np.array([0.0, math.inf, 1.0]), np.array([0.0, -1.0, -1.0])
+        monkeypatch.setattr(HEAT_CONTENT, "_unit_extremes", lambda *args: (top, bottom))
+        asked = []
+
+        class Recorded:
+            def budgets_below(self, ts, u_star, rng):
+                asked.append(u_star)
+                return np.array([[True, False, True]])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = HEAT_CONTENT._indicator_deficits(
+                1.5, 2.5, Recorded(), np.zeros(1), 3, 8, derive_rng(0)
+            )
+        (u_star,) = asked
+        assert u_star[0] == math.inf and u_star[1] == 0.0 and 0.0 < u_star[2] < math.inf
+        assert d.tolist() == [[0.0, 2.5, 0.0]]
+
     @pytest.mark.parametrize(
         "tc",
         [None, SubordinatorTime(TemperedStableExponent(0.5, 1.0)), InverseTime(StableExponent(0.3))],
@@ -617,6 +652,41 @@ class TestRangeRoute:
         for v, q, w in zip(vals, p, ci):
             assert 0.02 < q < 0.98
             assert abs(v.value - q) <= 2.5 * math.hypot(v.error, w)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.7])
+    def test_indicator_route_agrees_with_range_route(self, alpha):
+        # one clock, the same law of the walk's critical scale: Y / R for the
+        # indicator, the integrated start point for the range route; within
+        # 2.5 times the combined 95% half-width
+        ts, kw = [1e-4, 1e-3, 1e-2, 0.1], dict(n_paths=40_000, dt=None, n_steps=32)
+        by_range = monte_carlo_heat_content_grid(
+            alpha, self.UNIT, InverseTime(StableExponent(0.5)), ts, seed=26, **kw
+        )
+        by_indicator = monte_carlo_heat_content_grid(
+            alpha, self.UNIT, InverseTime(StableWithoutInverseTimes(0.5)), ts, seed=27, **kw
+        )
+        assert [v.method for v in by_indicator] == ["monte_carlo"] * len(ts)
+        for r, i in zip(by_range, by_indicator):
+            assert 0.0 < i.value < 1.0
+            assert abs(r.value - i.value) <= 2.5 * math.hypot(r.error, i.error)
+
+    def test_fixed_dt_error_is_the_binomial_ci(self):
+        # deficits of L or 0: Q(t) is |Omega| times a survivor fraction p, and
+        # the CI of the mean deficit is the binomial one at that p
+        n = 2000
+        vals = monte_carlo_heat_content_grid(
+            1.5, DOMAIN_PI, None, [0.0, 0.01, 0.05, 0.2, 0.5, 50.0], n_paths=n, dt=0.01, seed=3
+        )
+        counts = [v.value * n / math.pi for v in vals]
+        assert all(abs(c - round(c)) <= 1e-9 for c in counts)
+        ps = [round(c) / n for c in counts]
+        assert ps[0] == 1.0 and 0.0 < ps[-2] < ps[1] < 1.0 and ps[-1] == 0.0
+        for v, p in zip(vals[:-1], ps):
+            want = 1.96 * math.pi * math.sqrt(p * (1.0 - p) / n)
+            assert v.error == pytest.approx(want, rel=1e-12, abs=0.0)
+        # every path lost: the sum of n deficits of pi rounds above n pi here,
+        # and Q stays 0, not -1.3e-15; the error is that rounding, not a CI
+        assert vals[-1].value == 0.0 and vals[-1].error <= 1e-8
 
     @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.7])
     def test_narrower_than_binomial(self, alpha):

@@ -13,7 +13,7 @@ from shc_lab import (
     sample_symmetric_stable,
 )
 from shc_lab.seeding import derive_rng
-from shc_lab.stable_motion import _UNIT_BLOCK, _unit_extremes, critical_scales, walk_exit_steps
+from shc_lab.stable_motion import _UNIT_BLOCK, _unit_extremes, walk_exit_steps
 
 # P(|X| > 10) for the standard Cauchy (scale 1)
 CAUCHY_TAIL_AT_10 = 0.06345103486110704
@@ -231,8 +231,14 @@ def _inside_brute_force(a, b, x0, sums, scales):
     return np.all((pos > a) & (pos < b), axis=1)
 
 
+def _inside_by_extremes(a, b, x0, top, bottom, scales):
+    """inside[k, i]: x0_i + scales[k] * top_i < b and x0_i + scales[k] * bottom_i > a."""
+    return (x0 + scales[:, None] * top < b) & (x0 + scales[:, None] * bottom > a)
+
+
 class TestCriticalScales:
-    """c < c* exactly when the unit walk scaled by c stays inside."""
+    """The unit walk scaled by c stays inside exactly when its extremes do,
+    so ``_unit_extremes`` decides survival at every scale c at once."""
 
     def test_dyadic_walks_match_brute_force(self, monkeypatch):
         import shc_lab.stable_motion as sm
@@ -251,23 +257,25 @@ class TestCriticalScales:
             return out
 
         monkeypatch.setattr(sm, "sample_symmetric_stable", fixed)
-        c_star = critical_scales(1.5, 0.0, 1.0, x0, 4, derive_rng(0))
+        top, bottom = _unit_extremes(1.5, 4, 4, derive_rng(0))
         # S hits 0 (paths 0, 1, 3), stays 0 (path 2), or never goes up (path 1)
-        assert c_star.tolist() == [0.5, 0.5, math.inf, 0.0625]
+        assert (top.tolist(), bottom.tolist()) == ([1.0, 0.0, 0.0, 2.0], [0.0, -0.5, 0.0, -2.0])
         scales = np.array([0.0, 0.03125, 0.0625, 0.25, 0.4375, 0.5, 1.0, 8.0])
         inside = _inside_brute_force(0.0, 1.0, x0, np.cumsum(z, axis=0), scales)
-        assert np.array_equal(scales[:, None] < c_star[None, :], inside)
+        # the critical scales 0.5, 0.5, inf and 0.0625
+        assert np.array_equal(scales[:, None] < np.array([0.5, 0.5, math.inf, 0.0625]), inside)
+        assert np.array_equal(_inside_by_extremes(0.0, 1.0, x0, top, bottom, scales), inside)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
     def test_random_walks_match_brute_force(self, alpha):
         x0 = derive_rng(100).uniform(0.0, 1.0, 200)
-        c_star = critical_scales(alpha, 0.0, 1.0, x0, 50, derive_rng(101))
+        top, bottom = _unit_extremes(alpha, 200, 50, derive_rng(101))
         # 200 paths fit one block, so these are the walk's own variates
         sums = np.cumsum(sample_symmetric_stable(derive_rng(101), alpha, (50, 200)), axis=0)
         scales = np.concatenate([[0.0], np.logspace(-4, 1, 41)])
         inside = _inside_brute_force(0.0, 1.0, x0, sums, scales)
         assert inside.any() and not inside.all()
-        assert np.array_equal(scales[:, None] < c_star[None, :], inside)
+        assert np.array_equal(_inside_by_extremes(0.0, 1.0, x0, top, bottom, scales), inside)
 
     def test_draws_capped_per_block(self, monkeypatch):
         import shc_lab.stable_motion as sm
@@ -280,8 +288,7 @@ class TestCriticalScales:
             return original(rng, alpha, size, out=out)
 
         monkeypatch.setattr(sm, "sample_symmetric_stable", counting)
-        x0 = np.array([0.2, 0.5, 0.9])
-        c_star = critical_scales(1.5, 0.0, 1.0, x0, 10 ** 5, derive_rng(102))
+        top, bottom = _unit_extremes(1.5, 3, 10 ** 5, derive_rng(102))
         assert len(sizes) > 1
         assert all(math.prod(size) <= sm._UNIT_BLOCK for size in sizes)
         assert sum(math.prod(size) for size in sizes) == 3 * 10 ** 5
@@ -290,11 +297,10 @@ class TestCriticalScales:
         rng = derive_rng(102)
         z = np.concatenate([original(rng, 1.5, size) for size in sizes])
         sums = np.cumsum(z, axis=0)
-        top, bottom = sums.max(axis=0), sums.min(axis=0)
-        assert np.all((top > 0.0) & (bottom < 0.0))
-        np.testing.assert_allclose(
-            c_star, np.minimum((1.0 - x0) / top, x0 / -bottom), rtol=1e-9
-        )
+        want_top, want_bottom = sums.max(axis=0), sums.min(axis=0)
+        assert np.all((want_top > 0.0) & (want_bottom < 0.0))
+        np.testing.assert_allclose(top, want_top, rtol=1e-9)
+        np.testing.assert_allclose(bottom, want_bottom, rtol=1e-9)
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
