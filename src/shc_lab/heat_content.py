@@ -10,32 +10,34 @@ fixed-size replicas with derived seeds, so results do not depend on the
 worker count, and draws in a fixed per-replica order, so a common seed
 gives common random numbers across a t-grid (and estimates exactly
 monotone in t).  Each time change draws its own randomness;
-``time_change=None``, the identity E_t = t, draws none.  With a fixed dt
-its budgets are whole steps (``step_budgets``), and each path walks only
-up to its largest grid budget: the walk's budget-ordered layout ties a
-path's variates to the budgets alone.
+``time_change=None``, the identity E_t = t, draws none.
 
-One estimator serves every route: path i contributes a deficit d_i(t) in
-[0, L], L = |Omega|, and Q(t) is |Omega| minus the mean deficit, with the
-95% CI of that mean; only the deficit differs.  With a fixed dt it is
-L * 1{exit step <= budget}, from a uniform start point ("monte_carlo").
-In adaptive mode (``dt=None``) path i takes n_steps steps of size
-h_i(t) / n_steps, so its positions are x0 + c_i(t) S_ij with
-c_i(t) = (h_i(t) / n_steps)^(1/alpha) and S_ij one unit walk that serves
-every grid point.  That walk stays inside (a, b) exactly when
-a - c min_j S_j < x0 < b - c max_j S_j, so from a uniform x0 it survives
-scale c with chance (L - c R)^+ / L, R = max_j S_j - min_j S_j the unit
-walk's range.  Where the time change draws h(t) exactly (every
-``SubordinatorTime``, and ``InverseTime`` of the stable family and the
-drift, whose E_t have closed forms, ``inverse_times``) x0 integrates out:
-d = min(L, c(t) R) ("monte_carlo_range"), a few times less variable than
-an indicator.  The inverse tempered and sum-of-stables clocks have no
-exact E_t sampler, so they keep the indicator ("monte_carlo"):
-d = L * 1{h(t) >= u*}, u* = n_steps (Y / R)^alpha with Y uniform on
-(0, L], as P(Y / R > c) is that same (L - c R)^+ / L.  The time change
-answers "E_t < u*?" (``budgets_below``) as D_{u*} > t (Meerschaert &
-Scheffler, J. Appl. Probab. 41, 2004), exact for every exponent, with no
-E_t sampled.  Both adaptive routes share the walk's bias at a given n_steps.
+One estimator serves every route: path i contributes a deficit d_i(t), a
+fraction of L = |Omega| in [0, 1], and Q(t) is L times one minus the mean
+deficit, with L times the 95% CI of that mean.  One kernel,
+``stable_motion._unit_extremes``, walks the unit partial sums S_j of every
+route and reads their max and min at each path's step budget.  The walk
+of scale c from x0 stays inside (a, b) through step k exactly when
+a - c min_{j<=k} S_j < x0 < b - c max_{j<=k} S_j, so from a uniform x0 it
+survives with chance (L - c R)^+ / L, R = max - min the unit walk's
+range: x0 integrates out, and no start point is drawn.
+
+- Fixed ``dt``: path i walks its K_i(t) whole steps of size dt within
+  h(t) (``_step_budgets``: floored h(t) where the time change draws it,
+  else D counted on the dt grid), and d = min(1, dt^(1/alpha) R(t) / L),
+  R(t) the range through step K(t) ("monte_carlo_range").
+- Adaptive (``dt=None``): path i takes n_steps steps of size
+  h_i(t) / n_steps, so one unit walk serves every grid point.  Where the
+  time change draws h(t) exactly (every ``SubordinatorTime``, and
+  ``InverseTime`` of the stable family and the drift, ``inverse_times``)
+  d = min(1, (h(t) / n_steps)^(1/alpha) R / L) ("monte_carlo_range").
+  The inverse tempered and sum-of-stables clocks have no exact E_t
+  sampler, so they keep the indicator ("monte_carlo"): d = 1{h(t) >= u*},
+  u* = n_steps (Y / R)^alpha with Y uniform on (0, L], as P(Y / R > c) is
+  that same (L - c R)^+ / L.  The time change answers "E_t < u*?"
+  (``budgets_below``) as D_{u*} > t (Meerschaert & Scheffler, J. Appl.
+  Probab. 41, 2004), exact for every exponent, with no E_t sampled.  Both
+  adaptive routes share the walk's bias at a given n_steps.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 from .errors import ValidationError
 from .seeding import _check_integer, derive_rng
 from .spectral import EigenSystem, IntervalDomain, weighted_series
-from .stable_motion import _unit_extremes, walk_exit_steps
+from .stable_motion import _unit_extremes
 from .subordinators import (
     DriftExponent,
     LaplaceExponent,
@@ -77,12 +79,13 @@ class HeatContentValue:
     """One heat-content evaluation: value with its error accounting.
 
     ``error`` is a certified series tail bound for the series/transform
-    methods and, for Monte Carlo, the 95% CI half width of the mean
-    per-path deficit: L times the loss indicator for ``monte_carlo``
-    (fixed dt, and adaptive under the inverse tempered and sum-of-stables
-    clocks), min(L, (h(t) / n_steps)^(1/alpha) R) for
-    ``monte_carlo_range`` (adaptive under every other clock); neither
-    includes the walk's step bias.  For ``transform``
+    methods and, for Monte Carlo, L = |Omega| times the 95% CI half width
+    of the mean per-path deficit fraction: min(1, c R / L), c the step
+    scale and R the unit walk's range, for ``monte_carlo_range`` (fixed
+    dt, and adaptive wherever the clock draws h(t) exactly); the loss
+    indicator for ``monte_carlo`` (adaptive under the inverse tempered and
+    sum-of-stables clocks).  Neither includes the walk's step bias.  A row
+    where every path is lost (or none) has error 0.  For ``transform``
     it is the series tail alone: the Talbot node gap of each weight (at
     most 1e-9, ``expected_laplace``'s tolerance) is not included.  Nor, on
     eigen data from ``stable_interval_eigensystem``, is the measured gap
@@ -158,22 +161,16 @@ class SubordinatorTime:
             prev_t = float(t)
         return out
 
-    def step_budgets(
-        self, ts: np.ndarray, dt: float, size: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Whole steps of size dt within D_t per (t, path)."""
-        return _floor_steps(self.horizons(ts, size, rng), dt)
-
 
 @dataclass(frozen=True)
 class InverseTime:
     """Run the outer motion up to E_t (inverse-subordinator time change).
 
-    Every route is exact in distribution for every exponent: fixed-dt
-    step counts on the walk's own grid; in adaptive mode E_t itself where
-    the exponent draws it (``horizons``), else "E_t < u*?" by D_{u*}, with
-    u* the budget a path's unit walk and uniform Y survive
-    (``budgets_below``).
+    Every route is exact in distribution for every exponent: E_t itself
+    where the exponent draws it (``horizons``); else, with a fixed dt, step
+    counts of D on the walk's own grid (``LaplaceExponent.inverse_steps``)
+    and, in adaptive mode, "E_t < u*?" by D_{u*}, with u* the budget a
+    path's unit walk and uniform Y survive (``budgets_below``).
     """
 
     spec: LaplaceExponent
@@ -191,12 +188,6 @@ class InverseTime:
     def horizons(self, ts: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
         """E_t per (t, path), coupled along the grid; needs ``draws_horizons``."""
         return self.spec.inverse_times(ts, size, rng)
-
-    def step_budgets(
-        self, ts: np.ndarray, dt: float, size: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """#{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) per (t, path)."""
-        return self.spec.inverse_steps(ts, dt, size, rng)
 
     def budgets_below(self, ts: np.ndarray, u_star: np.ndarray, rng) -> np.ndarray:
         """E_t < u* per (t, path), as the event D_{u*} > t.  D_{u*} is drawn
@@ -231,70 +222,78 @@ def _replica_sizes(n_paths: int) -> list[int]:
 
 
 def _replica_task(args) -> np.ndarray:
-    """Sums over one replica's paths of the per-path deficits and of their
-    squares, shape (2, len(ts))."""
-    (alpha, a, b, time_change, ts, size, dt, n_steps, seed, replica) = args
+    """Sums over one replica's paths of the per-path deficit fractions and
+    of their squares, shape (2, len(ts))."""
+    (alpha, length, time_change, ts, size, dt, n_steps, seed, replica) = args
     rng = derive_rng(seed, replica)
     ts = np.asarray(ts, float)
-    if dt is not None:
-        deficits = _exit_deficits(alpha, a, b, time_change, ts, size, dt, rng)
-    elif time_change.draws_horizons:
-        deficits = _range_deficits(alpha, b - a, time_change, ts, size, n_steps, rng)
+    if _takes_range(time_change, dt):
+        deficits = _range_deficits(alpha, length, time_change, ts, size, dt, n_steps, rng)
     else:
-        deficits = _indicator_deficits(alpha, b - a, time_change, ts, size, n_steps, rng)
+        deficits = _indicator_deficits(alpha, length, time_change, ts, size, n_steps, rng)
     return np.stack([deficits.sum(axis=1), np.square(deficits).sum(axis=1)])
 
 
-def _exit_deficits(alpha, a, b, time_change, ts, size, dt, rng) -> np.ndarray:
-    """L * 1{exit step <= budget} per (t, path) for the fixed-dt walk from a
-    uniform start point."""
-    x0 = rng.uniform(a, b, size)
-    # budgets are coupled across the grid, so each path's budget is
-    # nondecreasing in t; each path walks up to its largest grid budget,
-    # and a survivor's exit step is that budget + 1, so it exceeds every
-    # budget of the grid
-    ks = time_change.step_budgets(ts, dt, size, rng)
-    steps = walk_exit_steps(
-        alpha, a, b, x0, np.float64(dt ** (1.0 / alpha)), ks.max(axis=0), rng
-    )
-    return np.where(steps > ks, 0.0, b - a)
+def _step_budgets(time_change, ts, dt, size, rng) -> np.ndarray:
+    """Whole steps of size dt within h(t) per (t, path), int64 and
+    nondecreasing in t: the floored h(t) where the time change draws it,
+    else #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt), D on the dt grid."""
+    if time_change.draws_horizons:
+        return _floor_steps(time_change.horizons(ts, size, rng), dt)
+    return time_change.spec.inverse_steps(ts, dt, size, rng)
 
 
 def _indicator_deficits(alpha, length, time_change, ts, size, n_steps, rng) -> np.ndarray:
-    """L * 1{E_t >= u*} per (t, path), u* = n_steps (Y / R)^alpha with R the
+    """1{E_t >= u*} per (t, path), u* = n_steps (Y / R)^alpha with R the
     range of the path's unit walk and Y uniform on (0, L]: the scale Y / R,
     below which the walk survives, has the law of the critical scale of a
     uniform start point, P(Y / R > c) = (L - c R)^+ / L."""
-    top, bottom = _unit_extremes(alpha, size, n_steps, rng)
+    top, bottom = _unit_extremes(alpha, np.full((1, size), n_steps), math.inf, rng)
     # Y > 0, so E_0 = 0 < u* and t = 0 loses nothing
     y = (1.0 - rng.random(size)) * length
     # R = 0 gives u* = inf, R = inf gives u* = 0, and a u* past the float
     # range is inf, which survives every t
     with np.errstate(divide="ignore", over="ignore"):
-        u_star = n_steps * (y / (top - bottom)) ** alpha
-    return np.where(time_change.budgets_below(ts, u_star, rng), 0.0, length)
+        u_star = n_steps * (y / (top[0] - bottom[0])) ** alpha
+    return np.where(time_change.budgets_below(ts, u_star, rng), 0.0, 1.0)
 
 
-def _range_deficits(alpha, length, time_change, ts, size, n_steps, rng) -> np.ndarray:
-    """min(L, (h(t) / n_steps)^(1/alpha) R) per (t, path), R the range of
-    the path's unit walk; nondecreasing in t, as h(t) is."""
-    top, bottom = _unit_extremes(alpha, size, n_steps, rng)
-    h = time_change.horizons(ts, size, rng)
-    # past the float range a range, scale or product is inf, which caps at
-    # L; a zero scale (h = 0, as at t = 0) leaves 0 even against R = inf
+def _takes_range(time_change, dt) -> bool:
+    """Whether the deficit scales the walk's range: everywhere but the
+    adaptive route of a clock with no exact h(t) sampler."""
+    return dt is not None or time_change.draws_horizons
+
+
+def _range_deficits(alpha, length, time_change, ts, size, dt, n_steps, rng) -> np.ndarray:
+    """min(1, c R / L) per (t, path), R the range of the path's unit walk at
+    scale c, nondecreasing in t: with a fixed dt, c = dt^(1/alpha) and R is
+    read at the path's whole steps within h(t), and the walk stops once
+    every range reaches L / c; adaptive, R is read after n_steps steps and
+    c = (h(t) / n_steps)^(1/alpha).  Past the float range a range, scale or
+    product is inf, which caps at 1; a zero scale (h = 0, as at t = 0) or
+    range leaves 0 even against an infinite other factor."""
+    if dt is not None:
+        scale = dt ** (1.0 / alpha)
+        budgets = _step_budgets(time_change, ts, dt, size, rng)
+        top, bottom = _unit_extremes(alpha, budgets, length / scale, rng)
+    else:
+        top, bottom = _unit_extremes(alpha, np.full((1, size), n_steps), math.inf, rng)
+        h = time_change.horizons(ts, size, rng)
+        with np.errstate(over="ignore"):
+            scale = (h / n_steps) ** (1.0 / alpha)
     with np.errstate(over="ignore"):
-        span = top - bottom
-        scale = (h / n_steps) ** (1.0 / alpha)
-        deficits = np.multiply(
+        scale, span = np.broadcast_arrays(scale, top - bottom)
+        out = np.multiply(
             scale, span, out=np.zeros(scale.shape), where=(scale > 0.0) & (span > 0.0)
         )
-    return np.minimum(deficits, length, out=deficits)
+        out /= length
+    return np.minimum(out, 1.0, out=out)
 
 
 def _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, workers):
     sizes = _replica_sizes(n_paths)
     tasks = [
-        (alpha, domain.a, domain.b, time_change, tuple(ts), m, dt, n_steps, seed, r)
+        (alpha, domain.volume, time_change, tuple(ts), m, dt, n_steps, seed, r)
         for r, m in enumerate(sizes)
     ]
     if workers > 1 and len(tasks) > 1:
@@ -313,20 +312,24 @@ def _validate_mc_args(t_grid, n_paths, dt, n_steps):
         raise ValidationError(f"t must be finite and >= 0, got {bad_t[0]}")
     if dt is None:
         _check_integer("n_steps (adaptive mode)", n_steps, 1)
+    elif n_steps is not None:
+        raise ValidationError(f"give dt or n_steps, not both: dt={dt}, n_steps={n_steps}")
     elif not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be finite and > 0, got {dt}")
 
 
 def _values(domain, ts, sums, n_paths, method) -> list[HeatContentValue]:
-    """|Omega| minus the mean deficit at each t, with the 95% CI of that mean."""
+    """|Omega| times one minus the mean deficit fraction at each t, with
+    |Omega| times the 95% CI of that mean.  Fractions of 0 and 1 sum
+    exactly, so a row where every path is lost reads 0 +- 0."""
     vol = domain.volume
     out = []
     for t, total, squares in zip(ts, *sums):
-        # deficits lie in [0, L], but the rounded sum of n deficits of L
-        # can put their mean above L, which would make Q negative
-        mean = min(float(total) / n_paths, vol)
+        # deficits lie in [0, 1], but a rounded sum of n of them can put
+        # their mean above 1, which would make Q negative
+        mean = min(float(total) / n_paths, 1.0)
         ci = 1.96 * math.sqrt(max(float(squares) / n_paths - mean * mean, 0.0) / n_paths)
-        out.append(HeatContentValue(float(t), vol - mean, method, ci))
+        out.append(HeatContentValue(float(t), vol * (1.0 - mean), method, vol * ci))
     return out
 
 
@@ -342,28 +345,20 @@ def monte_carlo_heat_content_grid(
     workers: int = 1,
 ) -> list[HeatContentValue]:
     """Monte Carlo Q(t) on a nondecreasing grid with common random numbers,
-    one value per t.
+    one value per t: |Omega| times one minus the mean per-path deficit
+    fraction, with |Omega| times the 95% CI half width of that mean as the
+    error; the walk's step bias is documented, not signaled.
 
-    Q(t) is |Omega| minus the mean per-path deficit, and the error is the
-    95% CI half width of that mean; the walk's step bias is documented,
-    not signaled.  Starting points are uniform on the domain; the time
-    budget is D_t or E_t per the time change, and t for
+    The time budget h(t) is D_t or E_t per the time change, and t for
     ``time_change=None``, which means ``InverseTime(DriftExponent())``.
-    With a fixed ``dt`` budgets are resolved to the fixed-dt grid
-    (one-step quantization is part of the documented discretization bias,
-    which tests calibrate by step-halving), and the deficit is
-    |Omega| * 1{exit step <= budget} ("monte_carlo").  With ``dt=None``
-    each path takes n_steps steps of size h(t)/n_steps, and one unit walk
-    per path serves every row: where the time change draws h(t) exactly
-    (every ``SubordinatorTime``; ``InverseTime`` of the stable family and
-    the drift, so also ``None``) the start point integrates out into the
-    deficit min(L, (h(t)/n_steps)^(1/alpha) R), R the unit walk's range
-    ("monte_carlo_range"); the inverse tempered and sum-of-stables clocks
-    keep the deficit L * 1{D_{u*} <= t}, u* = n_steps (Y / R)^alpha with Y
-    uniform on (0, L] ("monte_carlo").  All grid points share paths,
-    starting points, and time-change randomness, so the estimates are
-    exactly monotone nonincreasing in t (up to the fixed-dt budget
-    quantization, shared across the grid).  One t is the one-point grid.
+    Give ``dt`` (each path walks its whole steps of size dt within h(t);
+    the one-step quantization is part of the documented bias, which tests
+    calibrate by step-halving) or ``n_steps`` (each path takes n_steps
+    steps of size h(t)/n_steps), not both.  Start points are uniform on
+    the domain and integrate out through each walk's range; the module
+    docstring gives each route's deficit and label.  All grid points share
+    paths and time-change randomness, so the estimates are exactly
+    monotone nonincreasing in t.  One t is the one-point grid.
     """
     time_change = _time_change(time_change, InverseTime(DriftExponent()))
     ts = list(ts)
@@ -371,7 +366,5 @@ def monte_carlo_heat_content_grid(
         raise ValidationError("t grid must be nondecreasing")
     _validate_mc_args(ts, n_paths, dt, n_steps)
     sums = _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, workers)
-    # x0 integrates out in adaptive mode wherever h(t) is drawn exactly
-    range_route = dt is None and time_change.draws_horizons
-    method = "monte_carlo_range" if range_route else "monte_carlo"
+    method = "monte_carlo_range" if _takes_range(time_change, dt) else "monte_carlo"
     return _values(domain, ts, sums, n_paths, method)

@@ -1,32 +1,30 @@
-"""One-dimensional symmetric alpha-stable motion: increments, interval
-exits, and the extremes of the unit walk.
+"""One-dimensional symmetric alpha-stable motion: increments and the
+extremes of the unit walk.
 
 Conventions: the process has characteristic function
 E[exp(i xi Y_t)] = exp(-t |xi|^alpha); at alpha = 2 this is a Brownian
 motion whose increment over dt has variance 2 dt.
 
-The exit-time scheme is a fixed-step Euler walk on exact increments.
-For alpha = 2 it misses intra-step boundary crossings and so
-overestimates exit times; for alpha < 2 jump exits dominate and the
-bias is milder.  No exact-crossing correction is applied; tests carry
-a bias band calibrated by step-halving instead.
-
-Scale freedom: a walk of n steps of size dt has positions
+Scale freedom: a walk of k steps of size dt has positions
 x0 + dt^(1/alpha) S_j, with S_j the partial sums of standard variates,
-so one unit walk answers every step size at once.  One kernel walks the
-unit partial sums and keeps their running max and min: the walk of scale
-c from x0 stays inside (a, b) exactly when x0 + c max_j S_j < b and
-x0 + c min_j S_j > a, so for a uniform x0 only the range
-R = max_j S_j - min_j S_j matters, which the heat-content Monte Carlo
-uses.  The mean of the continuum supremum needs no walk:
+so one unit walk answers every step size and start point at once.  The
+one walk kernel, ``_unit_extremes``, keeps the running max and min of
+S_j and reads them at each path's step budget: the walk of scale c from
+x0 stays inside (a, b) through step k exactly when x0 + c max_{j<=k} S_j
+< b and x0 + c min_{j<=k} S_j > a, so for a uniform x0 only the range
+R = max - min matters, which the heat-content Monte Carlo uses.  This is
+a fixed-step Euler walk on exact increments: for alpha = 2 it misses
+intra-step boundary crossings and so overestimates exit times; for
+alpha < 2 jump exits dominate and the bias is milder.  No exact-crossing
+correction is applied; tests carry a bias band calibrated by
+step-halving instead.  The mean of the continuum supremum needs no walk:
 it is ``asymptotics.expected_supremum``, from Spitzer's identity.
 
-Memory: both walks draw into buffers allocated once per call and reused
-(``sample_symmetric_stable(..., out=)``): the exit walk one vector for
-every step, the unit walk one block of steps, whose partial sums it forms
-in place.  The sampler itself evaluates its formula in place, in scratch
-vectors of ``special._VARIATE_BLOCK`` entries, so a walk allocates nothing
-per step or block and the variates are bit for bit those of the allocating
+Memory: the walk draws each block of steps into one buffer allocated once
+per call (``sample_symmetric_stable(..., out=)``) and forms its partial
+sums in place.  The sampler itself evaluates its formula in place, in
+scratch vectors of ``special._VARIATE_BLOCK`` entries, so no block
+allocates its variates and they are bit for bit those of the allocating
 whole-array formulas.
 """
 
@@ -41,7 +39,6 @@ from .special import _blocks, _half_angle_sine
 
 __all__ = [
     "sample_symmetric_stable",
-    "walk_exit_steps",
 ]
 
 
@@ -129,35 +126,93 @@ def _cms(x: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray, alpha: floa
     np.multiply(b, a, out=x)
 
 
-def walk_exit_steps(
-    alpha: float,
-    a: float,
-    b: float,
-    x0: np.ndarray,
-    scale: float,
-    n_steps: int | np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized Euler walk; returns the 1-based step index of first exit.
+# variates per block of the unit walk: bounds its memory whatever the budgets
+_UNIT_BLOCK = 1 << 17
 
-    ``scale`` is the increment scale dt^(1/alpha), shared by all paths,
-    and ``n_steps`` the per-path step budget (a scalar broadcasts).
-    A path that does not leave (a, b) within its budget gets the
-    sentinel budget + 1, so a budget of 0 never moves.  A jump landing
-    outside [a, b] counts as an exit (zero exterior condition).
 
-    Budget-ordered layout: paths are stably sorted by decreasing budget,
-    and step j draws one standard-stable variate for each path in the
-    prefix whose budget is at least j, whether that path is still inside
-    or not.  Which variates a path sees therefore depends only on the
-    budgets, never on other paths' exits: two walks with the same
-    budgets and one rng stream see common random numbers, and a scalar
-    budget draws one full column per step.  The walk stops at the first
-    step whose prefix holds no path still inside, since the remaining
-    exit steps are then settled.
+def _unit_extremes(
+    alpha: float, budgets: np.ndarray, cap: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of S_0 = 0, S_1, ..., S_k per (t, path), S_j the partial
+    sums of standard symmetric alpha-stable variates and k = budgets[t, path]:
+    ``budgets`` holds integers >= 0 of shape (len(ts), n_paths), and both
+    results have that shape.
+
+    Paths are stably sorted by decreasing largest budget.  Whole steps are
+    drawn in blocks of at most ``_UNIT_BLOCK`` variates (at least one step)
+    into one buffer reused by every block, each block only for the paths
+    whose largest budget exceeds its first step; so the variates a path
+    sees depend on the budgets alone (equal budgets draw whole blocks of
+    every path), and walks with the same budgets and rng stream see common
+    random numbers.  A block forms its partial sums in place, adds the
+    carried total, and advances the running max and min row by row; each
+    (t, path) reads them at its budget's row.  Memory does not grow with
+    the budgets.
+
+    The walk stops once every walking path's range max - min is at least
+    ``cap`` (inf: never); a readout past that point takes the extremes at
+    the stop, whose range already reaches cap.
     """
-    n = x0.shape[0]
-    budgets = np.asarray(n_steps)
+    budgets = _check_budgets(budgets)
+    n_t, n = budgets.shape
+    largest = budgets.max(axis=0, initial=0)
+    order = np.argsort(-largest, kind="stable")
+    # readouts by budget: readout i fills flat entry events[i] of the
+    # results from sorted path paths[i] after step steps[i]; a budget of 0
+    # reads S_0 = 0
+    flat = budgets[:, order].ravel()
+    events = np.argsort(flat, kind="stable")
+    steps, paths = flat[events], events % max(n, 1)
+    events += order[paths] - paths
+    top_at, bottom_at = np.zeros(n_t * n), np.zeros(n_t * n)
+    top, bottom, total, scratch = np.zeros(n), np.zeros(n), np.zeros(n), np.empty(n)
+    # budgets can be huge (heavy-tailed time changes), so the walking prefix
+    # m = #{largest budget > done} is advanced block by block, never tabulated
+    largest_list = largest[order].tolist()
+    n_max = largest_list[0] if n else 0
+    block = np.empty(min(max(_UNIT_BLOCK, n), n_max * n))  # reused by every block
+    done, m = 0, n
+    read = int(np.searchsorted(steps, 0, side="right"))
+    while done < n_max:
+        while largest_list[m - 1] <= done:
+            m -= 1
+        top_m, bottom_m, ext = top[:m], bottom[:m], scratch[:m]
+        if cap < math.inf:
+            # a range past the float range is inf, which reaches every cap
+            with np.errstate(over="ignore"):
+                if np.subtract(top_m, bottom_m, out=ext).min() >= cap:
+                    break
+        k = min(max(1, _UNIT_BLOCK // m), n_max - done)
+        sums = sample_symmetric_stable(rng, alpha, (k, m), out=block[: k * m].reshape(k, m))
+        # in place, row by row: the partial sums np.cumsum(axis=0) forms
+        for i in range(1, k):
+            sums[i] += sums[i - 1]
+        sums += total[:m]
+        total[:m] = sums[-1]
+        # ends[i]: readouts through step done + i + 1, taken after row i; the
+        # extremes advance at once over the rows up to each row that reads
+        ends = np.searchsorted(steps, np.arange(done + 1, done + k + 1), side="right")
+        first = 0
+        for last in [*np.flatnonzero(np.diff(ends[:-1], prepend=read)).tolist(), k - 1]:
+            rows = sums[first : last + 1]
+            np.maximum(top_m, rows[0] if last == first else rows.max(axis=0, out=ext), out=top_m)
+            np.minimum(bottom_m, rows[0] if last == first else rows.min(axis=0, out=ext), out=bottom_m)
+            _read(top_at, bottom_at, top, bottom, events, paths, read, ends[last])
+            read, first = ends[last], last + 1
+        done += k
+    _read(top_at, bottom_at, top, bottom, events, paths, read, events.size)
+    return top_at.reshape(n_t, n), bottom_at.reshape(n_t, n)
+
+
+def _read(top_at, bottom_at, top, bottom, events, paths, start, stop) -> None:
+    """Readouts ``start`` to ``stop`` take their paths' current extremes."""
+    top_at[events[start:stop]] = top[paths[start:stop]]
+    bottom_at[events[start:stop]] = bottom[paths[start:stop]]
+
+
+def _check_budgets(budgets) -> np.ndarray:
+    """``budgets`` as int64, or ``ValidationError`` unless integers >= 0."""
+    budgets = np.asarray(budgets)
     integral = np.issubdtype(budgets.dtype, np.integer)
     if not integral or np.any(budgets < 0):
         # a summary, not the array: budgets come one per path
@@ -167,68 +222,4 @@ def walk_exit_steps(
             f"step budgets must be integers >= 0, got dtype {budgets.dtype} with "
             f"{n_bad} bad of {budgets.size} entries, minimum {low}"
         )
-    budgets = np.broadcast_to(budgets.astype(np.int64), (n,))
-    order = np.argsort(-budgets, kind="stable")
-    sorted_budgets = budgets[order]
-    x = np.asarray(x0, dtype=float)[order]
-    exit_sorted = sorted_budgets + 1
-    alive = np.ones(n, dtype=bool)
-    # budgets can be huge (heavy-tailed time changes), so the prefix length
-    # m = #{budget >= j} is advanced step by step, never tabulated
-    budget_list = sorted_budgets.tolist()
-    n_max = budget_list[0] if n else 0
-    m = n
-    step = np.empty(n)  # one buffer for every step's draws
-    for j in range(1, n_max + 1):
-        while budget_list[m - 1] < j:
-            m -= 1
-        live = alive[:m]
-        if not live.any():
-            break
-        inc = sample_symmetric_stable(rng, alpha, m, out=step[:m])
-        inc *= scale
-        # a path that has left stays put: its increment times False is 0.0
-        # (NaN for an infinite one, and its position is never read again),
-        # cheaper than a masked update, and every live increment keeps its bits
-        inc *= live
-        xm = x[:m]
-        xm += inc
-        out = live & ~((xm > a) & (xm < b))
-        exit_sorted[:m][out] = j
-        live &= ~out
-    exit_step = np.empty(n, dtype=np.int64)
-    exit_step[order] = exit_sorted
-    return exit_step
-
-
-# variates per block of the unit walk: bounds its memory whatever n_steps is
-_UNIT_BLOCK = 1 << 17
-
-
-def _unit_extremes(
-    alpha: float, n_paths: int, n_steps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Max and min of S_0 = 0, S_1, ..., S_n_steps per path, S_j the partial
-    sums of standard symmetric alpha-stable variates.  Whole steps are drawn
-    in blocks of at most ``_UNIT_BLOCK`` variates (at least one step) into
-    one buffer reused by every block, carrying the running sum, max and
-    min, so memory does not grow with n_steps and no block allocates."""
-    total = np.zeros(n_paths)
-    top = np.zeros(n_paths)
-    bottom = np.zeros(n_paths)
-    extreme = np.empty(n_paths)
-    rows = max(1, _UNIT_BLOCK // max(n_paths, 1))
-    block = np.empty((min(rows, n_steps), n_paths))  # reused by every block
-    done = 0
-    while done < n_steps:
-        k = min(rows, n_steps - done)
-        sums = sample_symmetric_stable(rng, alpha, (k, n_paths), out=block[:k])
-        # in place, row by row: the partial sums np.cumsum(axis=0) forms
-        for i in range(1, k):
-            sums[i] += sums[i - 1]
-        sums += total
-        np.maximum(top, sums.max(axis=0, out=extreme), out=top)
-        np.minimum(bottom, sums.min(axis=0, out=extreme), out=bottom)
-        total[:] = sums[-1]
-        done += k
-    return top, bottom
+    return budgets.astype(np.int64, copy=False)

@@ -101,7 +101,8 @@ class LaplaceExponent:
 
     def inverse_steps(self, ts, dt: float, size: int, rng) -> np.ndarray:
         """Step budgets #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) per
-        (t, path), int64 of shape (len(ts), size), coupled across the grid.
+        (t, path), int64 of shape (len(ts), size), coupled across the grid:
+        the fixed-dt budgets of the exponents without ``inverse_times``.
 
         E_t >= k dt exactly when D_{k dt} <= t.  Every path grows on the grid
         k * dt together, ``_STEP_BLOCK`` increments per block shared among the
@@ -152,10 +153,6 @@ class StableExponent(LaplaceExponent):
         (self-similarity), so each path's E_t is nondecreasing along ``ts``."""
         s = sample_positive_stable(rng, self.beta, size)
         return (np.asarray(ts, dtype=float)[:, None] / s[None, :]) ** self.beta
-
-    def inverse_steps(self, ts, dt, size, rng):
-        """Floored exact E_t."""
-        return _floor_steps(self.inverse_times(ts, size, rng), dt)
 
 
 @dataclass(frozen=True)
@@ -290,10 +287,6 @@ class DriftExponent(LaplaceExponent):
     def inverse_times(self, ts, size, rng):
         """E_t = t per (t, path), the same for every path; no draw."""
         return np.repeat(np.asarray(ts, dtype=float)[:, None], size, axis=1)
-
-    def inverse_steps(self, ts, dt, size, rng):
-        """Floored E_t = t."""
-        return _floor_steps(self.inverse_times(ts, size, rng), dt)
 
 
 # ---------------------------------------------------------------------------

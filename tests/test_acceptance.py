@@ -36,7 +36,6 @@ from shc_lab import (
     ExperimentConfig,
     IntervalDomain,
     InverseTime,
-    LaplaceExponent,
     StableExponent,
     SumOfStablesExponent,
     TemperedStableExponent,
@@ -443,11 +442,11 @@ def test_08d_sampler_ks_cross_checks():
     exact = sample_inverse_stable(0.5, 1.0, derive_rng(82), 10_000)
     ks_exact = kstest(exact, cdf).statistic
 
-    # first passage (k + 1) * 1e-3, k the base grid count at step 1e-3 (the
-    # stable exponent overrides the count with its exact E_t)
+    # first passage (k + 1) * 1e-3, k the grid count at step 1e-3 (fixed-dt
+    # Monte Carlo floors the stable exponent's exact E_t instead)
     du = 1e-3
-    fp = (LaplaceExponent.inverse_steps(
-        StableExponent(0.5), np.array([1.0]), du, 10_000, derive_rng(83_000)
+    fp = (StableExponent(0.5).inverse_steps(
+        np.array([1.0]), du, 10_000, derive_rng(83_000)
     )[0] + 1) * du
     ks_fp = kstest(fp, cdf).statistic
 

@@ -8,6 +8,7 @@ Carlo grid) or when a value moves off its reference.  The bench modules
 are imported without writing bytecode, so no file appears under bench/.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -17,17 +18,25 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("shipped_configs", "spectral_sweep", "mc_walk", "mc_first_passage")
 
 
-@pytest.fixture(scope="module")
-def bench():
+def _import_bench(name: str):
     saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
     sys.path.insert(0, str(ROOT / "bench"))
     sys.dont_write_bytecode = True
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path[:] = saved_path
         sys.dont_write_bytecode = saved_flag
-    return workloads
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return _import_bench("workloads")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _import_bench("tracing")
 
 
 def test_workload_names(bench):
@@ -41,3 +50,21 @@ def test_one_pass_matches_references(bench, name):
     assert check.attempted > 0
     assert check.correct, check.wrong
     assert check.failed == 0, check.raised
+
+
+def test_traced_walk_pass(bench, tracing):
+    # one traced mc_walk pass, as ``bench/run.py --trace 1`` takes it: the
+    # tracer skips bindings the package no longer has, puts every other one
+    # back, and counts the walk's variates through the sampler's binding
+    bound = {
+        (mod, attr): getattr(tracing.module(mod), attr, None)
+        for bindings in tracing.BINDINGS.values()
+        for mod, attr in bindings
+    }
+    check = bench.Check(bench.load_references())
+    workload = bench.build("mc_walk", ROOT, None)
+    with tracing.Tracer() as tracer:
+        workload.run_pass(check, 0)
+    assert check.correct and check.failed == 0, (check.wrong, check.raised)
+    assert all(getattr(tracing.module(mod), attr, None) is fn for (mod, attr), fn in bound.items())
+    assert tracing.layer_metrics(tracer)["stable_motion.sample_symmetric_stable.variates"] > 0

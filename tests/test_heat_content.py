@@ -216,6 +216,25 @@ class TestMonteCarlo:
         )
         assert [v.value for v in vals] == [math.pi, math.pi]
 
+    @pytest.mark.parametrize(
+        "tc, t, mode",
+        [
+            (None, 50.0, dict(dt=0.01)),
+            (None, 1e4, dict(n_steps=8)),
+            (InverseTime(TemperedStableExponent(0.5, 1.0)), 1e6, dict(n_steps=8)),
+        ],
+        ids=["fixed-dt", "adaptive-range", "adaptive-indicator"],
+    )
+    def test_all_lost_row_is_exact(self, tc, t, mode):
+        # deficits are summed as fractions of |Omega|, so a row where every
+        # path is lost reads 0 +- 0 exactly, and t = 0 still |Omega| +- 0
+        (hv,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, tc, [t], n_paths=2000, seed=3, **mode)
+        assert (hv.value, hv.error) == (0.0, 0.0)
+        zero, lost = monte_carlo_heat_content_grid(
+            1.5, DOMAIN_PI, tc, [0.0, t], n_paths=2000, seed=3, **mode
+        )
+        assert (zero.value, zero.error, lost.value, lost.error) == (math.pi, 0.0, 0.0, 0.0)
+
     def test_matches_series_alpha2(self, eig):
         t = 0.2
         (hv,) = monte_carlo_heat_content_grid(
@@ -430,6 +449,13 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             monte_carlo_heat_content_grid(1.5, DOMAIN_PI, "bogus", [0.1], n_paths=10, dt=0.01)
 
+    def test_dt_and_n_steps_together_rejected(self):
+        # n_steps has no meaning beside a fixed dt, so both are an error
+        with pytest.raises(ValidationError, match="not both"):
+            monte_carlo_heat_content_grid(
+                1.5, DOMAIN_PI, None, [0.1], n_paths=10, dt=0.01, n_steps=8
+            )
+
     @pytest.mark.parametrize(
         "count",
         [dict(n_paths=2.5), dict(n_paths=10.0), dict(n_paths=True), dict(n_steps=2.5),
@@ -526,7 +552,7 @@ def _comparison_estimate(alpha, spec, ts, n_paths, n_steps, seed):
     with c*_i the scale below which its unit walk stays inside from x0_i."""
     rng = derive_rng(seed)
     x0 = rng.uniform(0.0, 1.0, n_paths)
-    top, bottom = _unit_extremes(alpha, n_paths, n_steps, rng)
+    (top,), (bottom,) = _unit_extremes(alpha, np.full((1, n_paths), n_steps), math.inf, rng)
     # an extreme of the wrong sign never binds
     c_star = np.minimum(
         np.divide(1.0 - x0, top, out=np.full(n_paths, np.inf), where=top > 0.0),
@@ -538,8 +564,8 @@ def _comparison_estimate(alpha, spec, ts, n_paths, n_steps, seed):
 
 
 class TestRangeRoute:
-    """Adaptive Monte Carlo with the start point integrated out: each path
-    contributes min(L, (h(t) / n_steps)^(1/alpha) R), R its unit walk's range."""
+    """Monte Carlo with the start point integrated out: each path contributes
+    the fraction min(1, c R / L) of L, R its unit walk's range at scale c."""
 
     UNIT = IntervalDomain(0.0, 1.0)
 
@@ -566,21 +592,22 @@ class TestRangeRoute:
         assert [(v.value, v.error) for v in vals[:2]] == [(math.pi, 0.0)] * 2
         assert 0.0 < vals[2].value < math.pi and vals[2].error > 0.0
 
-    def test_fixed_dt_keeps_the_indicator(self):
+    def test_fixed_dt_takes_the_range(self):
         vals = monte_carlo_heat_content_grid(
             1.5, DOMAIN_PI, InverseTime(StableExponent(0.5)), [0.0, 0.01],
             n_paths=2000, dt=1e-3, seed=21,
         )
-        assert [v.method for v in vals] == ["monte_carlo"] * 2
+        assert [v.method for v in vals] == ["monte_carlo_range"] * 2
         assert (vals[0].value, vals[0].error) == (math.pi, 0.0)
 
     def _deficits(self, monkeypatch, h, top, bottom, length=1.0):
-        top, bottom = np.asarray(top, float), np.asarray(bottom, float)
+        # the kernel's extremes at equal budgets: one row of paths
+        top, bottom = np.asarray(top, float)[None, :], np.asarray(bottom, float)[None, :]
         monkeypatch.setattr(HEAT_CONTENT, "_unit_extremes", lambda *args: (top, bottom))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return HEAT_CONTENT._range_deficits(
-                1.5, length, FixedHorizons(h), np.zeros(len(h)), top.size, 8, derive_rng(0)
+                1.5, length, FixedHorizons(h), np.zeros(len(h)), top.size, None, 8, derive_rng(0)
             )
 
     def test_zero_budget_against_infinite_range(self, monkeypatch):
@@ -598,14 +625,15 @@ class TestRangeRoute:
             length=2.5,
         )
         # (1 / 8)^(2/3) * 1e-3 = 2.5e-4 and (8 / 8)^(2/3) * 1e-3 = 1e-3 stay
-        # below L; (1e300 / 8)^(2/3) * 2e300 passes the float range and caps at L
-        assert d[0].tolist() == [2.5, 2.5, pytest.approx(2.5e-4), 2.5]
-        assert d[1].tolist() == [2.5, 2.5, pytest.approx(1e-3), 2.5]
+        # below L; (1e300 / 8)^(2/3) * 2e300 passes the float range and caps
+        # at L; the deficits are fractions of L
+        assert (d[0] * 2.5).tolist() == [2.5, 2.5, pytest.approx(2.5e-4), 2.5]
+        assert (d[1] * 2.5).tolist() == [2.5, 2.5, pytest.approx(1e-3), 2.5]
 
     def test_indicator_budget_at_zero_or_infinite_range(self, monkeypatch):
         # a walk of range 0 never leaves (u* = inf), one of range inf leaves
         # at every scale (u* = 0); neither divides with a warning
-        top, bottom = np.array([0.0, math.inf, 1.0]), np.array([0.0, -1.0, -1.0])
+        top, bottom = np.array([[0.0, math.inf, 1.0]]), np.array([[0.0, -1.0, -1.0]])
         monkeypatch.setattr(HEAT_CONTENT, "_unit_extremes", lambda *args: (top, bottom))
         asked = []
 
@@ -621,7 +649,8 @@ class TestRangeRoute:
             )
         (u_star,) = asked
         assert u_star[0] == math.inf and u_star[1] == 0.0 and 0.0 < u_star[2] < math.inf
-        assert d.tolist() == [[0.0, 2.5, 0.0]]
+        # the indicator as a fraction of L
+        assert d.tolist() == [[0.0, 1.0, 0.0]]
 
     @pytest.mark.parametrize(
         "tc",
@@ -670,23 +699,39 @@ class TestRangeRoute:
             assert 0.0 < i.value < 1.0
             assert abs(r.value - i.value) <= 2.5 * math.hypot(r.error, i.error)
 
-    def test_fixed_dt_error_is_the_binomial_ci(self):
-        # deficits of L or 0: Q(t) is |Omega| times a survivor fraction p, and
-        # the CI of the mean deficit is the binomial one at that p
-        n = 2000
+    FIXED_DT_TS = [0.0, 0.01, 0.05, 0.2, 0.5, 50.0]
+
+    def _fixed_dt_pair(self, n=2000, seed=3):
+        """The fixed-dt range estimate and, from the same walks (one replica
+        of the same seed), the survivor fraction of drawn start points with
+        its binomial 95% CI."""
+        ts, dt, alpha = self.FIXED_DT_TS, 0.01, 1.5
         vals = monte_carlo_heat_content_grid(
-            1.5, DOMAIN_PI, None, [0.0, 0.01, 0.05, 0.2, 0.5, 50.0], n_paths=n, dt=0.01, seed=3
+            alpha, DOMAIN_PI, None, ts, n_paths=n, dt=dt, seed=seed
         )
-        counts = [v.value * n / math.pi for v in vals]
-        assert all(abs(c - round(c)) <= 1e-9 for c in counts)
-        ps = [round(c) / n for c in counts]
-        assert ps[0] == 1.0 and 0.0 < ps[-2] < ps[1] < 1.0 and ps[-1] == 0.0
-        for v, p in zip(vals[:-1], ps):
-            want = 1.96 * math.pi * math.sqrt(p * (1.0 - p) / n)
-            assert v.error == pytest.approx(want, rel=1e-12, abs=0.0)
-        # every path lost: the sum of n deficits of pi rounds above n pi here,
-        # and Q stays 0, not -1.3e-15; the error is that rounding, not a CI
-        assert vals[-1].value == 0.0 and vals[-1].error <= 1e-8
+        rng = derive_rng(seed, 0)
+        budgets = HEAT_CONTENT._step_budgets(InverseTime(DriftExponent()), np.array(ts), dt, n, rng)
+        top, bottom = _unit_extremes(alpha, budgets, math.inf, rng)
+        x0 = derive_rng(seed, 1).uniform(0.0, math.pi, n)
+        scale = dt ** (1.0 / alpha)
+        p = np.mean((x0 + scale * top < math.pi) & (x0 + scale * bottom > 0.0), axis=1)
+        return vals, math.pi * p, 1.96 * math.pi * np.sqrt(p * (1.0 - p) / n)
+
+    def test_fixed_dt_agrees_with_drawn_start_points(self):
+        # the same law: within 2.5 times the combined 95% half-width
+        vals, q, ci = self._fixed_dt_pair()
+        assert [v.method for v in vals] == ["monte_carlo_range"] * len(vals)
+        assert q[0] == math.pi and 0.0 < q[-2] < q[1] < math.pi and q[-1] == 0.0
+        for v, want, w in zip(vals, q, ci):
+            assert abs(v.value - want) <= 2.5 * math.hypot(v.error, w)
+
+    def test_fixed_dt_narrower_than_binomial(self):
+        # integrating x0 out narrows every row's CI; rows where no path or
+        # every path is lost have none on either side
+        vals, _, ci = self._fixed_dt_pair()
+        assert all(v.error <= w for v, w in zip(vals, ci))
+        assert (vals[0].error, vals[-1].error) == (0.0, 0.0)
+        assert all(v.error < w for v, w in zip(vals[1:-1], ci[1:-1]))
 
     @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.7])
     def test_narrower_than_binomial(self, alpha):

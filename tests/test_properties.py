@@ -22,7 +22,7 @@ from shc_lab import (
 )
 from shc_lab.experiments import _EIGEN, _FIT_POINTS, _MAX_BASIS, _STABLE_ONLY, EXPERIMENTS
 from shc_lab.seeding import derive_rng
-from shc_lab.stable_motion import walk_exit_steps
+from shc_lab.stable_motion import _unit_extremes
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-300, max_value=1e300)
@@ -183,13 +183,16 @@ def permuted_budgets(draw):
 )
 def test_walk_permutation_equivariant(case, alpha, seed):
     # with distinct budgets the budget order fixes which variates each path
-    # sees, so relabelling the paths relabels their exit steps
+    # sees, so relabelling the paths relabels their extremes and exits
     budgets, perm = case
     rng = derive_rng(seed)
     x0 = rng.uniform(0.0, 1.0, budgets.size)
     scale = rng.uniform(0.01, 0.2)
-    es = walk_exit_steps(alpha, 0.0, 1.0, x0, scale, budgets, derive_rng(seed, 1))
-    es_perm = walk_exit_steps(
-        alpha, 0.0, 1.0, x0[perm], scale, budgets[perm], derive_rng(seed, 1)
-    )
-    assert np.array_equal(es_perm, es[perm])
+
+    def walk(x0, budgets):
+        top, bottom = _unit_extremes(alpha, budgets[None, :], 1.0 / scale, derive_rng(seed, 1))
+        return top, bottom, (x0 + scale * top < 1.0) & (x0 + scale * bottom > 0.0)
+
+    walked = walk(x0, budgets)
+    for got, want in zip(walk(x0[perm], budgets[perm]), walked):
+        assert np.array_equal(got, want[:, perm])

@@ -1,4 +1,4 @@
-"""Symmetric stable increments, interval exits, the unit walk's supremum."""
+"""Symmetric stable increments, the unit walk's extremes and exits, its supremum."""
 
 import math
 
@@ -13,7 +13,7 @@ from shc_lab import (
     sample_symmetric_stable,
 )
 from shc_lab.seeding import derive_rng
-from shc_lab.stable_motion import _UNIT_BLOCK, _unit_extremes, walk_exit_steps
+from shc_lab.stable_motion import _UNIT_BLOCK, _unit_extremes
 
 # P(|X| > 10) for the standard Cauchy (scale 1)
 CAUCHY_TAIL_AT_10 = 0.06345103486110704
@@ -66,7 +66,30 @@ class TestIncrements:
             sample_symmetric_stable(derive_rng(1), 2.5, None)
 
 
+def _extremes(alpha, n_paths, n_steps, rng):
+    """The unit walk's max and min after n_steps steps, one per path: the
+    kernel at equal budgets and no cap."""
+    top, bottom = _unit_extremes(alpha, np.full((1, n_paths), n_steps), math.inf, rng)
+    return top[0], bottom[0]
+
+
+def _survives(a, b, x0, scale, top, bottom):
+    """The walk x0 + scale S_j stays inside (a, b) through each readout."""
+    return (x0 + scale * top < b) & (x0 + scale * bottom > a)
+
+
+def _exit_survival(alpha, a, b, x0, scale, budgets, rng):
+    """Survival through the step budgets (shape (len(ts), n) or (n,)) of
+    the walks of scale ``scale`` from ``x0``, capped at the domain's
+    length: past it every start point has left."""
+    top, bottom = _unit_extremes(alpha, np.atleast_2d(budgets), (b - a) / scale, rng)
+    return _survives(a, b, x0, scale, top, bottom)
+
+
 class TestSimulateExit:
+    """Exits read from the kernel's extremes: a fixed x0 survives k steps
+    exactly when x0 + c max_{j<=k} S_j < b and x0 + c min_{j<=k} S_j > a."""
+
     @pytest.mark.parametrize("alpha,min_hits", [(2.0, 185), (1.5, 185)])
     def test_boundary_start_exits_fast(self, alpha, min_hits):
         # from distance 1e-12 inside, survival of an n-step walk decays
@@ -74,11 +97,11 @@ class TestSimulateExit:
         dt, n_steps = 1e-3, int(math.ceil(0.5 / 1e-3))
         hits = 0
         for seed in range(200):
-            step = walk_exit_steps(
+            survived = _exit_survival(
                 alpha, 0.0, math.pi, np.array([math.pi - 1e-12]),
-                np.float64(dt ** (1.0 / alpha)), n_steps, derive_rng(seed),
-            )[0]
-            hits += step <= n_steps
+                dt ** (1.0 / alpha), np.array([n_steps]), derive_rng(seed),
+            )[0, 0]
+            hits += not survived
         assert hits >= min_hits
 
     def test_survival_oracle_alpha2(self):
@@ -89,10 +112,10 @@ class TestSimulateExit:
 
         def survival(dt, seed):
             steps = int(round(t / dt))
-            es = walk_exit_steps(
-                2.0, 0.0, math.pi, x0, np.float64(dt ** 0.5), steps, derive_rng(seed)
+            inside = _exit_survival(
+                2.0, 0.0, math.pi, x0, dt ** 0.5, np.full(n, steps), derive_rng(seed)
             )
-            return float(np.mean(es > steps))
+            return float(np.mean(inside))
 
         p_coarse = survival(t / 256, 60)
         p_fine = survival(t / 1024, 61)
@@ -108,10 +131,10 @@ class TestSimulateExit:
 
         def survival(dt, seed):
             steps = int(round(t / dt))
-            es = walk_exit_steps(
-                2.0, 0.0, math.pi, x0, np.float64(dt ** 0.5), steps, derive_rng(seed)
+            inside = _exit_survival(
+                2.0, 0.0, math.pi, x0, dt ** 0.5, np.full(n, steps), derive_rng(seed)
             )
-            return float(np.mean(es > steps))
+            return float(np.mean(inside))
 
         # bias(dt) = c sqrt(dt): one extra quartering halves the change
         p_a = survival(t / 32, 62)
@@ -125,8 +148,10 @@ class TestSimulateExit:
         rng = derive_rng(65)
         x0 = rng.uniform(0.0, math.pi, n)
         dt = 0.01
-        es = walk_exit_steps(1.5, 0.0, math.pi, x0, np.float64(dt ** (1 / 1.5)), 100, derive_rng(66))
-        survs = [float(np.mean(es * dt > t)) for t in (0.1, 0.3, 0.6, 0.9)]
+        # one walk read at the step budgets of t = 0.1, 0.3, 0.6, 0.9
+        budgets = np.repeat(np.array([10, 30, 60, 90])[:, None], n, axis=1)
+        inside = _exit_survival(1.5, 0.0, math.pi, x0, dt ** (1 / 1.5), budgets, derive_rng(66))
+        survs = inside.mean(axis=1).tolist()
         assert all(a >= b for a, b in zip(survs, survs[1:]))
 
     @pytest.mark.parametrize(
@@ -138,42 +163,50 @@ class TestSimulateExit:
         ],
     )
     def test_domain_monotonicity_common_numbers(self, alpha, per_path):
+        # each domain walks to its own cap; common numbers up to the
+        # earlier stop, so every path inside the small domain is inside
+        # the large one
         n = 20_000
         x0 = derive_rng(67).uniform(0.2, 0.8, n)
         dt = 1e-3
-        scale = np.float64(dt ** (1.0 / alpha))
-        steps = derive_rng(69).integers(0, 201, n) if per_path else 200
-        small = walk_exit_steps(alpha, 0.0, 1.0, x0, scale, steps, derive_rng(68))
-        large = walk_exit_steps(alpha, -0.5, 1.5, x0, scale, steps, derive_rng(68))
+        scale = dt ** (1.0 / alpha)
+        steps = derive_rng(69).integers(0, 201, n) if per_path else np.full(n, 200)
+        small = _exit_survival(alpha, 0.0, 1.0, x0, scale, steps, derive_rng(68))
+        large = _exit_survival(alpha, -0.5, 1.5, x0, scale, steps, derive_rng(68))
+        assert small.any() and not small.all()
         assert np.all(large >= small)
 
 
 class TestWalkBudgets:
-    """Per-path step budgets: paths sorted by decreasing budget, and step j
-    draws only for the paths whose budget is at least j."""
+    """Per-path step budgets: paths sorted by decreasing largest budget,
+    and a block draws only for the paths whose largest budget exceeds its
+    first step."""
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
     def test_equal_budgets_match_scalar(self, alpha):
+        # a budget repeated down the grid reads one walk at one step, and
+        # the cap changes no survival decision
         x0 = derive_rng(90).uniform(0.0, 1.0, 3000)
         scale = derive_rng(91).uniform(1e-3, 3e-2)
-        scalar = walk_exit_steps(alpha, 0.0, 1.0, x0, scale, 150, derive_rng(92))
-        array = walk_exit_steps(
-            alpha, 0.0, 1.0, x0, scale, np.full(3000, 150), derive_rng(92)
-        )
-        assert np.array_equal(scalar, array)
+        top, bottom = _extremes(alpha, 3000, 150, derive_rng(92))
+        inside = _survives(0.0, 1.0, x0, scale, top, bottom)
+        grid = _unit_extremes(alpha, np.full((3, 3000), 150), math.inf, derive_rng(92))
+        assert all(np.array_equal(g, np.tile(e, (3, 1))) for g, e in zip(grid, (top, bottom)))
+        capped = _exit_survival(alpha, 0.0, 1.0, x0, scale, np.full((3, 3000), 150), derive_rng(92))
+        assert np.array_equal(capped, np.tile(inside, (3, 1)))
 
     def test_survivor_exit_is_budget_plus_one(self):
+        # survivors outlast their budgets; a zero budget never moves
         budgets = derive_rng(93).integers(0, 60, 2000)
         budgets[:50] = 0
         x0 = derive_rng(94).uniform(0.0, 1.0, 2000)
-        es = walk_exit_steps(1.5, 0.0, 1.0, x0, np.float64(0.05), budgets, derive_rng(95))
-        exited = es <= budgets
-        assert exited.any() and not exited.all()
-        assert np.array_equal(es[~exited], budgets[~exited] + 1)
-        assert np.all(es[:50] == 1)  # a zero budget never moves
+        inside = _exit_survival(1.5, 0.0, 1.0, x0, 0.05, budgets, derive_rng(95))[0]
+        assert inside.any() and not inside.all()
+        top, bottom = _unit_extremes(1.5, budgets[None, :], 1.0 / 0.05, derive_rng(95))
+        assert np.all(inside[:50]) and not top[0, :50].any() and not bottom[0, :50].any()
         # far from the boundary nothing exits: every path survives its budget
-        far = walk_exit_steps(1.5, -1e9, 1e9, x0, np.float64(0.05), budgets, derive_rng(95))
-        assert np.array_equal(far, budgets + 1)
+        far = _exit_survival(1.5, -1e9, 1e9, x0, 0.05, budgets, derive_rng(95))
+        assert np.all(far)
 
     def test_no_draws_past_a_budget(self, monkeypatch):
         import shc_lab.stable_motion as sm
@@ -186,43 +219,86 @@ class TestWalkBudgets:
             return original(rng, alpha, size, out=out)
 
         monkeypatch.setattr(sm, "sample_symmetric_stable", counting)
+        # small blocks, so the walking prefix shrinks from block to block
+        monkeypatch.setattr(sm, "_UNIT_BLOCK", 1000)
         budgets = derive_rng(96).integers(0, 40, 500)
         x0 = derive_rng(97).uniform(0.0, 1.0, 500)
-        walk_exit_steps(2.0, -1e9, 1e9, x0, np.float64(0.01), budgets, derive_rng(98))
-        # nothing exits, so every step is walked: step j draws one variate
-        # for each path whose budget is at least j, and no more
-        assert sizes == [int(np.count_nonzero(budgets >= j)) for j in range(1, budgets.max() + 1)]
-        sizes.clear()
-        es = walk_exit_steps(2.0, 0.0, 1.0, x0, np.float64(0.05), budgets, derive_rng(98))
-        assert len(sizes) <= budgets.max()
-        for j, size in enumerate(sizes, start=1):
-            assert size == np.count_nonzero(budgets >= j)
-        assert sum(sizes) <= budgets.sum()
-        assert np.all((es <= budgets) | (es == budgets + 1))
 
-    def test_huge_budget_stops_at_exit(self):
+        def check_blocks():
+            # each block draws whole steps, at most _UNIT_BLOCK variates
+            # (at least one step), for exactly the paths whose budget
+            # exceeds its first step; no block starts past every budget
+            done = 0
+            for k, m in sizes:
+                assert m == np.count_nonzero(budgets > done) and m > 0
+                assert k * m <= 1000 or k == 1
+                done += k
+            return done
+
+        _exit_survival(2.0, -1e9, 1e9, x0, 0.01, budgets, derive_rng(98))
+        # nothing exits, so every step is walked, and no further
+        done = check_blocks()
+        assert done == budgets.max() and len(sizes) > 1
+        walked = sum(k * m for k, m in sizes)
+        sizes.clear()
+        inside = _exit_survival(2.0, 0.0, 1.0, x0, 0.05, budgets, derive_rng(98))
+        assert check_blocks() <= budgets.max()
+        assert sum(k * m for k, m in sizes) <= walked
+        assert inside.any() and not inside.all()
+
+    def test_readouts_at_each_budget(self, monkeypatch):
+        import shc_lab.stable_motion as sm
+
+        # unit steps make S_j = j, so a readout's max is its own budget;
+        # blocks of a few rows put readouts inside blocks and across them
+        def ones(rng, alpha, size, out):
+            out[...] = 1.0
+            return out
+
+        monkeypatch.setattr(sm, "sample_symmetric_stable", ones)
+        monkeypatch.setattr(sm, "_UNIT_BLOCK", 1000)
+        budgets = np.sort(derive_rng(100).integers(0, 50, (4, 300)), axis=0)
+        top, bottom = _unit_extremes(1.5, budgets, math.inf, derive_rng(0))
+        assert np.array_equal(top, budgets) and not bottom.any()
+        # capped at 7: a readout past the stop reads a range of at least 7
+        top, bottom = _unit_extremes(1.5, budgets, 7.0, derive_rng(0))
+        assert np.all(top <= budgets) and not bottom.any()
+        assert np.all(top >= np.minimum(budgets, 7))
+        assert np.array_equal(top[budgets <= 7], budgets[budgets <= 7])
+
+    def test_huge_budget_stops_at_exit(self, monkeypatch):
+        import shc_lab.stable_motion as sm
+
         # heavy-tailed time changes give budgets far beyond any walk; the
-        # walk still ends once every path in the prefix has left
+        # walk still ends once every walking path's range passes the cap
+        steps = []
+        original = sm.sample_symmetric_stable
+
+        def counting(rng, alpha, size, out=None):
+            steps.append(size[0])
+            return original(rng, alpha, size, out=out)
+
+        monkeypatch.setattr(sm, "sample_symmetric_stable", counting)
         x0 = np.full(100, 0.5)
         budgets = np.array([10 ** 15, 3] * 50)
-        es = walk_exit_steps(2.0, 0.0, 1.0, x0, np.float64(0.1), budgets, derive_rng(99))
-        assert es.max() < 10 ** 4
+        inside = _exit_survival(2.0, 0.0, 1.0, x0, 0.1, budgets, derive_rng(99))
+        assert sum(steps) < 10 ** 4
+        assert not inside[0, ::2].any()
 
     @pytest.mark.parametrize("budgets", [np.array([3, -1]), np.array([3.0, 2.5]), 2.5])
     def test_bad_budget_rejected(self, budgets):
         with pytest.raises(ValidationError):
-            walk_exit_steps(2.0, 0.0, 1.0, np.array([0.5, 0.5]), 0.1, budgets, derive_rng(0))
+            _unit_extremes(2.0, budgets, math.inf, derive_rng(0))
 
     def test_bad_budget_error_is_a_summary(self):
         # one budget per path: the message reports dtype, count and minimum
-        x0 = np.full(10_000, 0.5)
         summary = "dtype float64 with 10000 bad of 10000 entries, minimum 2.5$"
         with pytest.raises(ValidationError, match=summary):
-            walk_exit_steps(2.0, 0.0, 1.0, x0, 0.1, np.full(10_000, 2.5), derive_rng(0))
-        budgets = np.arange(10_000) - 3
+            _unit_extremes(2.0, np.full((1, 10_000), 2.5), 10.0, derive_rng(0))
+        budgets = np.arange(10_000)[None, :] - 3
         summary = "dtype int64 with 3 bad of 10000 entries, minimum -3$"
         with pytest.raises(ValidationError, match=summary):
-            walk_exit_steps(2.0, 0.0, 1.0, x0, 0.1, budgets, derive_rng(0))
+            _unit_extremes(2.0, budgets, 10.0, derive_rng(0))
 
 
 def _inside_brute_force(a, b, x0, sums, scales):
@@ -257,7 +333,7 @@ class TestCriticalScales:
             return out
 
         monkeypatch.setattr(sm, "sample_symmetric_stable", fixed)
-        top, bottom = _unit_extremes(1.5, 4, 4, derive_rng(0))
+        top, bottom = _extremes(1.5, 4, 4, derive_rng(0))
         # S hits 0 (paths 0, 1, 3), stays 0 (path 2), or never goes up (path 1)
         assert (top.tolist(), bottom.tolist()) == ([1.0, 0.0, 0.0, 2.0], [0.0, -0.5, 0.0, -2.0])
         scales = np.array([0.0, 0.03125, 0.0625, 0.25, 0.4375, 0.5, 1.0, 8.0])
@@ -269,7 +345,7 @@ class TestCriticalScales:
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
     def test_random_walks_match_brute_force(self, alpha):
         x0 = derive_rng(100).uniform(0.0, 1.0, 200)
-        top, bottom = _unit_extremes(alpha, 200, 50, derive_rng(101))
+        top, bottom = _extremes(alpha, 200, 50, derive_rng(101))
         # 200 paths fit one block, so these are the walk's own variates
         sums = np.cumsum(sample_symmetric_stable(derive_rng(101), alpha, (50, 200)), axis=0)
         scales = np.concatenate([[0.0], np.logspace(-4, 1, 41)])
@@ -288,7 +364,7 @@ class TestCriticalScales:
             return original(rng, alpha, size, out=out)
 
         monkeypatch.setattr(sm, "sample_symmetric_stable", counting)
-        top, bottom = _unit_extremes(1.5, 3, 10 ** 5, derive_rng(102))
+        top, bottom = _extremes(1.5, 3, 10 ** 5, derive_rng(102))
         assert len(sizes) > 1
         assert all(math.prod(size) <= sm._UNIT_BLOCK for size in sizes)
         assert sum(math.prod(size) for size in sizes) == 3 * 10 ** 5
@@ -310,7 +386,7 @@ def test_unit_extremes_same_bits_as_cumsum(alpha):
     n_paths, n_steps = 1_000, 300
     rows = _UNIT_BLOCK // n_paths
     assert n_steps % rows
-    top, bottom = _unit_extremes(alpha, n_paths, n_steps, derive_rng(103))
+    top, bottom = _extremes(alpha, n_paths, n_steps, derive_rng(103))
     rng, total = derive_rng(103), np.zeros(n_paths)
     want_top, want_bottom = np.zeros(n_paths), np.zeros(n_paths)
     for done in range(0, n_steps, rows):
@@ -326,7 +402,7 @@ def test_unit_extremes_same_bits_as_cumsum(alpha):
 def _grid_sup_mean(alpha, n_paths, n_steps, seed):
     """Mean of max_{0<=j<=n} S_j / n^(1/alpha) over the unit walks of
     ``_unit_extremes``, with its 95% CI half-width."""
-    top, _ = _unit_extremes(alpha, n_paths, n_steps, derive_rng(seed))
+    top, _ = _extremes(alpha, n_paths, n_steps, derive_rng(seed))
     sup = top * (1.0 / n_steps) ** (1.0 / alpha)
     return float(sup.mean()), 1.96 * math.sqrt(sup.var() / n_paths)
 

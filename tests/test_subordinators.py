@@ -9,7 +9,6 @@ from scipy.stats import kstest
 
 from shc_lab import (
     DriftExponent,
-    LaplaceExponent,
     RejectionBudgetError,
     StableExponent,
     SumOfStablesExponent,
@@ -23,6 +22,7 @@ from shc_lab import (
     sample_inverse_stable,
     sample_positive_stable,
 )
+from shc_lab.heat_content import InverseTime, _step_budgets
 from shc_lab.seeding import derive_rng
 
 # P(D_1 > 4) for the 1/2-stable subordinator (Levy distribution
@@ -212,11 +212,11 @@ class TestIncrementSamplers:
 
 def first_passage(spec, ts, size, seed, du):
     """E_t by first passage on the grid k * du: (k + 1) * du, with
-    k = #{k >= 1 : D_{k du} <= t} the grid count of the base
-    ``inverse_steps`` (the stable and drift exponents override it with
-    their exact E_t)."""
+    k = #{k >= 1 : D_{k du} <= t} the grid count of ``inverse_steps``
+    (fixed-dt Monte Carlo floors the exact E_t of the stable and drift
+    exponents instead)."""
     ts = np.asarray(ts, dtype=float)
-    return (LaplaceExponent.inverse_steps(spec, ts, du, size, derive_rng(seed)) + 1) * du
+    return (spec.inverse_steps(ts, du, size, derive_rng(seed)) + 1) * du
 
 
 class TestPathsAndFirstPassage:
@@ -259,14 +259,16 @@ class TestPathsAndFirstPassage:
 
 
 class TestInverseSteps:
-    """Fixed-dt step budgets #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt)."""
+    """Fixed-dt step budgets #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt):
+    ``_step_budgets`` floors the exact E_t where the exponent draws it and
+    counts D on the dt grid (``inverse_steps``) otherwise."""
 
     def test_grid_budgets_match_exact_law(self):
         # the base grower on the 1/2-stable exponent, whose E_1 has CDF
         # erf(x/2): P(k >= j) = P(E_1 >= j dt) = 1 - erf(j dt / 2) exactly,
         # with no grid bias.  DKW: P(sup |F_n - F| > 0.02) <= 2 e^-16 = 2.3e-7
         dt, n = 1e-2, 20_000
-        k = LaplaceExponent.inverse_steps(StableExponent(0.5), [1.0], dt, n, derive_rng(40))[0]
+        k = StableExponent(0.5).inverse_steps([1.0], dt, n, derive_rng(40))[0]
         j = np.arange(1, k.max() + 2)
         at_least_j = 1.0 - np.searchsorted(np.sort(k), j, side="left") / n
         assert np.max(np.abs(at_least_j - (1.0 - erf(j * dt / 2.0)))) <= 0.02
@@ -286,7 +288,7 @@ class TestInverseSteps:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_budgets_monotone_and_zero_at_origin(self, spec):
         ts = [0.0, 0.05, 0.05, 0.3, 1.0]
-        k = spec.inverse_steps(ts, 1e-2, 500, derive_rng(42))
+        k = _step_budgets(InverseTime(spec), np.array(ts), 1e-2, 500, derive_rng(42))
         assert k.dtype == np.int64 and k.shape == (5, 500)
         assert np.all(k[0] == 0)
         assert np.all(np.diff(k, axis=0) >= 0)
@@ -309,7 +311,7 @@ class TestInverseSteps:
         # the base first passage grows on the same capped blocks
         sizes.clear()
         du = 1e-3
-        (LaplaceExponent.inverse_steps(spec, np.array([0.5, 1.0]), du, 512, derive_rng(43)) + 1) * du
+        (spec.inverse_steps(np.array([0.5, 1.0]), du, 512, derive_rng(43)) + 1) * du
         assert sizes and max(sizes) <= sub._STEP_BLOCK
 
 
@@ -331,7 +333,7 @@ class TestInverseTimes:
         s = sample_positive_stable(derive_rng(44), beta, 1000)
         assert np.array_equal(e, (ts[:, None] / s[None, :]) ** beta)
         assert np.all(e[0] == 0.0) and np.all(np.diff(e, axis=0) >= 0.0)
-        k = spec.inverse_steps(ts, 1e-3, 1000, derive_rng(44))
+        k = _step_budgets(InverseTime(spec), ts, 1e-3, 1000, derive_rng(44))
         assert np.array_equal(k, np.floor(e / 1e-3 + 1e-9).astype(np.int64))
 
     def test_drift_is_t_without_draws(self):
