@@ -6,7 +6,6 @@ from .asymptotics import (
     FROZEN_SUP_MEAN,
     Regime,
     classify_regime,
-    expected_monotonized_xlog,
     expected_supremum,
     expected_xlog,
     frac_perimeter_interval,
@@ -71,7 +70,6 @@ from .subordinators import (
     expected_laplace,
     inverse_time_transform,
     sample_increments,
-    sample_inverse_stable,
     sample_positive_stable,
 )
 

@@ -56,7 +56,6 @@ from .stable_motion import _unit_extremes
 from .subordinators import (
     DriftExponent,
     LaplaceExponent,
-    _floor_steps,
     expected_laplace,
     sample_increments,
 )
@@ -232,6 +231,12 @@ def _replica_task(args) -> np.ndarray:
     else:
         deficits = _indicator_deficits(alpha, length, time_change, ts, size, n_steps, rng)
     return np.stack([deficits.sum(axis=1), np.square(deficits).sum(axis=1)])
+
+
+def _floor_steps(times: np.ndarray, dt: float) -> np.ndarray:
+    """Whole steps of size dt within each time, as int64; the 1e-9 keeps a
+    time that is an exact multiple of dt from losing a step to round-off."""
+    return np.floor(times / dt + 1e-9).astype(np.int64)
 
 
 def _step_budgets(time_change, ts, dt, size, rng) -> np.ndarray:

@@ -8,11 +8,12 @@ regular-variation indices at 0+ and at infinity, which drive the
 asymptotic laws downstream, and owns its increment sampler (one delta
 for all paths or one per path) with the longest piece it draws cheaply,
 its Laplace functional E[exp(-a E_t)] of the inverse
-E_t = inf{u : D_u > t}, and its fixed-dt step budgets
-#{k >= 1 : D_{k dt} <= t} = floor(E_t / dt): the base counts them on
-the grid, all paths grown together, and the stable family
-(E_t =d (t / D_1)^beta) and the drift floor the exact E_t of their
-``inverse_times``, which adaptive Monte Carlo draws directly.  The
+E_t = inf{u : D_u > t}, and an exact E_t sampler (``inverse_times``)
+where it has one: the stable family (E_t =d (t / D_1)^beta) and the
+drift.  The base's ``inverse_steps`` counts the fixed-dt step budgets
+#{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) on the grid, all paths grown
+together, for the exponents without that sampler;
+``heat_content._step_budgets`` floors the exact E_t of the others.  The
 functional takes a whole array of a (one per eigenvalue): the base
 inverts phi(s) / (s (phi(s) + a)) on one Talbot contour, evaluating phi
 once per node; only the drift (exp(-a t)) overrides it.
@@ -43,7 +44,6 @@ __all__ = [
     "LaplaceExponent",
     "sample_positive_stable",
     "sample_increments",
-    "sample_inverse_stable",
     "inverse_time_transform",
     "expected_laplace",
     "QuadratureResult",
@@ -111,7 +111,7 @@ class LaplaceExponent:
         """
         ts = np.asarray(ts, dtype=float)
         steps = np.zeros((ts.size, size), dtype=np.int64)
-        horizon = float(ts.max())
+        horizon = float(ts.max(initial=0.0))
         level = np.zeros(size)
         # D_dt > 0 almost surely, so t = 0 needs no draws
         live = np.arange(size if horizon > 0.0 else 0)
@@ -396,29 +396,6 @@ def _root(delta, beta: float) -> np.ndarray:
     power for a float and an array alike, so equal entries give equal bits."""
     with np.errstate(over="ignore"):
         return np.power(np.asarray(delta, dtype=float), 1.0 / beta)
-
-
-# ---------------------------------------------------------------------------
-# First passage
-# ---------------------------------------------------------------------------
-
-
-def _floor_steps(times: np.ndarray, dt: float) -> np.ndarray:
-    """Whole steps of size dt within each time, as int64; the 1e-9 keeps a
-    time that is an exact multiple of dt from losing a step to round-off."""
-    return np.floor(times / dt + 1e-9).astype(np.int64)
-
-
-def sample_inverse_stable(beta: float, t: float, rng: np.random.Generator, size=None):
-    """Exact sample of E_t for the inverse beta-stable subordinator.
-
-    Uses E_t =d (t / D_1)^beta, a consequence of self-similarity; the
-    test suite validates it against the first-passage sampler.
-    """
-    if t <= 0.0:
-        raise ValidationError(f"t must be > 0, got {t}")
-    s = sample_positive_stable(rng, beta, size)
-    return (t / s) ** beta
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ from shc_lab import (
     monotonized_xlog,
     monte_carlo_heat_content_grid,
     run_experiment,
-    sample_inverse_stable,
     sample_symmetric_stable,
     tail_decay_probe,
     weighted_series,
@@ -439,7 +438,7 @@ def test_08c_v_monotone():
 def test_08d_sampler_ks_cross_checks():
     # exact CDF of E_1 for the inverse 1/2-stable time: erf(x/2)
     cdf = lambda x: erf(x / 2.0)
-    exact = sample_inverse_stable(0.5, 1.0, derive_rng(82), 10_000)
+    exact = StableExponent(0.5).inverse_times([1.0], 10_000, derive_rng(82))[0]
     ks_exact = kstest(exact, cdf).statistic
 
     # first passage (k + 1) * 1e-3, k the grid count at step 1e-3 (fixed-dt

@@ -19,7 +19,6 @@ from shc_lab import (
     classify_regime,
     expected_functional,
     expected_laplace,
-    expected_monotonized_xlog,
     expected_supremum,
     expected_xlog,
     fit_loglog,
@@ -233,23 +232,6 @@ class TestMonotonizedXlog:
 
 
 class TestExpectedXlog:
-    @pytest.mark.parametrize("t", [1.0, 0.01])
-    def test_decomposition_identity(self, t):
-        # E[x ln(1/x)] = E[V] - e^{-1} P(E_t >= e^{-1})
-        #               + E[x ln(1/x); E_t >= e^{-1}]
-        beta = 0.5
-        full = expected_xlog(beta, t)
-        v = expected_monotonized_xlog(beta, t)
-        p_ge = expected_functional(beta, t, lambda x: 1.0, lower=E1).value
-        xlog_ge = expected_functional(
-            beta, t, lambda x: -x * math.log(x), lower=E1
-        ).value
-        assert full == pytest.approx(v - E1 * p_ge + xlog_ge, abs=1e-8)
-
-    def test_v_bounded_by_plateau(self):
-        for t in (0.1, 1.0, 10.0):
-            assert expected_monotonized_xlog(0.5, t) <= E1 + 1e-12
-
     def test_half_normal_closed_form(self):
         # at beta = 1/2 the inverse process is half-normal:
         # E[x ln(1/x)] = sqrt(t/pi) (ln(1/t) - 2 ln 2 + gamma_E) + plateau terms

@@ -82,6 +82,16 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown config key 'dt'"):
             parse_config_file(p, overrides=["dt=0.01"])
 
+    def test_key_set_twice_fails(self, tmp_path):
+        # the file's second seed would otherwise silently win
+        p = tmp_path / "exp.cfg"
+        p.write_text("experiment = large_time\nseed = 1\nt_min = 1\n\nseed = 2\nt_max = 2\n")
+        with pytest.raises(ValidationError, match=r"'seed' is set twice, on lines 2 and 5"):
+            parse_config_file(p)
+        # --set still overrides a key the file sets once
+        p.write_text("experiment = large_time\nseed = 1\nt_min = 1\nt_max = 2\n")
+        assert parse_config_file(p, overrides=["seed=2"]).seed == 2
+
     def test_seed_mandatory(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("experiment = large_time\nt_min = 1\nt_max = 2\n")
@@ -392,16 +402,19 @@ class TestCli:
         # phi(lam) = lam^0.5, t_max = 2 gives s = 2^0.5, which fails at parse
         cfg = CONFIGS / "small_time_mc.cfg"
         overrides = ["alpha=1", "t_max=2"]
-        with pytest.raises(ValidationError, match="critical law needs phi"):
+        with pytest.raises(ValidationError, match="critical rate needs s < 1"):
             parse_config_file(cfg, overrides)
         out = tmp_path / "out"
         args = [a for o in overrides for a in ("--set", o)]
         assert cli_main(["run", str(cfg), *args, "--out", str(out)]) == 2
         assert not out.exists()
         # t_max = 1 gives s = 1, where s ln(1/s) vanishes: also rejected
-        with pytest.raises(ValidationError, match="critical law needs phi"):
+        with pytest.raises(ValidationError, match="critical rate needs s < 1"):
             parse_config_file(cfg, ["alpha=1", "t_max=1"])
         assert parse_config_file(cfg, ["alpha=1"]).alpha == 1.0
+        # a tempered phi(1/t_max) that rounds to 0 is s = inf, not a division by 0
+        with pytest.raises(ValidationError, match="critical rate needs s < 1"):
+            parse_config_file(cfg, ["alpha=1", "phi=tempered", "t_max=1e17"])
 
     def test_ignored_alpha_exit_code(self, tmp_path):
         # truncation 1001 is above the cap for a Galerkin basis (alpha < 2)

@@ -216,6 +216,22 @@ class TestMonteCarlo:
         )
         assert [v.value for v in vals] == [math.pi, math.pi]
 
+    @pytest.mark.parametrize("mode", [dict(dt=1e-2), dict(n_steps=16)], ids=["fixed-dt", "adaptive"])
+    @pytest.mark.parametrize(
+        "tc",
+        [
+            None,
+            InverseTime(StableExponent(0.5)),
+            InverseTime(TemperedStableExponent(0.5, 2.0)),
+            InverseTime(SumOfStablesExponent(0.3, 0.9)),
+            SubordinatorTime(TemperedStableExponent(0.5, 2.0)),
+        ],
+        ids=["plain", "inverse-stable", "inverse-tempered", "inverse-sum", "subordinate-tempered"],
+    )
+    def test_empty_grid_returns_no_values(self, tc, mode):
+        # every clock and mode answers an empty t grid with no values
+        assert monte_carlo_heat_content_grid(1.5, DOMAIN_PI, tc, [], n_paths=100, seed=1, **mode) == []
+
     @pytest.mark.parametrize(
         "tc, t, mode",
         [

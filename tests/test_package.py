@@ -1,5 +1,6 @@
 """The public API surface: every exported name resolves, and neither the
-import nor parsing the shipped configs loads SciPy."""
+import nor parsing the shipped configs loads SciPy, while ``shc-lab run``
+loads it before the experiment's clock starts."""
 
 import importlib
 import os
@@ -80,3 +81,35 @@ def test_config_parse_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
+
+
+_CLI_BOUNDARY = """
+import sys
+import shc_lab.cli as cli
+from shc_lab import ValidationError
+
+HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.special")
+seen = []
+
+def run_experiment(config, workers=1):
+    seen.append(sorted(m for m in HEAVY if m in sys.modules))
+    raise ValidationError("stop before the run")
+
+cli.run_experiment = run_experiment
+assert [m for m in HEAVY if m in sys.modules] == []
+assert cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 2
+assert seen == [list(HEAVY)], seen
+"""
+
+
+def test_cli_imports_scipy_before_the_clock(tmp_path):
+    # run.json's wall clock starts inside run_experiment, so SciPy's first
+    # import must already be paid when main calls it
+    src = str(Path(shc_lab.__file__).resolve().parent.parent)
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "tail_probe.cfg")
+    out = subprocess.run(
+        [sys.executable, "-c", _CLI_BOUNDARY, config, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert not (tmp_path / "out").exists()

@@ -14,6 +14,7 @@ from shc_lab import (
     StableExponent,
     SumOfStablesExponent,
     TemperedStableExponent,
+    ValidationError,
     bm_interval_eigensystem,
     mittag_leffler,
     parse_config_file,
@@ -61,27 +62,33 @@ def configs(draw) -> ExperimentConfig:
     assume(experiment not in _FIT_POINTS or t_max > t_min)
     b_below_one = small_time and phi == "sum"  # a sum's index at infinity is b
     bs = st.floats(min_value=a, max_value=1.0, exclude_min=True, exclude_max=b_below_one)
-    return ExperimentConfig(
-        experiment=experiment,
-        seed=draw(st.integers(min_value=0, max_value=2 ** 70)),
-        t_min=t_min,
-        t_max=t_max,
-        t_points=draw(st.integers(min_value=points, max_value=10 ** 6)),
-        alpha=alpha,
-        phi=phi,
-        beta=draw(index),
-        kappa=draw(positive),
-        a=a,
-        b=draw(bs if b_below_one else st.one_of(st.just(1.0), bs)),
-        domain_a=domain_a,
-        domain_b=domain_b,
-        n_paths=draw(st.integers(min_value=1, max_value=10 ** 12)),
-        n_steps=draw(st.integers(min_value=1, max_value=10 ** 6)),
-        truncation=draw(st.integers(min_value=1, max_value=_MAX_BASIS if capped else 10 ** 6)),
-        tolerance=draw(positive),
-        delta=draw(finite),
-        out=draw(word),
-    )
+    try:
+        return ExperimentConfig(
+            experiment=experiment,
+            seed=draw(st.integers(min_value=0, max_value=2 ** 70)),
+            t_min=t_min,
+            t_max=t_max,
+            t_points=draw(st.integers(min_value=points, max_value=10 ** 6)),
+            alpha=alpha,
+            phi=phi,
+            beta=draw(index),
+            kappa=draw(positive),
+            a=a,
+            b=draw(bs if b_below_one else st.one_of(st.just(1.0), bs)),
+            domain_a=domain_a,
+            domain_b=domain_b,
+            n_paths=draw(st.integers(min_value=1, max_value=10 ** 12)),
+            n_steps=draw(st.integers(min_value=1, max_value=10 ** 6)),
+            truncation=draw(st.integers(min_value=1, max_value=_MAX_BASIS if capped else 10 ** 6)),
+            tolerance=draw(positive),
+            delta=draw(finite),
+            out=draw(word),
+        )
+    except ValidationError as exc:
+        # at alpha = 1 the critical law also needs s = 1/phi(1/t_max) < 1,
+        # which depends on the whole exponent: draw again
+        assume("critical rate" not in str(exc))
+        raise
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,7 +19,6 @@ from shc_lab import (
     inverse_time_transform,
     mittag_leffler,
     sample_increments,
-    sample_inverse_stable,
     sample_positive_stable,
 )
 from shc_lab.heat_content import InverseTime, _step_budgets
@@ -253,7 +252,7 @@ class TestPathsAndFirstPassage:
 
     def test_exact_sampler_vs_cdf(self):
         rng = derive_rng(31)
-        e = sample_inverse_stable(0.5, 1.0, rng, 10_000)
+        e = StableExponent(0.5).inverse_times([1.0], 10_000, rng)[0]
         stat = kstest(e, lambda x: erf(x / 2.0)).statistic
         assert stat < 0.02
 
@@ -348,21 +347,21 @@ class TestExactInverseSampler:
     def test_mean_moment_identity(self):
         # E[E_1] = 1/Gamma(1.5) = 2/sqrt(pi)
         rng = derive_rng(41)
-        e = sample_inverse_stable(0.5, 1.0, rng, 1_000_000)
+        e = StableExponent(0.5).inverse_times([1.0], 1_000_000, rng)[0]
         se = e.std(ddof=1) / math.sqrt(e.size)
         assert abs(e.mean() - 2.0 / math.sqrt(math.pi)) <= 3 * se
 
     def test_time_scaling_with_common_seed(self):
         t = 3.7
-        e1 = sample_inverse_stable(0.5, 1.0, derive_rng(42), 1000)
-        et = sample_inverse_stable(0.5, t, derive_rng(42), 1000)
+        e1 = StableExponent(0.5).inverse_times([1.0], 1000, derive_rng(42))[0]
+        et = StableExponent(0.5).inverse_times([t], 1000, derive_rng(42))[0]
         assert np.allclose(et, t ** 0.5 * e1, rtol=1e-12)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 5.0])
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_sampler_transform_consistency(self, a, t):
         rng = derive_rng(43)
-        e = sample_inverse_stable(0.5, t, rng, 200_000)
+        e = StableExponent(0.5).inverse_times([t], 200_000, rng)[0]
         vals = np.exp(-a * e)
         se = vals.std(ddof=1) / math.sqrt(e.size)
         ref = expected_laplace(StableExponent(0.5), a, t)
