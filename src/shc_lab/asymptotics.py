@@ -271,7 +271,7 @@ def monotonized_xlog(x: float) -> float:
 def expected_xlog(beta: float, t: float) -> float:
     """E[E_t ln(1/E_t)] for the inverse beta-stable time change."""
     # E_t >= 1 is in range, where the critical rate is undefined
-    return expected_functional(beta, t, lambda x: -x * math.log(x) if x > 0 else 0.0).value
+    return expected_functional(beta, t, lambda x: -x * np.log(np.where(x > 0.0, x, 1.0))).value
 
 
 def xlog_asymptote(beta: float, t: float) -> float:

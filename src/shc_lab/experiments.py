@@ -483,10 +483,17 @@ def _run_tail_probe(config: ExperimentConfig, workers: int) -> tuple[list, dict]
     for t, y, half in zip(config.t_grid, neg_log, probe.neg_log_halfwidths):
         ref = y0 * (float(t) / t0) ** probe.expected_slope
         rows.append(ExperimentRow(float(t), y, ref, half, "mc_tail"))
+    # the slope the finite window itself has, from the exact P(E_t > delta):
+    # the tail's prefactor bends it away from the limit expected_slope
+    exact = []
+    for t in config.t_grid:
+        tail = expected_functional(spec.beta, float(t), lambda x: 1.0, lower=config.delta)
+        exact.append((float(t), -math.log(tail.value)))
     summary = {
         "slope": probe.slope,
         "ci_halfwidth": probe.ci_halfwidth,
         "expected_slope": probe.expected_slope,
+        "exact_window_slope": fit_loglog(exact).slope,
     }
     return rows, summary
 

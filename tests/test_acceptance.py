@@ -274,9 +274,9 @@ def test_05b_decomposition_identity():
     worst = 0.0
     for t in (1.0, 0.01):
         full = expected_xlog(0.5, t)
-        xlog_le = expected_functional(0.5, t, lambda x: -x * math.log(x), upper=e1).value
+        xlog_le = expected_functional(0.5, t, lambda x: -x * np.log(x), upper=e1).value
         p_ge = expected_functional(0.5, t, lambda x: 1.0, lower=e1).value
-        xlog_ge = expected_functional(0.5, t, lambda x: -x * math.log(x), lower=e1).value
+        xlog_ge = expected_functional(0.5, t, lambda x: -x * np.log(x), lower=e1).value
         v = xlog_le + e1 * p_ge
         worst = max(worst, abs(full - (v - e1 * p_ge + xlog_ge)))
     ok = worst <= 1e-8

@@ -255,7 +255,7 @@ class TestRegularityConditions:
         # E[f_alpha(E_t); E_t <= d1] / E[f_alpha(E_t); E_t <= d2] -> 1
         def f(x):
             if alpha == 1.0:
-                return x * math.log(1.0 / x) if 0 < x < 1 else 0.0
+                return np.where((0 < x) & (x < 1), x * np.log(1.0 / x), 0.0)
             return x ** (1.0 / alpha) if alpha > 1 else x
 
         ratios = []

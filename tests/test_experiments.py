@@ -13,6 +13,7 @@ from shc_lab import (
     ExperimentConfig,
     ExperimentResult,
     ValidationError,
+    expected_functional,
     fit_loglog,
     parse_config_file,
     run_experiment,
@@ -269,6 +270,19 @@ class TestRunners:
         for row in res.rows:
             p = math.exp(-row.computed)
             assert row.error_bound == pytest.approx(1.96 * math.sqrt((1.0 - p) / (100_000 * p)))
+
+    def test_tail_probe_exact_window_slope(self):
+        # the summary's exact slope is acceptance 9b's inline fit over the
+        # shipped window, -0.87324
+        config = parse_config_file(CONFIGS / "tail_probe.cfg")
+        res = run_experiment(config)
+        exact = [
+            expected_functional(config.beta, float(t), lambda x: 1.0, lower=config.delta).value
+            for t in config.t_grid
+        ]
+        window = fit_loglog([(float(t), -math.log(p)) for t, p in zip(config.t_grid, exact)]).slope
+        assert res.summary["exact_window_slope"] == window
+        assert window == pytest.approx(-0.87324, abs=5e-6)
 
 
 class TestOutputs:

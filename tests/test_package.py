@@ -60,6 +60,26 @@ def test_scipy_loaded_only_on_first_use():
     assert out.returncode == 0, out.stderr
 
 
+_QUADRATURE_BOUNDARY = """
+import sys
+from shc_lab import expected_functional
+
+expected_functional(0.5, 1.0, lambda x: x)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded == [], loaded
+"""
+
+
+def test_quadrature_loads_no_scipy():
+    # the tanh-sinh rule is numpy alone
+    src = str(Path(shc_lab.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _QUADRATURE_BOUNDARY],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+
+
 _PARSE_BOUNDARY = """
 import sys
 from pathlib import Path

@@ -459,7 +459,7 @@ class TestExpectedFunctional:
 
     @pytest.mark.parametrize("beta,t", [(0.5, 1.0), (0.3, 0.25)])
     def test_matches_expected_laplace(self, beta, t):
-        est = expected_functional(beta, t, lambda x: math.exp(-x))
+        est = expected_functional(beta, t, lambda x: np.exp(-x))
         ref = expected_laplace(StableExponent(beta), 1.0, t)
         assert est.value == pytest.approx(ref, abs=max(1e-10, 3 * est.error))
 
@@ -472,13 +472,46 @@ class TestExpectedFunctional:
         ref = math.gamma(p + 1.0) * t ** (p * beta) / math.gamma(p * beta + 1.0)
         assert est.value / ref == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.9])
+    def test_error_covers_closed_form_moments(self, beta):
+        # the certificate bounds the actual error and stays small across
+        # scales, including the algebraic singularity of x^-0.5 at E_t = 0
+        for p in (-0.5, 2.0 / 3.0, 1.0, 2.0):
+            for t in (1e-8, 1e-4, 1.0, 1e4):
+                est = expected_functional(beta, t, lambda x: x ** p)
+                exact = math.gamma(p + 1.0) * t ** (p * beta) / math.gamma(p * beta + 1.0)
+                assert abs(est.value - exact) <= est.error, (p, t)
+                assert est.error <= 1e-10 * max(1.0, est.value), (p, t)
+
+    def test_truncated_tail_shows_in_error(self):
+        # x^-0.9 decays too slowly at E_t = 0 for the rule's reach: the value
+        # is off by about 3e-6, and the edge terms carry that into the error
+        est = expected_functional(0.5, 1.0, lambda x: x ** -0.9)
+        exact = math.gamma(0.1) / math.gamma(0.55)
+        assert 1e-7 < abs(est.value - exact) <= est.error
+
+    def test_error_covers_kink(self):
+        # min(x, c) has a kink at c, where the rule converges slowly; its
+        # exact value is the sum of the smooth pieces split at c
+        beta, t, c = 0.5, 1.0, 0.8
+        est = expected_functional(beta, t, lambda x: np.minimum(x, c))
+        below = expected_functional(beta, t, lambda x: x, upper=c)
+        above = expected_functional(beta, t, lambda x: c, lower=c)
+        assert abs(est.value - (below.value + above.value)) <= est.error
+        assert below.error + above.error < 1e-9 < est.error
+
+    def test_nan_g_rejected(self):
+        with pytest.raises(ValidationError, match="not integrable"):
+            expected_functional(0.5, 1.0, lambda x: np.where(x > 1.0, np.nan, x))
+
     def test_region_restriction_splits_mass(self):
-        beta, t, cut = 0.5, 1.0, 0.8
-        lo = expected_functional(beta, t, lambda x: 1.0, upper=cut).value
-        hi = expected_functional(beta, t, lambda x: 1.0, lower=cut).value
-        assert lo + hi == pytest.approx(1.0, abs=1e-10)
-        # against the exact CDF erf(x/2) at t=1
-        assert lo == pytest.approx(float(erf(cut / 2.0)), abs=1e-10)
+        beta, t = 0.5, 1.0
+        for cut in (0.1, 0.8, 5.0):
+            lo = expected_functional(beta, t, lambda x: 1.0, upper=cut).value
+            hi = expected_functional(beta, t, lambda x: 1.0, lower=cut).value
+            assert lo + hi == pytest.approx(1.0, abs=1e-10)
+            # against the exact CDF erf(x/2) at t=1
+            assert lo == pytest.approx(float(erf(cut / 2.0)), abs=1e-10)
 
     def test_invalid_region(self):
         with pytest.raises(ValidationError):
