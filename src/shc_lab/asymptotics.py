@@ -16,9 +16,9 @@ the law of criterion 5a, and ``expected_xlog`` the mean E[E_t ln(1/E_t)]
 of 5a and 5b, which is also the first mean of the critical regime's
 second term.
 
-SciPy (``gamma``, ``beta``, ``quad``) is imported on first use by the
-functions that need it, so that the Monte Carlo and series routes start
-and run without its 0.5 s and 40 MB.
+Gamma and B(h, h) = Gamma(h)^2 / Gamma(2h) come from ``math.gamma``, so
+every law here runs without SciPy.  Only ``frac_perimeter_numeric``,
+which the tests alone call, imports SciPy (``quad``), on first use.
 """
 
 from __future__ import annotations
@@ -124,15 +124,13 @@ def jump_kernel_constant(alpha: float) -> float:
     c(1, alpha) = alpha 2^(alpha-1) Gamma((1+alpha)/2)
                   / (pi^(1/2) Gamma(1 - alpha/2)).
     """
-    from scipy.special import gamma
-
     if not 0.0 < alpha < 2.0:
         raise ValidationError(f"alpha must be in (0, 2), got {alpha}")
     return (
         alpha
         * 2.0 ** (alpha - 1.0)
-        * gamma((1.0 + alpha) / 2.0)
-        / (math.sqrt(math.pi) * gamma(1.0 - alpha / 2.0))
+        * math.gamma((1.0 + alpha) / 2.0)
+        / (math.sqrt(math.pi) * math.gamma(1.0 - alpha / 2.0))
     )
 
 
@@ -177,11 +175,9 @@ def expected_supremum(alpha: float) -> float:
     integral alpha E[Y_1^+]; at alpha = 2 this is 2 / sqrt(pi).  The mean
     is infinite for alpha <= 1.
     """
-    from scipy.special import gamma
-
     if not 1.0 < alpha <= 2.0:
         raise ValidationError(f"E[sup] is finite only for alpha in (1, 2], got {alpha}")
-    return alpha * gamma(1.0 - 1.0 / alpha) / math.pi
+    return alpha * math.gamma(1.0 - 1.0 / alpha) / math.pi
 
 
 def small_time_constant(alpha: float, domain: IntervalDomain) -> float:
@@ -202,15 +198,14 @@ def large_time_constant(alpha: float, domain: IntervalDomain, beta: float) -> fl
     the integral of the mean exit time (Getoor, Trans. AMS 101, 1961), on an
     interval of length L: L^(1+alpha) B(1 + alpha/2, 1 + alpha/2) / Gamma(1 + alpha).
     """
-    from scipy.special import beta as beta_function, gamma
-
     if not 0.0 < alpha <= 2.0:
         raise ValidationError(f"alpha must be in (0, 2], got {alpha}")
     if not 0.0 <= beta < 1.0:
         raise ValidationError(f"large-time law needs beta in [0, 1), got {beta}")
     h = 1.0 + alpha / 2.0
-    torsion = domain.volume ** (1.0 + alpha) * beta_function(h, h) / gamma(1.0 + alpha)
-    return torsion / gamma(1.0 - beta)
+    beta_hh = math.gamma(h) ** 2 / math.gamma(2.0 * h)  # B(h, h)
+    torsion = domain.volume ** (1.0 + alpha) * beta_hh / math.gamma(1.0 + alpha)
+    return torsion / math.gamma(1.0 - beta)
 
 
 def large_time_asymptote(
@@ -234,16 +229,14 @@ def small_time_asymptote(
     with s = 1/phi(1/t), r_alpha = ``small_time_rate`` and beta the
     regular-variation index of phi at infinity.
     """
-    from scipy.special import gamma
-
     regime, beta = _small_time_indices(alpha, spec)
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
     rate = small_time_rate(alpha, 1.0 / float(spec(1.0 / t)))
     constant = small_time_constant(alpha, domain)
     if regime is Regime.SUPERCRITICAL:
-        return constant * gamma(1.0 + 1.0 / alpha) / gamma(1.0 + beta / alpha) * rate
-    return constant / gamma(1.0 + beta) * rate
+        return constant * math.gamma(1.0 + 1.0 / alpha) / math.gamma(1.0 + beta / alpha) * rate
+    return constant / math.gamma(1.0 + beta) * rate
 
 
 def subordinate_log_rate(spec: LaplaceExponent, lambda1: float) -> float:
@@ -279,13 +272,11 @@ def xlog_asymptote(beta: float, t: float) -> float:
 
         r_1(1/phi(1/t)) / Gamma(1+beta),  phi(s) = s^beta, so 1/phi(1/t) = t^beta.
     """
-    from scipy.special import gamma
-
     if not 0.0 < beta < 1.0:
         raise ValidationError(f"beta must be in (0, 1), got {beta}")
     if not t > 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
-    return small_time_rate(1.0, t ** beta) / gamma(1.0 + beta)
+    return small_time_rate(1.0, t ** beta) / math.gamma(1.0 + beta)
 
 
 def moment_asymptote(p: float, spec: LaplaceExponent, t: float) -> float:
@@ -295,14 +286,12 @@ def moment_asymptote(p: float, spec: LaplaceExponent, t: float) -> float:
     which the tests validate against quadrature and against finite
     differences of the Laplace functional.
     """
-    from scipy.special import gamma
-
     if p <= 0.0:
         raise ValidationError(f"p must be > 0, got {p}")
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
     beta = spec.index_at_infinity
-    return gamma(p + 1.0) / gamma(p * beta + 1.0) * float(spec(1.0 / t)) ** (-p)
+    return math.gamma(p + 1.0) / math.gamma(p * beta + 1.0) * float(spec(1.0 / t)) ** (-p)
 
 
 # ---------------------------------------------------------------------------

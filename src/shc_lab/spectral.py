@@ -6,9 +6,10 @@ m_n^2 = (int_Omega psi_n)^2.  Exact pairs are available at alpha = 2
 (Dirichlet Laplacian sine basis on an interval); for alpha < 2 a
 Galerkin build in a weighted Jacobi basis computes them.
 
-SciPy (``eigh``, ``poch``, ``roots_jacobi``) is imported on first use by
-that build, so that the Monte Carlo and series routes start and run
-without its 0.5 s and 40 MB.
+That build is the one place on a run's path that needs SciPy (``eigh``,
+``poch``, ``roots_jacobi``); it imports them on first use, so the exact
+alpha = 2 modes, the series and the Monte Carlo routes never import
+SciPy.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TruncationBudgetError, ValidationError
+from .seeding import _check_integer
 
 __all__ = [
     "IntervalDomain",
@@ -106,8 +108,7 @@ def bm_interval_eigensystem(domain: IntervalDomain, n_modes: int) -> EigenSystem
         lambda_n = (n pi / L)^2,
         m_n^2    = 8 L / (n^2 pi^2) for odd n, 0 for even n.
     """
-    if n_modes < 1:
-        raise ValidationError(f"n_modes must be >= 1, got {n_modes}")
+    n_modes = _check_integer("n_modes", n_modes, 1)
     L = domain.volume
     n = np.arange(1, n_modes + 1, dtype=float)
     lam = (n * math.pi / L) ** 2
@@ -141,8 +142,9 @@ def stable_interval_eigensystem(domain: IntervalDomain, alpha: float, n_modes: i
     """
     from scipy.special import poch, roots_jacobi
 
-    if not (0.0 < alpha <= 2.0 and n_modes >= 1):
-        raise ValidationError(f"need alpha in (0, 2], n_modes >= 1; got {alpha}, {n_modes}")
+    n_modes = _check_integer("n_modes", n_modes, 1)
+    if not 0.0 < alpha <= 2.0:
+        raise ValidationError(f"alpha must be in (0, 2], got {alpha}")
     n, a = 2 * n_modes, alpha / 2.0
     # 2n nodes are exact to degree 4n - 1; the integrand is even, so keep x > 0
     x, wq = (v[n:] for v in roots_jacobi(2 * n, alpha, alpha))

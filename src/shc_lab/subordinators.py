@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InversionError, RejectionBudgetError, ValidationError
-from .special import _blocks, _half_angle_sine, laplace_invert
+from .special import _blocks, _half_angle_sine, _tanh_sinh_nodes, laplace_invert
 
 __all__ = [
     "StableExponent",
@@ -440,18 +440,6 @@ def expected_laplace(spec: LaplaceExponent, a, t: float, tol: float = 1.0e-9):
 
 # exp(-w) contributes nothing representable beyond this width
 _W_SUPPORT = 800.0
-
-
-def _tanh_sinh_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tanh-sinh rule on (0, 1) at abscissae tau = k / 32, |tau| <= 4.5
-    (289 nodes): x = 1 / (exp(-2 s) + 1) at s = (pi/2) sinh(tau), as x and
-    1 - x so that no node rounds onto an end, with weights dx/dtau / 32.
-    Built per call (about 30 us): built at import, its sinh and cosh loops
-    would add up to 0.4 MB to the peak memory of every process."""
-    tau = np.arange(-144, 145) / 32.0
-    x = 1.0 / (np.exp(-math.pi * np.sinh(tau)) + 1.0)
-    y = 1.0 / (np.exp(math.pi * np.sinh(tau)) + 1.0)
-    return x, y, math.pi / 32.0 * np.cosh(tau) * x * y
 
 
 @dataclass(frozen=True)

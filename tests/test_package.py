@@ -1,6 +1,6 @@
 """The public API surface: every exported name resolves, and neither the
-import nor parsing the shipped configs loads SciPy, while ``shc-lab run``
-loads it before the experiment's clock starts."""
+import, parsing the shipped configs, the quadratures, the asymptotic laws
+nor ``shc-lab run`` on a shipped config loads SciPy."""
 
 import importlib
 import os
@@ -9,7 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import shc_lab
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_all_names_resolve():
@@ -61,17 +65,39 @@ def test_scipy_loaded_only_on_first_use():
 
 
 _QUADRATURE_BOUNDARY = """
-import sys
-from shc_lab import expected_functional
+import math, sys
+from shc_lab import (
+    IntervalDomain, StableExponent, asymptotics as law, expected_functional, mittag_leffler,
+)
 
 expected_functional(0.5, 1.0, lambda x: x)
+for beta in (0.3, 0.5, 0.9):
+    mittag_leffler(beta, -2.0)
+domain, spec = IntervalDomain(0.0, math.pi), StableExponent(0.5)
+law.classify_regime(1.5)
+law.small_time_rate(1.5, 0.1)
+law.jump_kernel_constant(0.5)
+law.frac_perimeter_interval(0.5, 1.0)
+law.expected_supremum(1.5)
+for alpha in (0.5, 1.0, 1.5):
+    law.small_time_constant(alpha, domain)
+    law.small_time_asymptote(alpha, spec, domain, 1e-3)
+law.large_time_constant(1.5, domain, 0.5)
+law.large_time_asymptote(2.0, domain, spec, 10.0)
+law.subordinate_log_rate(spec, 1.0)
+law.monotonized_xlog(0.1)
+law.expected_xlog(0.5, 1e-3)
+law.xlog_asymptote(0.5, 1e-3)
+law.moment_asymptote(2.0, spec, 1.0)
+law.tail_decay_probe(0.5, 1.0, [1.0, 2.0, 4.0], 1000, 1)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert loaded == [], loaded
 """
 
 
 def test_quadrature_loads_no_scipy():
-    # the tanh-sinh rule is numpy alone
+    # the tanh-sinh rule (expected_functional, mittag_leffler) is numpy
+    # alone, and every law but frac_perimeter_numeric takes Gamma from math
     src = str(Path(shc_lab.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-c", _QUADRATURE_BOUNDARY],
@@ -95,41 +121,37 @@ assert loaded == [], loaded
 def test_config_parse_loads_no_scipy():
     # the parser checks each experiment's law without the laws' SciPy constants
     src = str(Path(shc_lab.__file__).resolve().parent.parent)
-    configs = str(Path(__file__).resolve().parents[1] / "configs")
     out = subprocess.run(
-        [sys.executable, "-c", _PARSE_BOUNDARY, configs],
+        [sys.executable, "-c", _PARSE_BOUNDARY, str(CONFIGS)],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
 
 
 _CLI_BOUNDARY = """
-import sys
+import json, sys
+from pathlib import Path
 import shc_lab.cli as cli
-from shc_lab import ValidationError
 
-HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.special")
-seen = []
-
-def run_experiment(config, workers=1):
-    seen.append(sorted(m for m in HEAVY if m in sys.modules))
-    raise ValidationError("stop before the run")
-
-cli.run_experiment = run_experiment
-assert [m for m in HEAVY if m in sys.modules] == []
-assert cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 2
-assert seen == [list(HEAVY)], seen
+config, out = Path(sys.argv[1]), Path(sys.argv[2])
+assert cli.main(["run", str(config), "--out", str(out)]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded == [], loaded
+record = json.loads((out / f"{config.stem}.run.json").read_text())
+print(record["scipy"])
 """
 
 
-def test_cli_imports_scipy_before_the_clock(tmp_path):
-    # run.json's wall clock starts inside run_experiment, so SciPy's first
-    # import must already be paid when main calls it
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_cli_run_loads_no_scipy(config, tmp_path):
+    # every shipped config runs, through the CLI, in a fresh interpreter
+    # that never imports SciPy, and run.json still records SciPy's version
+    import scipy
+
     src = str(Path(shc_lab.__file__).resolve().parent.parent)
-    config = str(Path(__file__).resolve().parents[1] / "configs" / "tail_probe.cfg")
     out = subprocess.run(
-        [sys.executable, "-c", _CLI_BOUNDARY, config, str(tmp_path / "out")],
+        [sys.executable, "-c", _CLI_BOUNDARY, str(CONFIGS / config), str(tmp_path / "out")],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert not (tmp_path / "out").exists()
+    assert out.stdout.splitlines()[-1] == scipy.__version__

@@ -112,7 +112,8 @@ class TestMittagLeffler:
     def test_tiny_beta_extreme_argument(self, beta, a, rel):
         # at t0 = -log a ~ +-690 the spacing of floats in t = log u is
         # 1e-13, which 1/beta magnifies past the weight's step (width beta
-        # in t); quad must resolve the step without an IntegrationWarning.
+        # in t); the step's share of the value is about beta, so the rule
+        # stays accurate and its h/2h gap raises no RuntimeWarning.
         # The reference is the expansion in beta, from
         # d/dbeta 1/Gamma(1 + beta k) = gamma k at beta = 0, with an error
         # of O(beta^2).  At |x| = 1e300 and beta = 1e-14 or 1e-16, tan h
@@ -161,6 +162,53 @@ class TestMittagLeffler:
             mittag_leffler(1.2, -1.0)
         with pytest.raises(ValidationError):
             mittag_leffler(0.5, 0.1)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.9])
+    @pytest.mark.parametrize("x", [-math.inf, math.inf, math.nan])
+    def test_non_finite_argument(self, beta, x):
+        with pytest.raises(ValidationError, match="x must be finite and <= 0"):
+            mittag_leffler(beta, x)
+
+    def test_gap_signal(self, monkeypatch):
+        # at beta = 0.999, |x| = 1e-5 a knot interval is about 46 units of y
+        # wide around the kernel's bump of unit width: one panel for it is
+        # off by about 3e-6, and its h/2h gap must say so
+        import shc_lab.special as special
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mittag_leffler(0.999, -1e-5)
+        monkeypatch.setattr(special, "_PANEL", 1e300)
+        with pytest.warns(RuntimeWarning, match="h/2h gap"):
+            mittag_leffler(0.999, -1e-5)
+
+    def test_forty_digit_reference(self):
+        # the absolute error against a 40-digit evaluation: the power series
+        # for |x| <= 1/2, Talbot inversion of s^(beta-1) / (s^beta + |x|) at
+        # t = 1 above (part 6 of scripts/mittag_leffler_stress.py)
+        mpmath = pytest.importorskip("mpmath")
+
+        def reference(beta, a):
+            b, x = mpmath.mpf(beta), mpmath.mpf(a)
+            if x > 0.5:
+                return mpmath.invertlaplace(lambda s: s ** (b - 1) / (s ** b + x), 1, method="talbot")
+            total, term, k = mpmath.mpf(1), mpmath.mpf(1), 0
+            while abs(term) > mpmath.mpf(10) ** -45:
+                k += 1
+                term = (-x) ** k * mpmath.rgamma(b * k + 1)
+                total += term
+            return total
+
+        betas = [1e-3, 0.01, 0.1, 0.25 + 1e-9, 0.3, 0.5, 0.5 + 1e-12, 0.7, 0.9, 0.999,
+                 1.0 - 2.0 ** -45, 1.0 - 2.0 ** -52]
+        xs = [1e-300, 1e-40, 1e-12, 1e-5, 0.03, 0.5, 3.0, 1e3]
+        with mpmath.workdps(40):
+            worst = max(
+                float(abs(mittag_leffler(beta, -x) - reference(beta, x)))
+                for beta in betas
+                for x in xs
+            )
+        assert worst <= 1e-15
 
 
 class TestLaplaceInvert:

@@ -259,3 +259,18 @@ class TestStableIntervalEigensystem:
     def test_validation(self, alpha, n_modes):
         with pytest.raises(ValidationError):
             stable_interval_eigensystem(IntervalDomain(0.0, 1.0), alpha, n_modes)
+
+
+@pytest.mark.parametrize("n_modes", [10.5, 10.0, True, "10", None, 0, -3])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: bm_interval_eigensystem(IntervalDomain(0.0, 1.0), n),
+        lambda n: stable_interval_eigensystem(IntervalDomain(0.0, 1.0), 1.5, n),
+    ],
+    ids=["bm", "stable"],
+)
+def test_n_modes_must_be_a_positive_integer(build, n_modes):
+    # a float is not rounded up to a mode count, and a bool is not 1
+    with pytest.raises(ValidationError, match="n_modes"):
+        build(n_modes)
