@@ -56,8 +56,6 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, out=args.out)
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
-        # no shipped config loads SciPy; a Galerkin build below alpha = 2
-        # imports it inside the clock that run.json records
         result = run_experiment(config, workers=args.workers)
         csv_path, json_path = write_outputs(result, config.out)
     except ValidationError as exc:

@@ -8,10 +8,7 @@ each experiment produces a CSV table with the fixed header
 and a JSON sidecar carrying the config echo, per-row data, and a
 summary (fitted slope/intercept/R^2 where applicable).  Reruns of the
 same config are byte-identical in both; the run's wall clock and the
-python/numpy/scipy versions go to a separate ``<exp>.run.json``.  No
-shipped config loads SciPy.  An eigen experiment below alpha = 2 (none
-ships) imports it for the Galerkin build, so its first run in a process
-counts SciPy's first import in that wall clock.
+python and numpy versions go to a separate ``<exp>.run.json``.
 """
 
 from __future__ import annotations
@@ -319,10 +316,7 @@ class ExperimentResult:
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, Path]:
     """Write ``<exp>.csv`` and ``<exp>.json`` (deterministic results) and
-    ``<exp>.run.json`` (wall clock and versions); returns the first two.
-    SciPy's version is read from its metadata, without importing it."""
-    from importlib.metadata import version
-
+    ``<exp>.run.json`` (wall clock and versions); returns the first two."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = result.config["experiment"]
@@ -335,7 +329,6 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, 
         "wall_clock": result.wall_clock,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": version("scipy"),
     }
     (out / f"{name}.run.json").write_text(json.dumps(record, indent=2, sort_keys=True))
     return csv_path, json_path

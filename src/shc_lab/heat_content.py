@@ -302,7 +302,8 @@ def _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, wo
         for r, m in enumerate(sizes)
     ]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all of its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             sums = list(pool.map(_replica_task, tasks))
     else:
         sums = [_replica_task(t) for t in tasks]

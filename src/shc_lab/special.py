@@ -17,8 +17,8 @@ Two workhorses live here:
   contour node on whole arrays, so the transforms of many functions (one
   per eigenvalue) invert in one call; two fixed node counts must agree.
 
-The tanh-sinh rule (:func:`_tanh_sinh_nodes`) also serves
-``subordinators.expected_functional``.  The module needs no SciPy.
+The tanh-sinh rule (:func:`_tanh_sinh_nodes`) also serves the expected
+functionals and ``asymptotics.frac_perimeter_numeric``.
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ once per node; only the drift (exp(-a t)) overrides it.
 Expectations E[g(E_t)] for the stable family come from one tanh-sinh
 (double-exponential) product rule over the Kanter representation
 E_t =d t^beta (W / A(U))^(1-beta), U ~ Uniform(0, pi), W ~ Exp(1),
-which evaluates g once on an array of E_t values.  The module needs no
-SciPy.
+which evaluates g once on an array of E_t values.
 """
 
 from __future__ import annotations

@@ -72,7 +72,7 @@ class TestFractionalPerimeter:
     def test_closed_form_frozen(self):
         assert frac_perimeter_interval(0.5, 1.0) == pytest.approx(PER_HALF_UNIT, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9, 0.95, 0.99])
     @pytest.mark.parametrize("length", [1.0, math.pi])
     def test_numeric_cross_check(self, alpha, length):
         dom = IntervalDomain(0.0, length)

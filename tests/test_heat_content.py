@@ -333,6 +333,32 @@ class TestMonteCarlo:
         (b,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, workers=2, **kw)
         assert a.value == b.value
 
+    def test_workers_capped_at_replica_count(self, monkeypatch):
+        # a fork pool starts every worker at once, so the pool is never
+        # larger than the replica count; the fake maps serially and starts
+        # no process
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(HEAT_CONTENT, "ProcessPoolExecutor", SerialPool)
+        kw = dict(ts=[0.3], n_paths=3 * HEAT_CONTENT.REPLICA_PATHS, dt=0.3 / 16, seed=7)
+        (a,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, workers=1000, **kw)
+        (b,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, workers=1, **kw)
+        assert started == [3]
+        assert (a.value, a.error) == (b.value, b.error)
+
     @pytest.mark.parametrize(
         "tc",
         [

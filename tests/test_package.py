@@ -1,6 +1,6 @@
-"""The public API surface: every exported name resolves, and neither the
-import, parsing the shipped configs, the quadratures, the asymptotic laws
-nor ``shc-lab run`` on a shipped config loads SciPy."""
+"""The public API surface: every exported name resolves, and the package,
+the shipped configs through ``shc-lab run``, the Galerkin build and every
+law run in an interpreter where SciPy cannot be imported."""
 
 import importlib
 import os
@@ -29,129 +29,116 @@ def test_all_names_resolve():
     assert "heat_content" in namespace
 
 
-_IMPORT_BOUNDARY = """
-import math, sys
-import shc_lab, shc_lab.cli
+_NO_SCIPY = """
+import json, math, sys, traceback
+from pathlib import Path
+
+sys.modules["scipy"] = None  # every import of scipy or scipy.* now raises
+
+import shc_lab, shc_lab.cli as cli
 from shc_lab import (
-    InverseTime, IntervalDomain, StableExponent, bm_interval_eigensystem,
-    heat_content_inverse, mittag_leffler, monte_carlo_heat_content_grid,
+    InverseTime, IntervalDomain, StableExponent, asymptotics as law, bm_interval_eigensystem,
+    expected_functional, heat_content_inverse, mittag_leffler, monte_carlo_heat_content_grid,
+    parse_config_file, stable_interval_eigensystem,
 )
 
-HEAVY = ("scipy.integrate", "scipy.special", "scipy.linalg", "scipy.optimize", "scipy.sparse")
-
-def loaded():
-    return sorted(m for m in HEAVY if m in sys.modules)
-
-assert loaded() == [], ("import", loaded())
-domain, change = IntervalDomain(0.0, math.pi), InverseTime(StableExponent(0.5))
-monte_carlo_heat_content_grid(2.0, domain, change, [0.1, 0.5], 300, dt=1e-2, seed=1)
-monte_carlo_heat_content_grid(2.0, domain, change, [0.1, 0.5], 300, n_steps=64, seed=2)
-heat_content_inverse(bm_interval_eigensystem(domain, 1001), StableExponent(0.5), 1.0, tol=1e-6)
-assert loaded() == [], ("Monte Carlo and series", loaded())
-
-from scipy.special import erfcx
-assert abs(mittag_leffler(0.5, -1.0) - erfcx(1.0)) <= 1e-14
-"""
-
-
-def test_scipy_loaded_only_on_first_use():
-    # a fresh interpreter: the test session itself has imported SciPy
-    src = str(Path(shc_lab.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_BOUNDARY],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-
-
-_QUADRATURE_BOUNDARY = """
-import math, sys
-from shc_lab import (
-    IntervalDomain, StableExponent, asymptotics as law, expected_functional, mittag_leffler,
-)
-
-expected_functional(0.5, 1.0, lambda x: x)
-for beta in (0.3, 0.5, 0.9):
-    mittag_leffler(beta, -2.0)
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 domain, spec = IntervalDomain(0.0, math.pi), StableExponent(0.5)
-law.classify_regime(1.5)
-law.small_time_rate(1.5, 0.1)
-law.jump_kernel_constant(0.5)
-law.frac_perimeter_interval(0.5, 1.0)
-law.expected_supremum(1.5)
-for alpha in (0.5, 1.0, 1.5):
-    law.small_time_constant(alpha, domain)
-    law.small_time_asymptote(alpha, spec, domain, 1e-3)
-law.large_time_constant(1.5, domain, 0.5)
-law.large_time_asymptote(2.0, domain, spec, 10.0)
-law.subordinate_log_rate(spec, 1.0)
-law.monotonized_xlog(0.1)
-law.expected_xlog(0.5, 1e-3)
-law.xlog_asymptote(0.5, 1e-3)
-law.moment_asymptote(2.0, spec, 1.0)
-law.tail_decay_probe(0.5, 1.0, [1.0, 2.0, 4.0], 1000, 1)
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert loaded == [], loaded
+
+def stage(name):
+    # run one stage; print "ok <name>" if it returns, its traceback if not
+    def run(body):
+        try:
+            body()
+        except BaseException:
+            traceback.print_exc()
+            print("failed", name, file=sys.stderr)
+        else:
+            print("ok", name)
+    return run
+
+@stage("runs")
+def _():
+    change = InverseTime(spec)
+    monte_carlo_heat_content_grid(2.0, domain, change, [0.1, 0.5], 300, dt=1e-2, seed=1)
+    monte_carlo_heat_content_grid(2.0, domain, change, [0.1, 0.5], 300, n_steps=64, seed=2)
+    heat_content_inverse(bm_interval_eigensystem(domain, 1001), spec, 1.0, tol=1e-6)
+    stable_interval_eigensystem(domain, 1.5, 100)
+    law.frac_perimeter_numeric(domain, 0.5)
+
+@stage("quadrature")
+def _():
+    expected_functional(0.5, 1.0, lambda x: x)
+    for beta in (0.3, 0.5, 0.9):
+        mittag_leffler(beta, -2.0)
+    law.classify_regime(1.5)
+    law.small_time_rate(1.5, 0.1)
+    law.jump_kernel_constant(0.5)
+    law.frac_perimeter_interval(0.5, 1.0)
+    law.expected_supremum(1.5)
+    for alpha in (0.5, 1.0, 1.5):
+        law.small_time_constant(alpha, domain)
+        law.small_time_asymptote(alpha, spec, domain, 1e-3)
+    law.large_time_constant(1.5, domain, 0.5)
+    law.large_time_asymptote(2.0, domain, spec, 10.0)
+    law.subordinate_log_rate(spec, 1.0)
+    law.monotonized_xlog(0.1)
+    law.expected_xlog(0.5, 1e-3)
+    law.xlog_asymptote(0.5, 1e-3)
+    law.moment_asymptote(2.0, spec, 1.0)
+    law.tail_decay_probe(0.5, 1.0, [1.0, 2.0, 4.0], 1000, 1)
+
+paths = sorted(configs.glob("*.cfg"))
+
+@stage("parse")
+def _():
+    for path in paths:
+        parse_config_file(path)
+
+for path in paths:
+    @stage(path.name)
+    def _():
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0, path
+        record = json.loads((out / f"{path.stem}.run.json").read_text())
+        assert "scipy" not in record, record
 """
 
 
-def test_quadrature_loads_no_scipy():
-    # the tanh-sinh rule (expected_functional, mittag_leffler) is numpy
-    # alone, and every law but frac_perimeter_numeric takes Gamma from math
+@pytest.fixture(scope="module")
+def no_scipy_run(tmp_path_factory):
+    # one fresh interpreter for every test below: the test session itself
+    # has imported SciPy, and in that interpreter no import of it succeeds
     src = str(Path(shc_lab.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", _QUADRATURE_BOUNDARY],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    out = tmp_path_factory.mktemp("no_scipy")
+    return subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, str(CONFIGS), str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
     )
-    assert out.returncode == 0, out.stderr
 
 
-_PARSE_BOUNDARY = """
-import sys
-from pathlib import Path
-from shc_lab import parse_config_file
-
-for path in sorted(Path(sys.argv[1]).glob("*.cfg")):
-    parse_config_file(path)
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert loaded == [], loaded
-"""
+def _assert_stage(run, name):
+    assert f"ok {name}" in run.stdout.splitlines(), run.stderr
 
 
-def test_config_parse_loads_no_scipy():
-    # the parser checks each experiment's law without the laws' SciPy constants
-    src = str(Path(shc_lab.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", _PARSE_BOUNDARY, str(CONFIGS)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
+def test_scipy_loaded_only_on_first_use(no_scipy_run):
+    # SciPy is never used: the import, both Monte Carlo modes, the series on
+    # the alpha = 2 eigen data, the Galerkin build and frac_perimeter_numeric
+    # all run where it cannot be imported
+    _assert_stage(no_scipy_run, "runs")
 
 
-_CLI_BOUNDARY = """
-import json, sys
-from pathlib import Path
-import shc_lab.cli as cli
+def test_quadrature_loads_no_scipy(no_scipy_run):
+    # the tanh-sinh rule (expected_functional, mittag_leffler) and every law
+    _assert_stage(no_scipy_run, "quadrature")
 
-config, out = Path(sys.argv[1]), Path(sys.argv[2])
-assert cli.main(["run", str(config), "--out", str(out)]) == 0
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert loaded == [], loaded
-record = json.loads((out / f"{config.stem}.run.json").read_text())
-print(record["scipy"])
-"""
+
+def test_config_parse_loads_no_scipy(no_scipy_run):
+    # the parser checks each experiment's law on every shipped config
+    _assert_stage(no_scipy_run, "parse")
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
-def test_cli_run_loads_no_scipy(config, tmp_path):
-    # every shipped config runs, through the CLI, in a fresh interpreter
-    # that never imports SciPy, and run.json still records SciPy's version
-    import scipy
-
-    src = str(Path(shc_lab.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", _CLI_BOUNDARY, str(CONFIGS / config), str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == scipy.__version__
+def test_cli_run_loads_no_scipy(config, no_scipy_run):
+    # each shipped config runs through the CLI, and its run.json records no
+    # SciPy version
+    _assert_stage(no_scipy_run, config)

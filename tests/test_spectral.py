@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from shc_lab import (
     EigenSystem,
@@ -16,6 +17,7 @@ from shc_lab import (
     stable_interval_eigensystem,
     weighted_series,
 )
+from shc_lab.spectral import _half_gauss_rule
 
 
 class TestIntervalDomain:
@@ -259,6 +261,22 @@ class TestStableIntervalEigensystem:
     def test_validation(self, alpha, n_modes):
         with pytest.raises(ValidationError):
             stable_interval_eigensystem(IntervalDomain(0.0, 1.0), alpha, n_modes)
+
+
+@pytest.mark.parametrize("m", [200, 800, 4000])
+@pytest.mark.parametrize("a", [0.3, 1.0, 1.5, 2.0])
+def test_gauss_rule_moments_and_nodes(a, m):
+    # int x^(2k) (1 - x^2)^a over (-1, 1) is B(k + 1/2, a + 1), exact for k < m;
+    # the reference is B(1/2, a + 1) times prod_(j<k) (j + 1/2) / (j + a + 3/2),
+    # since scipy.special.beta is itself about 6.5e-12 off at k = 3999
+    x, w2 = _half_gauss_rule(a, m // 2)
+    j = np.arange(m - 1.0)
+    ratios = np.concatenate(([1.0], np.cumprod((j + 0.5) / (j + a + 1.5))))
+    exact = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5) * ratios
+    for k in (0, 1, 10, 100, m // 2 - 1, m - 1):
+        assert float(np.sum(w2 * x ** (2 * k))) == pytest.approx(exact[k], rel=1e-11, abs=0.0)
+    nodes, _ = roots_jacobi(m, a, a)
+    np.testing.assert_allclose(x, nodes[m // 2:], rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n_modes", [10.5, 10.0, True, "10", None, 0, -3])
