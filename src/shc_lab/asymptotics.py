@@ -82,21 +82,6 @@ def classify_regime(alpha: float) -> Regime:
     return Regime.SUBCRITICAL
 
 
-def _small_time_indices(alpha: float, spec: LaplaceExponent) -> tuple[Regime, float]:
-    """alpha's regime and phi's index at infinity, where the small-time law has them."""
-    beta = spec.index_at_infinity
-    if not 0.0 < beta < 1.0:
-        raise ValidationError(f"small-time law needs index at infinity in (0, 1), got {beta}")
-    return classify_regime(alpha), beta
-
-
-def _large_time_index(spec: LaplaceExponent) -> float:
-    """phi's index at 0+, where the large-time law has it (below 1)."""
-    if not spec.index_at_zero < 1.0:
-        raise ValidationError(f"large-time law needs index at 0+ below 1, got {spec.index_at_zero}")
-    return spec.index_at_zero
-
-
 def small_time_rate(alpha: float, s: float) -> float:
     """The regime rate r_alpha(s): s^(1/alpha), s ln(1/s) (for s < 1), or s.
 
@@ -202,7 +187,10 @@ def large_time_constant(alpha: float, domain: IntervalDomain, beta: float) -> fl
         raise ValidationError(f"large-time law needs beta in [0, 1), got {beta}")
     h = 1.0 + alpha / 2.0
     beta_hh = math.gamma(h) ** 2 / math.gamma(2.0 * h)  # B(h, h)
-    torsion = domain.volume ** (1.0 + alpha) * beta_hh / math.gamma(1.0 + alpha)
+    try:
+        torsion = domain.volume ** (1.0 + alpha) * beta_hh / math.gamma(1.0 + alpha)
+    except OverflowError:
+        raise ValidationError(f"the large-time constant overflows at L = {domain.volume}") from None
     return torsion / math.gamma(1.0 - beta)
 
 
@@ -210,9 +198,12 @@ def large_time_asymptote(
     alpha: float, domain: IntervalDomain, spec: LaplaceExponent, t: float
 ) -> float:
     """phi(1/t) * C, the claimed polynomial large-time decay."""
+    beta = spec.index_at_zero
+    if not beta < 1.0:
+        raise ValidationError(f"large-time law needs index at 0+ below 1, got {beta}")
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
-    return float(spec(1.0 / t)) * large_time_constant(alpha, domain, _large_time_index(spec))
+    return float(spec(1.0 / t)) * large_time_constant(alpha, domain, beta)
 
 
 def small_time_asymptote(
@@ -227,10 +218,17 @@ def small_time_asymptote(
     with s = 1/phi(1/t), r_alpha = ``small_time_rate`` and beta the
     regular-variation index of phi at infinity.
     """
-    regime, beta = _small_time_indices(alpha, spec)
+    beta = spec.index_at_infinity
+    if not 0.0 < beta < 1.0:
+        raise ValidationError(f"small-time law needs index at infinity in (0, 1), got {beta}")
+    regime = classify_regime(alpha)
     if t <= 0.0:
         raise ValidationError(f"t must be > 0, got {t}")
-    rate = small_time_rate(alpha, 1.0 / float(spec(1.0 / t)))
+    phi = float(spec(1.0 / t))
+    s = 1.0 / phi if phi > 0.0 else math.inf  # phi(1/t) may round to 0 at large t
+    if s == math.inf and regime is not Regime.CRITICAL:
+        raise ValidationError(f"s = 1/phi(1/t) is infinite at t={t}")
+    rate = small_time_rate(alpha, s)
     constant = small_time_constant(alpha, domain)
     if regime is Regime.SUPERCRITICAL:
         return constant * math.gamma(1.0 + 1.0 / alpha) / math.gamma(1.0 + beta / alpha) * rate

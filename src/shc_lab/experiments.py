@@ -28,9 +28,7 @@ from .asymptotics import (
     Regime,
     classify_regime,
     large_time_asymptote,
-    _large_time_index,
     small_time_asymptote,
-    _small_time_indices,
     small_time_rate,
     subordinate_log_rate,
     moment_asymptote,
@@ -138,17 +136,12 @@ class ExperimentConfig:
             raise ValidationError("n_paths, n_steps, truncation must be >= 1")
         self.exponent  # a bad phi or exponent parameter fails here, not mid-run
         self.domain  # so does an empty or unordered domain
-        # and so do an alpha or an exponent that the experiment's law lacks
+        # and so do an alpha or an exponent that the experiment's law lacks:
+        # s = 1/phi(1/t) grows with t, so the law at t_max decides
         if self.experiment == "small_time_mc":
-            regime, _ = _small_time_indices(self.alpha, self.exponent)
-            if regime is Regime.CRITICAL:
-                # the critical rate s ln(1/s) needs s = 1/phi(1/t) < 1 at every
-                # t, and phi increases, so t_max decides; a phi(1/t_max) that
-                # rounds to 0 is s = inf
-                phi = float(self.exponent(1.0 / self.t_max))
-                small_time_rate(self.alpha, 1.0 / phi if phi > 0.0 else math.inf)
+            small_time_asymptote(self.alpha, self.exponent, self.domain, self.t_max)
         if self.experiment == "large_time":
-            _large_time_index(self.exponent)
+            large_time_asymptote(self.alpha, self.domain, self.exponent, self.t_max)
         if self.experiment in _STABLE_ONLY and self.phi != "stable":
             raise ValidationError(f"{self.experiment} needs phi = stable, got {self.phi!r}")
         if self.experiment in _EIGEN and self.alpha < 2.0 and self.truncation > _MAX_BASIS:

@@ -4,7 +4,8 @@ Only two pieces of eigen data enter any heat-content formula: the
 eigenvalues lambda_n and the squared eigenfunction masses
 m_n^2 = (int_Omega psi_n)^2.  Exact pairs are available at alpha = 2
 (Dirichlet Laplacian sine basis on an interval); for alpha < 2 a
-Galerkin build in a weighted Jacobi basis computes them.
+Galerkin build in a weighted Gegenbauer basis computes them, its mass
+matrix in closed form from the connection coefficients (DLMF 18.18.16).
 """
 
 from __future__ import annotations
@@ -111,23 +112,38 @@ def bm_interval_eigensystem(domain: IntervalDomain, n_modes: int) -> EigenSystem
     return EigenSystem(lambdas=lam, masses_sq=msq, total_mass=L)
 
 
-def _jacobi(a: float, m: int) -> tuple[float, np.ndarray]:
-    """h0 = int (1 - x^2)^a over (-1, 1) and b_1..b_m of its orthonormal recurrence."""
-    h0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
-    j = np.arange(1.0, m + 1)
-    return h0, np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a - 1) * (2 * j + 2 * a + 1)))
+def _rising_ratio(x: float, y: float, n: int) -> np.ndarray:
+    """(x)_k / (y)_k for k < n, as a running product of (x + k) / (y + k)."""
+    k = np.arange(n - 1.0)
+    return np.concatenate(([1.0], np.cumprod((x + k) / (y + k))))
 
 
-def _half_gauss_rule(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positive nodes x of the 2n-point Gauss rule for (1 - x^2)^a, and twice their
-    weights (Golub & Welsch, Math. Comp. 23, 1969): x^2 and h0 v_0^2 are the
-    eigenvalues and squared first eigenvector entries of J^2's even half, with
-    diagonal b_2k^2 + b_(2k+1)^2 and off-diagonal b_(2k+1) b_(2k+2), b_0 = 0."""
-    h0, b = _jacobi(a, 2 * n - 1)
-    even, odd = np.concatenate(([0.0], b[1::2])), b[0::2]
-    # eigh reads the lower triangle only
-    x2, v = np.linalg.eigh(np.diag(even ** 2 + odd ** 2) + np.diag(odd[:-1] * even[1:], -1))
-    return np.sqrt(x2), h0 * v[0] ** 2
+def _inverse_stiffness(alpha: float, n: int) -> np.ndarray:
+    """Gamma(2k + 1) / Gamma(2k + 1 + alpha) = (1)_2k / (1 + alpha)_2k / Gamma(1 + alpha), k < n."""
+    return _rising_ratio(1.0, 1.0 + alpha, 2 * n - 1)[::2] / math.gamma(1.0 + alpha)
+
+
+def _norms(nu: float, n: int) -> np.ndarray:
+    """sqrt(h_2i), i < n: h_k = int (1 - x^2)^(nu - 1/2) C_k^nu(x)^2 over (-1, 1)
+    = h_0 nu (2 nu)_k / ((nu + k) k!), C_k^nu the Gegenbauer polynomials."""
+    k = np.arange(0.0, 2 * n, 2.0)
+    h0 = math.sqrt(math.pi) * math.gamma(nu + 0.5) / math.gamma(nu + 1.0)
+    return np.sqrt(h0 * nu / (nu + k) * _rising_ratio(2.0 * nu, 1.0, 2 * n - 1)[::2])
+
+
+def _connection(alpha: float, n: int) -> np.ndarray:
+    """A[j, i], i <= j < n, the coefficient of q_2i in p_2j, with p_k and q_k the
+    C_k^lam, lam = (alpha + 1)/2, and C_k^mu, mu = alpha + 1/2, over their norms,
+    so orthonormal for (1 - x^2)^(alpha/2) and (1 - x^2)^alpha: the mass matrix
+    int (1 - x^2)^alpha p_2j p_2k over (-1, 1) is A A^T.  By DLMF 18.18.16,
+    C_2j^lam = sum_i (lam)_(i+j) (lam - mu)_(j-i) (2i + mu) / ((mu)_(i+j+1) (j-i)!)
+    C_2i^mu; at alpha = 2, (lam - mu)_l = (-1)_l is exactly 0 for l >= 2."""
+    lam, mu = (alpha + 1.0) / 2.0, alpha + 0.5
+    j, i = np.tril_indices(n)
+    a = np.zeros((n, n))
+    by_sum, by_gap = _rising_ratio(lam, mu + 1.0, 2 * n - 1) / mu, _rising_ratio(lam - mu, 1.0, n)
+    a[j, i] = by_sum[i + j] * by_gap[j - i] * (2 * i + mu) * _norms(mu, n)[i] / _norms(lam, n)[j]
+    return a
 
 
 def _galerkin_modes(mass: np.ndarray, n_modes: int, scale: float):
@@ -143,36 +159,29 @@ def stable_interval_eigensystem(domain: IntervalDomain, alpha: float, n_modes: i
     Galerkin on (-1, 1) in the basis (1 - x^2)^(alpha/2) p_2k, k < N =
     ``n_modes``, p_j orthonormal for the weight (1 - x^2)^(alpha/2); odd
     modes carry no mass.  The stiffness is diagonal, Gamma(alpha + 2k + 1) /
-    (2k)! (Dyda, Fract. Calc. Appl. Anal. 15, 2012), the mass matrix B exact
-    under a Golub-Welsch rule (:func:`_half_gauss_rule`), and D B D, D =
-    stiffness^(-1/2), has eigenvalues 1/lambda.  Leading modes whose lambda
-    (relative) and m^2 (absolute) agree to 1e-12 between N and 2N basis
-    functions are kept, else :class:`TruncationBudgetError`.  Like the
-    Talbot node gap, that gap is measured, not certified: at most (kept
+    (2k)! (Dyda, Fract. Calc. Appl. Anal. 15, 2012), the mass matrix B is
+    A A^T with A the connection coefficients of :func:`_connection`, and
+    D B D, D = stiffness^(-1/2), has eigenvalues 1/lambda.  Leading modes
+    whose lambda (relative) and m^2 (absolute) agree to 1e-12 between N and
+    2N basis functions are kept, else :class:`TruncationBudgetError`.  Like
+    the Talbot node gap, that gap is measured, not certified: at most (kept
     modes * L/2 + L) * 1e-12 in a series with weights in [0, 1] and
     |lambda w'| <= 1.  The total mass is L, so the tail certificate of
-    ``weighted_series`` covers dropped modes.  On SciPy's ``roots_jacobi``
-    rule instead, at alpha in {0.3, 0.5, 1, 1.5, 1.9, 2} x N in {100, 200,
-    500, 1000}, the same modes are kept, lambda within 7.1e-13 relative
-    and m^2 within 2.2e-14 absolute (measured).
+    ``weighted_series`` covers dropped modes.  Against B from a 2N-point
+    Gauss-Jacobi rule, at alpha in {0.3, 0.5, 1, 1.5, 1.9, 2} x N in {100,
+    200, 500, 1000}, the same modes are kept, lambda within 6.2e-13
+    relative and m^2 within 2.9e-15 absolute (measured).
     """
     n_modes = _check_integer("n_modes", n_modes, 1)
     if not 0.0 < alpha <= 2.0:
         raise ValidationError(f"alpha must be in (0, 2], got {alpha}")
-    n, a = 2 * n_modes, alpha / 2.0
-    x, wq = _half_gauss_rule(alpha, n)  # exact to degree 4n - 1
-    h0, b = _jacobi(a, 2 * n - 1)
-    rows = np.empty((n, x.size))
-    prev, cur = np.zeros_like(x), np.full_like(x, h0 ** -0.5)
-    for d in range(2 * n - 1):  # x p_d = b[d] p_(d+1) + b[d-1] p_(d-1), p_(-1) = 0
-        if d % 2 == 0:
-            rows[d // 2] = cur
-        prev, cur = cur, (x * cur - b[d - 1] * prev) / b[d]
-    dinv = np.exp([0.5 * (math.lgamma(j) - math.lgamma(j + alpha)) for j in range(1, 2 * n, 2)])
-    rows *= dinv[:, None] * np.sqrt(wq)
+    n = 2 * n_modes
+    dinv = np.sqrt(_inverse_stiffness(alpha, n))
+    rows = dinv[:, None] * _connection(alpha, n)
     mass = rows @ rows.T
-    lam_n, msq_n = _galerkin_modes(mass[:n_modes, :n_modes], n_modes, h0 * dinv[0] ** 2)
-    lam, msq = _galerkin_modes(mass, n_modes, h0 * dinv[0] ** 2)
+    scale = (_norms((alpha + 1.0) / 2.0, 1)[0] * dinv[0]) ** 2  # (int (1 - x^2)^(alpha/2) p_0)^2
+    lam_n, msq_n = _galerkin_modes(mass[:n_modes, :n_modes], n_modes, scale)
+    lam, msq = _galerkin_modes(mass, n_modes, scale)
     agree = (np.abs(lam_n - lam) <= 1e-12 * lam) & (np.abs(msq_n - msq) <= 1e-12)
     keep = n_modes if agree.all() else int(np.argmin(agree))
     if keep == 0:

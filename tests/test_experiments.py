@@ -431,6 +431,26 @@ class TestCli:
         with pytest.raises(ValidationError, match="critical rate needs s < 1"):
             parse_config_file(cfg, ["alpha=1", "phi=tempered", "t_max=1e17"])
 
+    @pytest.mark.parametrize(
+        "experiment,overrides,message",
+        [
+            ("small_time_mc", ["phi=tempered", "t_min=1e16", "t_max=1e17"], "is infinite"),
+            ("large_time", ["domain_b=1e200"], "overflows"),
+        ],
+    )
+    def test_law_at_t_max_exit_code(self, tmp_path, experiment, overrides, message):
+        # the parser evaluates the experiment's law at t_max: a tempered
+        # phi(1/t_max) that rounds to 0 makes s = 1/phi(1/t_max) infinite in
+        # the supercritical law too, and L^(1 + alpha) overflows the
+        # large-time constant; both fail at parse, not mid-run
+        cfg = CONFIGS / f"{experiment}.cfg"
+        with pytest.raises(ValidationError, match=message):
+            parse_config_file(cfg, overrides)
+        out = tmp_path / "out"
+        args = [a for o in overrides for a in ("--set", o)]
+        assert cli_main(["run", str(cfg), *args, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_ignored_alpha_exit_code(self, tmp_path):
         # truncation 1001 is above the cap for a Galerkin basis (alpha < 2)
         p = self._write_cfg(tmp_path)

@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
 
 from shc_lab import (
     EigenSystem,
@@ -17,7 +16,7 @@ from shc_lab import (
     stable_interval_eigensystem,
     weighted_series,
 )
-from shc_lab.spectral import _half_gauss_rule
+from shc_lab.spectral import _connection, _inverse_stiffness
 
 
 class TestIntervalDomain:
@@ -263,20 +262,65 @@ class TestStableIntervalEigensystem:
             stable_interval_eigensystem(IntervalDomain(0.0, 1.0), alpha, n_modes)
 
 
-@pytest.mark.parametrize("m", [200, 800, 4000])
-@pytest.mark.parametrize("a", [0.3, 1.0, 1.5, 2.0])
-def test_gauss_rule_moments_and_nodes(a, m):
-    # int x^(2k) (1 - x^2)^a over (-1, 1) is B(k + 1/2, a + 1), exact for k < m;
-    # the reference is B(1/2, a + 1) times prod_(j<k) (j + 1/2) / (j + a + 3/2),
-    # since scipy.special.beta is itself about 6.5e-12 off at k = 3999
-    x, w2 = _half_gauss_rule(a, m // 2)
-    j = np.arange(m - 1.0)
-    ratios = np.concatenate(([1.0], np.cumprod((j + 0.5) / (j + a + 1.5))))
-    exact = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5) * ratios
-    for k in (0, 1, 10, 100, m // 2 - 1, m - 1):
-        assert float(np.sum(w2 * x ** (2 * k))) == pytest.approx(exact[k], rel=1e-11, abs=0.0)
-    nodes, _ = roots_jacobi(m, a, a)
-    np.testing.assert_allclose(x, nodes[m // 2:], rtol=0.0, atol=1e-13)
+@pytest.mark.parametrize("alpha", [0.3, 1.5, 1.9])
+def test_inverse_stiffness_forty_digits(alpha):
+    # Gamma(2k + 1) / Gamma(2k + 1 + alpha) by running product, against mpmath
+    mpmath = pytest.importorskip("mpmath")
+    g = _inverse_stiffness(alpha, 4000)
+    with mpmath.workdps(40):
+        for k in (0, 1, 10, 100, 1000, 3999):
+            exact = mpmath.gamma(2 * k + 1) / mpmath.gamma(2 * k + 1 + mpmath.mpf(alpha))
+            assert abs(float((g[k] - exact) / exact)) <= 5e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_mass_matrix_against_quadrature(alpha):
+    # A A^T is int (1 - x^2)^alpha p_2j p_2k over (-1, 1), p_k the Gegenbauer
+    # C_k^lam normalised for (1 - x^2)^(alpha/2), here by 30-digit quadrature
+    mpmath = pytest.importorskip("mpmath")
+    a = _connection(alpha, 40)
+    mass = a @ a.T
+    with mpmath.workdps(30):
+        w, lam = mpmath.mpf(alpha), (mpmath.mpf(alpha) + 1) / 2
+
+        def p(k, x):
+            h0 = mpmath.sqrt(mpmath.pi) * mpmath.gamma(lam + 0.5) / mpmath.gamma(lam + 1)
+            h = h0 * lam * mpmath.rf(2 * lam, k) / ((lam + k) * mpmath.factorial(k))
+            return mpmath.gegenbauer(k, lam, x) / mpmath.sqrt(h)
+
+        for j, k in [(0, 0), (3, 5), (10, 10), (20, 37), (39, 39)]:
+            exact = 2 * mpmath.quad(lambda x: (1 - x * x) ** w * p(2 * j, x) * p(2 * k, x), [0, 1])
+            assert abs(float((mass[j, k] - exact) / exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 2.0])
+def test_connection_coefficients_forty_digits(alpha):
+    # DLMF 18.18.16 at 40 digits: A[j, i] = c sqrt(h_2i^mu / h_2j^lam), with c the
+    # coefficient of C_2i^mu in C_2j^lam
+    mpmath = pytest.importorskip("mpmath")
+    n = 2000
+    a = _connection(alpha, n)
+    assert not np.any(np.triu(a, 1))
+    if alpha == 2.0:
+        assert not np.any(np.tril(a, -2))  # (-1)_l vanishes for l >= 2
+    rng = np.random.default_rng(20261020)
+    j = rng.integers(0, n, 50)
+    i = (rng.random(50) * (j + 1)).astype(int)
+    with mpmath.workdps(40):
+        lam, mu = (mpmath.mpf(alpha) + 1) / 2, mpmath.mpf(alpha) + 0.5
+
+        def h(k, nu):  # int (1 - x^2)^(nu - 1/2) C_k^nu(x)^2 dx (DLMF 18.3.1)
+            return (2 ** (1 - 2 * nu) * mpmath.pi * mpmath.gamma(k + 2 * nu)
+                    / ((k + nu) * mpmath.gamma(nu) ** 2 * mpmath.factorial(k)))
+
+        for jj, ii in zip(j.tolist(), i.tolist()):
+            c = (mpmath.rf(lam, ii + jj) * mpmath.rf(lam - mu, jj - ii) * (2 * ii + mu)
+                 / (mpmath.rf(mu, ii + jj + 1) * mpmath.factorial(jj - ii)))
+            exact = c * mpmath.sqrt(h(2 * ii, mu) / h(2 * jj, lam))
+            if exact == 0:
+                assert a[jj, ii] == 0.0
+            else:
+                assert abs(float((a[jj, ii] - exact) / exact)) <= 5e-13
 
 
 @pytest.mark.parametrize("n_modes", [10.5, 10.0, True, "10", None, 0, -3])
