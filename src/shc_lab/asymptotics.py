@@ -325,7 +325,11 @@ def tail_decay_probe(
 
     Draws one exact sample of E_1 and, since E_t =d t^beta E_1 by
     self-similarity, estimates every tail from it:
-    P(E_t > delta) = P(E_1 > delta t^-beta).  Regresses ln(-ln p) on
+    P(E_t > delta) = P(E_1 > delta t^-beta).  The counts at the levels
+    delta t^-beta come from ``StableExponent.inverse_exceedances``, which
+    evaluates E_1 only on the draws that can pass the least level (about
+    0.3% of them at the shipped config) and counts exactly what the whole
+    sample of ``inverse_times`` would.  Regresses ln(-ln p) on
     ln t.  The events are nested, so the counts are correlated,
     Cov(p_i, p_j) = (min(p_i, p_j) - p_i p_j) / n; the slope's variance
     is (w g)' Cov (w g) by the delta method, with w the regression
@@ -333,7 +337,8 @@ def tail_decay_probe(
     modeled, so the fitted slope carries a known mild bias toward zero;
     choose the grid so tails stay resolved (p >= 10 / n_samples).  A t
     with no exceedance raises ``UnresolvedTailError``; the smallest t
-    runs out first.
+    runs out first.  A grid whose ln t are all equal has no slope and
+    raises ``ValidationError`` before any draw.
     """
     delta = float(delta)
     # E_t >= 0, so every sample passes a delta <= 0 and p = 1 has no log-log slope
@@ -345,8 +350,13 @@ def tail_decay_probe(
     if not np.all((ts > 0.0) & np.isfinite(ts)):
         raise ValidationError(f"t must be finite and > 0, got {t_grid!r}")
     _check_integer("n_samples", n_samples, 100)
-    e1 = StableExponent(beta).inverse_times([1.0], n_samples, derive_rng(seed))[0]
-    hits = np.array([np.count_nonzero(e1 > delta * t ** -beta) for t in ts])
+    x = np.log(ts)
+    xc = x - x.mean()
+    sxx = float(np.sum(xc * xc))
+    if sxx == 0.0:
+        raise ValidationError("degenerate abscissa (all t equal)")
+    levels = [delta * t ** -beta for t in ts]
+    hits = StableExponent(beta).inverse_exceedances(levels, n_samples, derive_rng(seed))
     if not hits.all():
         t = ts[hits == 0].min()
         raise UnresolvedTailError(
@@ -359,9 +369,6 @@ def tail_decay_probe(
         )
     p = hits / n_samples
     neg_log = [-math.log(v) for v in p]
-    x = np.log(ts)
-    xc = x - x.mean()
-    sxx = float(np.sum(xc * xc))
     y = np.log(neg_log)
     # the slope's gradient in p: d slope / d p_i = w_i / (p_i ln p_i)
     grad = xc / sxx / (p * np.log(p))

@@ -10,7 +10,10 @@ for all paths or one per path) with the longest piece it draws cheaply,
 its Laplace functional E[exp(-a E_t)] of the inverse
 E_t = inf{u : D_u > t}, and an exact E_t sampler (``inverse_times``)
 where it has one: the stable family (E_t =d (t / D_1)^beta) and the
-drift.  The base's ``inverse_steps`` counts the fixed-dt step budgets
+drift.  The stable exponent also counts #{E_1 > level} over the same
+draws (``inverse_exceedances``), evaluating E_1 only where Kanter's bound
+E_1 <= W^(1-beta) / k0 lets a draw reach a level.  The base's
+``inverse_steps`` counts the fixed-dt step budgets
 #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) on the grid, all paths grown
 together, for the exponents without that sampler;
 ``heat_content._step_budgets`` floors the exact E_t of the others.  The
@@ -125,7 +128,12 @@ class LaplaceExponent:
 
 @dataclass(frozen=True)
 class StableExponent(LaplaceExponent):
-    """phi(lam) = lam^beta, the beta-stable subordinator."""
+    """phi(lam) = lam^beta, the beta-stable subordinator.
+
+    Its inverse has an exact sampler, E_t =d (t / D_1)^beta
+    (``inverse_times``), and the tail counts of E_1 at many levels come
+    from the same draws without the array of E_1
+    (``inverse_exceedances``)."""
 
     beta: float
 
@@ -151,6 +159,38 @@ class StableExponent(LaplaceExponent):
         (self-similarity), so each path's E_t is nondecreasing along ``ts``."""
         s = sample_positive_stable(rng, self.beta, size)
         return (np.asarray(ts, dtype=float)[:, None] / s[None, :]) ** self.beta
+
+    def inverse_exceedances(self, levels, size, rng):
+        """#{E_1 > level} per entry of ``levels``, int64, over the E_1 of
+        ``inverse_times([1.0], size, rng)[0]``, bit for bit, leaving ``rng``
+        in the same state; the E_1 of only the draws that can pass a level
+        are evaluated.
+
+        E_1 = (1 / S)^beta = W^(1-beta) / K(U), with K(u) = sin(beta u)^beta
+        sin((1-beta) u)^(1-beta) / sin(u) increasing on (0, pi) from
+        K(0+) = k0 = beta^beta (1-beta)^(1-beta) (Kanter, Ann. Probab. 3,
+        1975), so E_1 <= W^(1-beta) / k0, which the evaluated E_1 keeps to
+        1e-12 relative.  A draw with W^(1-beta) <= k0 m (1 - 1e-9) cannot
+        pass the least level m; m is capped at 2^(1000 beta), past which
+        1 / S may overflow (E_1 = inf, at beta below about 0.004).  U is drawn
+        whole, then W block by block, which consumes the generator as one
+        call does.
+        """
+        beta = self.beta
+        levels = np.asarray(levels, dtype=float)
+        counts = np.zeros(levels.shape, dtype=np.int64)
+        u = _angles(rng, size)
+        k0 = beta ** beta * (1.0 - beta) ** (1.0 - beta)
+        # a NaN level is passed by no draw and leaves every draw a candidate
+        reach = k0 * np.minimum(levels.min(initial=math.inf), 2.0 ** (1000.0 * beta))
+        reach *= 1.0 - 1e-9
+        w_min = reach ** (1.0 / (1.0 - beta)) if reach > 0.0 else -math.inf
+        for block, (w,) in _blocks(size, 1):
+            rng.standard_exponential(out=w)
+            keep = w > w_min
+            e1 = (1.0 / _kanter(u[block][keep], w[keep], beta, 1.0, 1.0)) ** beta
+            counts += np.count_nonzero(e1 > levels[..., None], axis=-1)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -187,9 +227,12 @@ class TemperedStableExponent(LaplaceExponent):
         exp(-kappa * X).  Overall acceptance is exp(-delta * kappa^beta),
         so a large delta is chopped into pieces with acceptance around
         exp(-0.7) each; the result is exact in distribution by infinite
-        divisibility.  Chunk k draws for the paths with more than k pieces.
-        The cost grows linearly in delta, so a call that needs more than
-        ``_PIECE_CAP`` pieces on a path raises before drawing.
+        divisibility.  Chunk k draws for the paths with more than k pieces;
+        when every path takes it, its first round draws for all paths with
+        the unindexed piece and adds the accepted candidates in place, and
+        only the retry rounds index.  The cost grows linearly in delta, so
+        a call that needs more than ``_PIECE_CAP`` pieces on a path raises
+        before drawing.
         """
         beta, kappa = self.beta, self.kappa
         budget = np.multiply(delta, kappa ** beta)
@@ -199,26 +242,35 @@ class TemperedStableExponent(LaplaceExponent):
                 f"tempered increment over delta={np.max(delta)} needs "
                 f"{n_chunks.max()} pieces per path, more than {_PIECE_CAP}"
             )
+        # the chunks every path takes
+        shared = int(n_chunks.min(initial=_PIECE_CAP))
         piece = delta / n_chunks
-        scale = np.broadcast_to(_root(piece, beta), size)
-        piece = np.broadcast_to(piece, size)
+        scale = _root(piece, beta)
+        path_piece, path_scale = np.broadcast_to(piece, size), np.broadcast_to(scale, size)
         n_chunks = np.broadcast_to(n_chunks, size)
         out = np.zeros(size)
         for k in range(int(n_chunks.max(initial=0))):
-            pending = np.flatnonzero(n_chunks > k)
-            vals = np.zeros(size)
             rejections = 0
+            if k < shared:
+                cand = _scaled_stable(rng, beta, piece, scale, size)
+                accept = rng.uniform(size=size) <= np.exp(-kappa * cand)
+                np.add(out, cand, out=out, where=accept)
+                pending = np.flatnonzero(~accept)
+                rejections += pending.size
+            else:
+                pending = np.flatnonzero(n_chunks > k)
             while pending.size:
-                cand = _scaled_stable(rng, beta, piece[pending], scale[pending], pending.size)
-                accept = rng.uniform(size=pending.size) <= np.exp(-kappa * cand)
-                vals[pending[accept]] = cand[accept]
-                rejections += int(np.count_nonzero(~accept))
                 if rejections > _REJECTION_CAP:
                     raise RejectionBudgetError(
                         f"tempering rejection cap exceeded (kappa={kappa}, delta={np.max(delta)})"
                     )
+                cand = _scaled_stable(
+                    rng, beta, path_piece[pending], path_scale[pending], pending.size
+                )
+                accept = rng.uniform(size=pending.size) <= np.exp(-kappa * cand)
+                out[pending[accept]] += cand[accept]
+                rejections += int(np.count_nonzero(~accept))
                 pending = pending[~accept]
-            out += vals
         return out
 
 
@@ -316,12 +368,19 @@ def _scaled_stable(rng: np.random.Generator, beta: float, delta, root, size) -> 
     """delta^(1/beta) S, one S per path as in :func:`sample_positive_stable`,
     given ``root`` = ``_root(delta, beta)``."""
     _check_stable_index(beta)
-    shape = () if size is None else size
-    u, w = np.empty(shape), np.empty(shape)
-    rng.random(size, out=u)
-    u *= math.pi
+    u = _angles(rng, size)
+    w = np.empty(u.shape)
     rng.standard_exponential(size, out=w)
     return _kanter(u, w, beta, delta, root)[()]
+
+
+def _angles(rng: np.random.Generator, size) -> np.ndarray:
+    """U = pi R from R = ``rng.random(size)``: the draws of
+    ``rng.uniform(0, pi, size)``, bit for bit."""
+    u = np.empty(() if size is None else size)
+    rng.random(size, out=u)
+    u *= math.pi
+    return u
 
 
 def _kanter(u: np.ndarray, w: np.ndarray, beta: float, delta, root) -> np.ndarray:

@@ -331,6 +331,15 @@ class TestTailProbe:
         with pytest.raises(ValidationError, match="t must be"):
             tail_decay_probe(0.5, 1.0, [1e-2, 2e-2, t], 1000, seed=1)
 
+    def test_flat_grid_rejected_before_drawing(self, monkeypatch):
+        # every t equal leaves the log-log slope undefined (it read NaN)
+        def no_draw(*args):
+            raise AssertionError("drew E_1")
+
+        monkeypatch.setattr(StableExponent, "inverse_exceedances", no_draw)
+        with pytest.raises(ValidationError, match="degenerate abscissa"):
+            tail_decay_probe(0.5, 1.0, [0.05, 0.05, 0.05], 10_000, 1)
+
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf])
     def test_nonpositive_or_infinite_delta_rejected(self, delta):
         with pytest.raises(ValidationError, match="delta"):

@@ -50,7 +50,7 @@ UNRESOLVED_BINDINGS = {
     "stable_motion.walk_exit_steps": "walk_exit_steps deleted; _unit_extremes is the one walk",
     "experiments.monte_carlo_heat_content": "experiments call monte_carlo_heat_content_grid",
     "heat_content.sample_positive_stable": "heat_content draws E_t through inverse_times",
-    "asymptotics.sample_inverse_stable": "tail_decay_probe draws E_1 by StableExponent.inverse_times",
+    "asymptotics.sample_inverse_stable": "tail_decay_probe counts E_1 by StableExponent.inverse_exceedances",
     "experiments.laplace_invert": "transform_consistency inverts through expected_laplace",
 }
 

@@ -208,6 +208,35 @@ class TestIncrementSamplers:
         se = x.std(axis=1, ddof=1) / math.sqrt(x.shape[1])
         assert np.all(np.abs(x.mean(axis=1) - 0.5 * np.array([0.1, 1.0, 40.0])) <= 3 * se)
 
+    @pytest.mark.parametrize(
+        "delta", [1e-3, 0.3, 2.0, np.linspace(0.01, 3.0, 3000)], ids=["1e-3", "0.3", "2", "per-path"]
+    )
+    def test_tempered_matches_indexed_rounds(self, delta):
+        # a chunk every path takes draws its first round for all paths
+        # unindexed; a rejection loop that indexes every round consumes the
+        # generator the same way and gives the same bits
+        import shc_lab.subordinators as sub
+
+        spec = TemperedStableExponent(0.5, 2.0)
+        n = 3000
+        rng = derive_rng(21)
+        n_chunks = np.maximum(1, np.ceil(np.multiply(delta, 2.0 ** 0.5) / sub._TILT_BUDGET))
+        piece = np.broadcast_to(delta / n_chunks, n)
+        n_chunks = np.broadcast_to(n_chunks, n)
+        expected = np.zeros(n)
+        for k in range(int(n_chunks.max())):
+            pending = np.flatnonzero(n_chunks > k)
+            while pending.size:
+                cand = sub._scaled_stable(
+                    rng, 0.5, piece[pending], sub._root(piece[pending], 0.5), pending.size
+                )
+                accept = rng.uniform(size=pending.size) <= np.exp(-2.0 * cand)
+                expected[pending[accept]] += cand[accept]
+                pending = pending[~accept]
+        drawn = derive_rng(21)
+        assert np.array_equal(sample_increments(spec, delta, n, drawn), expected)
+        assert drawn.bit_generator.state == rng.bit_generator.state
+
 
 def first_passage(spec, ts, size, seed, du):
     """E_t by first passage on the grid k * du: (k + 1) * du, with
@@ -341,6 +370,87 @@ class TestInverseTimes:
         e = DriftExponent().inverse_times([0.0, 0.5, 2.0], 3, rng)
         assert e.tolist() == [[0.0] * 3, [0.5] * 3, [2.0] * 3]
         assert rng.bit_generator.state == state
+
+
+class TestInverseExceedances:
+    """#{E_1 > level} over the E_1 of ``inverse_times([1.0], ...)``, with
+    Kanter's formula run only on the draws whose W can reach a level."""
+
+    @staticmethod
+    def level_sets(e):
+        # every level set is compared with the E_1 of inverse_times itself
+        top, low = float(e.max()), float(e.min())
+        picks = e[np.linspace(0, e.size - 1, 7).astype(int)]
+        return {
+            "quantiles": np.quantile(e, [0.5, 0.9, 0.99, 0.999, 0.9999]),
+            "ties": np.concatenate([picks, [top, np.nextafter(top, 0.0)]]),
+            "none": np.array([top, 2.0 * top, 1e300, math.inf]),
+            "all": np.array([0.0, -1.0, np.nextafter(low, 0.0)]),
+            "tiny": np.array([1e-300, float(np.median(e)), top]),
+            "nan": np.array([math.nan, float(np.median(e))]),
+        }
+
+    @pytest.mark.parametrize("seed", [1, 2, 20260810])
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_counts_match_inverse_times(self, beta, seed):
+        spec, n = StableExponent(beta), 200_000
+        rng = derive_rng(seed)
+        e = spec.inverse_times([1.0], n, rng)[0]
+        for name, levels in self.level_sets(e).items():
+            drawn = derive_rng(seed)
+            counts = spec.inverse_exceedances(levels, n, drawn)
+            assert counts.dtype == np.int64, name
+            assert counts.tolist() == [np.count_nonzero(e > v) for v in levels], name
+            assert drawn.bit_generator.state == rng.bit_generator.state, name
+
+    @pytest.mark.parametrize("beta", [0.001, 0.003])
+    def test_counts_match_where_one_over_s_overflows(self, beta):
+        # below beta of about 0.004, 1 / S overflows and inverse_times gives
+        # E_1 = inf on draws whose W^(1-beta) / k0 is far below the levels
+        # here; the cap on the least level keeps those draws candidates
+        spec, n = StableExponent(beta), 200_000
+        with np.errstate(divide="ignore", over="ignore"):
+            e = spec.inverse_times([1.0], n, derive_rng(3))[0]
+            assert np.isinf(e).any() and e[np.isfinite(e)].max() < 1e3
+            for levels in ([1e3, 1e300], [1e3, float(np.median(e))]):
+                counts = spec.inverse_exceedances(levels, n, derive_rng(3))
+                assert counts.tolist() == [np.count_nonzero(e > v) for v in levels]
+
+    def test_only_candidates_are_evaluated(self, monkeypatch):
+        # at the shipped tail_probe levels about 0.3% of the draws reach
+        # Kanter's formula; a tiny least level leaves every draw a candidate
+        import shc_lab.subordinators as sub
+
+        seen, kanter = [], sub._kanter
+
+        def counted(u, w, beta, delta, root):
+            seen.append(u.size)
+            return kanter(u, w, beta, delta, root)
+
+        spec, n = StableExponent(0.5), 200_000
+        ts = np.logspace(math.log10(0.023), math.log10(0.0434), 7)
+        monkeypatch.setattr(sub, "_kanter", counted)
+        spec.inverse_exceedances(ts ** -0.5, n, derive_rng(4))
+        assert 0 < sum(seen) < 0.01 * n
+        seen.clear()
+        spec.inverse_exceedances([1e-300], n, derive_rng(4))
+        assert sum(seen) == n
+
+    def test_kanter_bound_holds_as_computed(self):
+        # E_1 = W^(1-beta) / K(U) with K increasing from K(0+) = k0: the
+        # evaluated E_1 keeps E_1 k0 <= W^(1-beta) to 1e-12, and small U
+        # brings it to the bound, so no larger k0 would do
+        import shc_lab.subordinators as sub
+
+        for beta in np.linspace(0.01, 0.99, 50):
+            rng = derive_rng(5)
+            u = sub._angles(rng, 50_000)
+            w = rng.standard_exponential(50_000)
+            e1 = (1.0 / sub._kanter(u, w, beta, 1.0, 1.0)) ** beta
+            k0 = beta ** beta * (1.0 - beta) ** (1.0 - beta)
+            ratio = e1 * k0 / w ** (1.0 - beta)
+            assert ratio.max() <= 1.0 + 1e-12, beta
+            assert ratio.max() > 1.0 - 1e-6, beta
 
 
 class TestExactInverseSampler:
