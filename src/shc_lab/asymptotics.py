@@ -329,8 +329,9 @@ def tail_decay_probe(
     delta t^-beta come from ``StableExponent.inverse_exceedances``, which
     evaluates E_1 only on the draws that can pass the least level (about
     0.3% of them at the shipped config) and counts exactly what the whole
-    sample of ``inverse_times`` would.  Regresses ln(-ln p) on
-    ln t.  The events are nested, so the counts are correlated,
+    sample of ``inverse_times`` would, whose E_1 = W^(1-beta) / K(U) is
+    finite and positive at every beta.  Regresses ln(-ln p) on ln t.  The
+    events are nested, so the counts are correlated,
     Cov(p_i, p_j) = (min(p_i, p_j) - p_i p_j) / n; the slope's variance
     is (w g)' Cov (w g) by the delta method, with w the regression
     weights and g = 1 / (p ln p).  Slowly varying factors are not

@@ -54,8 +54,6 @@ def main(argv=None) -> int:
         config = parse_config_file(args.config, args.overrides)
         if args.out is not None:
             config = dataclasses.replace(config, out=args.out)
-        if args.workers < 1:
-            raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         result = run_experiment(config, workers=args.workers)
         csv_path, json_path = write_outputs(result, config.out)
     except ValidationError as exc:

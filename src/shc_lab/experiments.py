@@ -500,6 +500,7 @@ _RUNNERS = {
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run one experiment; deterministic for a fixed config and any workers."""
+    _check_integer("workers", workers, 1)
     start = time.perf_counter()
     rows, summary = _RUNNERS[config.experiment](config, workers)
     return ExperimentResult(

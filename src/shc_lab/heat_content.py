@@ -371,6 +371,7 @@ def monte_carlo_heat_content_grid(
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t grid must be nondecreasing")
     _validate_mc_args(ts, n_paths, dt, n_steps)
+    _check_integer("workers", workers, 1)
     sums = _run_replicas(alpha, domain, time_change, ts, n_paths, dt, n_steps, seed, workers)
     method = "monte_carlo_range" if _takes_range(time_change, dt) else "monte_carlo"
     return _values(domain, ts, sums, n_paths, method)

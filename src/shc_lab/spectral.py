@@ -244,7 +244,11 @@ def weighted_series(
     evaluation stops at the first mode whose certificate drops below
     ``tol``, and only the weights up to that mode are checked and summed;
     :class:`TruncationBudgetError` is raised if the budget runs out first.
+    A ``tol`` that is not >= 0, NaN included, raises ``ValidationError``.
     """
+    # NaN fails every comparison, so the check asks for the good case
+    if tol is not None and not tol >= 0.0:
+        raise ValidationError(f"tol must be >= 0, got {tol}")
     (nonzero,) = np.nonzero(eig.masses_sq)
     total, mass_used, prev_w = 0.0, 0.0, math.inf
     cert, n_used = math.inf, 0

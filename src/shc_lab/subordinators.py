@@ -12,7 +12,9 @@ E_t = inf{u : D_u > t}, and an exact E_t sampler (``inverse_times``)
 where it has one: the stable family (E_t =d (t / D_1)^beta) and the
 drift.  The stable exponent also counts #{E_1 > level} over the same
 draws (``inverse_exceedances``), evaluating E_1 only where Kanter's bound
-E_1 <= W^(1-beta) / k0 lets a draw reach a level.  The base's
+E_1 <= W^(1-beta) / k0 lets a draw reach a level.  Every stable draw
+goes through one Kanter ratio r = delta K(U) / W^(1-beta) (``_kanter``):
+a forward draw is r^(1/beta), an inverse one t^beta / r.  The base's
 ``inverse_steps`` counts the fixed-dt step budgets
 #{k >= 1 : D_{k dt} <= t} = floor(E_t / dt) on the grid, all paths grown
 together, for the exponents without that sampler;
@@ -131,9 +133,9 @@ class StableExponent(LaplaceExponent):
     """phi(lam) = lam^beta, the beta-stable subordinator.
 
     Its inverse has an exact sampler, E_t =d (t / D_1)^beta
-    (``inverse_times``), and the tail counts of E_1 at many levels come
-    from the same draws without the array of E_1
-    (``inverse_exceedances``)."""
+    (``inverse_times``), finite and positive for t > 0 at every beta, and
+    the tail counts of E_1 at many levels come from the same draws without
+    the array of E_1 (``inverse_exceedances``)."""
 
     beta: float
 
@@ -152,13 +154,14 @@ class StableExponent(LaplaceExponent):
         return self.beta
 
     def increments(self, delta, size, rng):
-        return _scaled_stable(rng, self.beta, delta, _root(delta, self.beta), size)
+        return _scaled_stable(rng, self.beta, delta, size)
 
     def inverse_times(self, ts, size, rng):
         """Exact E_t =d (t / D_1)^beta per (t, path), one D_1 per path
-        (self-similarity), so each path's E_t is nondecreasing along ``ts``."""
-        s = sample_positive_stable(rng, self.beta, size)
-        return (np.asarray(ts, dtype=float)[:, None] / s[None, :]) ** self.beta
+        (self-similarity), so each path's E_t is nondecreasing along ``ts``;
+        D_1 takes the draws of ``sample_positive_stable``."""
+        u = _angles(rng, size)
+        return _inverse_stable(u, rng.standard_exponential(size), self.beta, ts)
 
     def inverse_exceedances(self, levels, size, rng):
         """#{E_1 > level} per entry of ``levels``, int64, over the E_1 of
@@ -171,10 +174,8 @@ class StableExponent(LaplaceExponent):
         K(0+) = k0 = beta^beta (1-beta)^(1-beta) (Kanter, Ann. Probab. 3,
         1975), so E_1 <= W^(1-beta) / k0, which the evaluated E_1 keeps to
         1e-12 relative.  A draw with W^(1-beta) <= k0 m (1 - 1e-9) cannot
-        pass the least level m; m is capped at 2^(1000 beta), past which
-        1 / S may overflow (E_1 = inf, at beta below about 0.004).  U is drawn
-        whole, then W block by block, which consumes the generator as one
-        call does.
+        pass the least level m.  U is drawn whole, then W block by block,
+        which consumes the generator as one call does.
         """
         beta = self.beta
         levels = np.asarray(levels, dtype=float)
@@ -182,13 +183,13 @@ class StableExponent(LaplaceExponent):
         u = _angles(rng, size)
         k0 = beta ** beta * (1.0 - beta) ** (1.0 - beta)
         # a NaN level is passed by no draw and leaves every draw a candidate
-        reach = k0 * np.minimum(levels.min(initial=math.inf), 2.0 ** (1000.0 * beta))
-        reach *= 1.0 - 1e-9
-        w_min = reach ** (1.0 / (1.0 - beta)) if reach > 0.0 else -math.inf
+        reach = k0 * levels.min(initial=math.inf) * (1.0 - 1e-9)
+        with np.errstate(over="ignore"):
+            w_min = np.power(reach, 1.0 / (1.0 - beta)) if reach > 0.0 else -math.inf
         for block, (w,) in _blocks(size, 1):
             rng.standard_exponential(out=w)
             keep = w > w_min
-            e1 = (1.0 / _kanter(u[block][keep], w[keep], beta, 1.0, 1.0)) ** beta
+            e1 = _inverse_stable(u[block][keep], w[keep], beta, [1.0])[0]
             counts += np.count_nonzero(e1 > levels[..., None], axis=-1)
         return counts
 
@@ -232,7 +233,8 @@ class TemperedStableExponent(LaplaceExponent):
         the unindexed piece and adds the accepted candidates in place, and
         only the retry rounds index.  The cost grows linearly in delta, so
         a call that needs more than ``_PIECE_CAP`` pieces on a path raises
-        before drawing.
+        before drawing, and so does a path rejected more than
+        ``_REJECTION_CAP`` times on one piece, however many paths there are.
         """
         beta, kappa = self.beta, self.kappa
         budget = np.multiply(delta, kappa ** beta)
@@ -245,31 +247,30 @@ class TemperedStableExponent(LaplaceExponent):
         # the chunks every path takes
         shared = int(n_chunks.min(initial=_PIECE_CAP))
         piece = delta / n_chunks
-        scale = _root(piece, beta)
-        path_piece, path_scale = np.broadcast_to(piece, size), np.broadcast_to(scale, size)
+        path_piece = np.broadcast_to(piece, size)
         n_chunks = np.broadcast_to(n_chunks, size)
         out = np.zeros(size)
         for k in range(int(n_chunks.max(initial=0))):
-            rejections = 0
             if k < shared:
-                cand = _scaled_stable(rng, beta, piece, scale, size)
+                cand = _scaled_stable(rng, beta, piece, size)
                 accept = rng.uniform(size=size) <= np.exp(-kappa * cand)
                 np.add(out, cand, out=out, where=accept)
                 pending = np.flatnonzero(~accept)
-                rejections += pending.size
+                rejections = 1
             else:
                 pending = np.flatnonzero(n_chunks > k)
+                rejections = 0
+            # every pending path was rejected in each round of this chunk
             while pending.size:
                 if rejections > _REJECTION_CAP:
                     raise RejectionBudgetError(
-                        f"tempering rejection cap exceeded (kappa={kappa}, delta={np.max(delta)})"
+                        f"tempering rejection cap exceeded: {rejections} rejections of "
+                        f"one piece (kappa={kappa}, delta={np.max(delta)})"
                     )
-                cand = _scaled_stable(
-                    rng, beta, path_piece[pending], path_scale[pending], pending.size
-                )
+                cand = _scaled_stable(rng, beta, path_piece[pending], pending.size)
                 accept = rng.uniform(size=pending.size) <= np.exp(-kappa * cand)
                 out[pending[accept]] += cand[accept]
-                rejections += int(np.count_nonzero(~accept))
+                rejections += 1
                 pending = pending[~accept]
         return out
 
@@ -302,10 +303,10 @@ class SumOfStablesExponent(LaplaceExponent):
         return self.b
 
     def increments(self, delta, size, rng):
-        first = _scaled_stable(rng, self.a, delta, _root(delta, self.a), size)
+        first = _scaled_stable(rng, self.a, delta, size)
         if self.b == 1.0:
             return first + delta
-        return first + _scaled_stable(rng, self.b, delta, _root(delta, self.b), size)
+        return first + _scaled_stable(rng, self.b, delta, size)
 
 
 @dataclass(frozen=True)
@@ -354,24 +355,26 @@ def sample_positive_stable(rng: np.random.Generator, beta: float, size) -> np.nd
             * (sin((1-beta) U) / W)^((1-beta)/beta)
           = (sin(beta U)^beta sin((1-beta) U)^(1-beta) / (sin(U) W^(1-beta)))^(1/beta),
 
-    evaluated in the second form by :func:`_kanter`.  All U are drawn
-    first, U = pi R from R = ``rng.random()``, then all W; the draws are
-    those of ``rng.uniform(0, pi, size)`` followed by
-    ``rng.exponential(1.0, size)``, bit for bit.  Only S itself can leave
-    the float range, and there it is taken in logs; a variate past the
-    float range is inf.
+    evaluated in the second form, as r^(1/beta) with r = S^beta from
+    :func:`_kanter`.  All U are drawn first, U = pi R from R =
+    ``rng.random()``, then all W; the draws are those of
+    ``rng.uniform(0, pi, size)`` followed by ``rng.exponential(1.0, size)``,
+    bit for bit.  A variate past the float range is inf.
     """
-    return _scaled_stable(rng, beta, 1.0, 1.0, size)
+    return _scaled_stable(rng, beta, 1.0, size)
 
 
-def _scaled_stable(rng: np.random.Generator, beta: float, delta, root, size) -> np.ndarray:
-    """delta^(1/beta) S, one S per path as in :func:`sample_positive_stable`,
-    given ``root`` = ``_root(delta, beta)``."""
+def _scaled_stable(rng: np.random.Generator, beta: float, delta, size) -> np.ndarray:
+    """delta^(1/beta) S = r^(1/beta), one S per path as in
+    :func:`sample_positive_stable`; only the result leaves the float range."""
     _check_stable_index(beta)
     u = _angles(rng, size)
     w = np.empty(u.shape)
     rng.standard_exponential(size, out=w)
-    return _kanter(u, w, beta, delta, root)[()]
+    r = _kanter(u, w, beta, delta)
+    with np.errstate(over="ignore", under="ignore"):
+        r **= 1.0 / beta
+    return r[()]
 
 
 def _angles(rng: np.random.Generator, size) -> np.ndarray:
@@ -383,56 +386,59 @@ def _angles(rng: np.random.Generator, size) -> np.ndarray:
     return u
 
 
-def _kanter(u: np.ndarray, w: np.ndarray, beta: float, delta, root) -> np.ndarray:
-    """delta^(1/beta) S from the angles ``u`` and exponentials ``w`` (left
-    intact): the product root * S, or exp(ln delta / beta + ln S) from the
-    same draws where that is no positive float (a factor past the float
-    range, 0 * inf, 0 / 0).  S is evaluated in place over blocks of
-    ``special._VARIATE_BLOCK`` variates, each sine by its half-angle
-    tangent (``special._half_angle_sine``)."""
+def _kanter(u: np.ndarray, w: np.ndarray, beta: float, delta) -> np.ndarray:
+    """Kanter's ratio r = delta K(U) / W^(1-beta) = (delta^(1/beta) S)^beta,
+    K(u) = sin(beta u)^beta sin((1-beta) u)^(1-beta) / sin(u), from the
+    angles ``u`` and exponentials ``w`` (left intact), in place over blocks
+    of ``special._VARIATE_BLOCK`` variates, each sine by its half-angle
+    tangent (``special._half_angle_sine``).  U = 0 (probability 2^-53 per
+    draw) takes the limit delta k0 / W^(1-beta), k0 = K(0+)."""
     out = np.empty(u.shape)
     flat_u, flat_w, flat_out = u.reshape(-1), w.reshape(-1), out.reshape(-1)
     with np.errstate(all="ignore"):
         for block, (a, b) in _blocks(flat_out.size, 2):
-            s, ub = flat_out[block], flat_u[block]
+            r, ub = flat_out[block], flat_u[block]
             # sin(beta U)^beta
             np.multiply(ub, 0.5 * beta, out=a)
             np.tan(a, out=a)
-            _half_angle_sine(a, s)
+            _half_angle_sine(a, r)
             a **= beta
             # times (sin((1 - beta) U) / W)^(1 - beta)
             np.multiply(ub, 0.5 * (1.0 - beta), out=b)
             np.tan(b, out=b)
-            _half_angle_sine(b, s)
+            _half_angle_sine(b, r)
             b /= flat_w[block]
             b **= 1.0 - beta
             a *= b
-            # over sin(U), to the power 1/beta
+            # over sin(U)
             np.multiply(ub, 0.5, out=b)
             np.tan(b, out=b)
-            _half_angle_sine(b, s)
-            np.divide(a, b, out=s)
-            s **= 1.0 / beta
-        out *= root
-    odd = ~((0.0 < out) & (out < math.inf))
-    if odd.any():
-        u, w = u[odd], w[odd]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_s = (
-                np.log(np.sin(beta * u))
-                - np.log(np.sin(u)) / beta
-                + (np.log(np.sin((1.0 - beta) * u)) - np.log(w)) * ((1.0 - beta) / beta)
-            )
-            # U = 0 (probability 2^-53 per draw) takes the limit U -> 0,
-            # where sin(c U) / U -> c for c = beta, 1 - beta and 1
-            zero = u == 0.0
-            log_s[zero] = math.log(beta) + (
-                (math.log1p(-beta) - np.log(w[zero])) * ((1.0 - beta) / beta)
-            )
-        log_delta = np.log(np.broadcast_to(delta, out.shape)[odd])
-        with np.errstate(over="ignore"):
-            out[odd] = np.exp(log_delta / beta + log_s)
+            _half_angle_sine(b, r)
+            np.divide(a, b, out=r)
+        out *= delta
+        zero = u == 0.0
+        k0 = beta ** beta * (1.0 - beta) ** (1.0 - beta)
+        out[zero] = k0 * np.broadcast_to(delta, u.shape)[zero] / w[zero] ** (1.0 - beta)
     return out
+
+
+def _inverse_stable(u: np.ndarray, w: np.ndarray, beta: float, ts) -> np.ndarray:
+    """E_t = (t / S)^beta = t^beta / r per (t, path), r = S^beta from
+    :func:`_kanter`, for the draws ``u``, ``w`` of S = D_1: finite and positive
+    for t, W > 0, as k0 / W^(1-beta) <= r < inf.  (t / S)^beta, the bits of a
+    power of ``sample_positive_stable``, is kept where S and t / S are normal
+    floats; t^beta / r takes the rest (at beta near 0.01 and below, for t = 1)."""
+    ts = np.asarray(ts, dtype=float)[:, None]
+    r = _kanter(u, w, beta, 1.0)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    with np.errstate(all="ignore"):
+        s = r ** (1.0 / beta)
+        q = ts / s
+    e = q ** beta
+    odd = ~((tiny <= q) & (q <= huge) & (tiny <= s) & (s <= huge))
+    if odd.any():
+        e[odd] = np.broadcast_to(ts, e.shape)[odd] ** beta / np.broadcast_to(r, e.shape)[odd]
+    return e
 
 
 def sample_increments(
@@ -446,13 +452,6 @@ def sample_increments(
     if bad.size:
         raise ValidationError(f"delta must be finite and > 0, got {bad[0]}")
     return spec.increments(delta, size, rng)
-
-
-def _root(delta, beta: float) -> np.ndarray:
-    """delta^(1/beta) per entry, inf past the float range; one vectorized
-    power for a float and an array alike, so equal entries give equal bits."""
-    with np.errstate(over="ignore"):
-        return np.power(np.asarray(delta, dtype=float), 1.0 / beta)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,12 @@ class TestRunners:
         r2 = run_experiment(cfg, workers=2)
         assert r1.to_csv() == r2.to_csv()
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5])
+    def test_workers_validated(self, workers):
+        cfg = parse_config_file(CONFIGS / "large_time.cfg")
+        with pytest.raises(ValidationError, match="workers"):
+            run_experiment(cfg, workers=workers)
+
     def test_small_time_law_fails_before_the_walk(self, monkeypatch):
         # the drift exponent has index 1 at infinity, outside the law; the
         # parser rejects it, so no config reaches the walk
@@ -376,6 +382,12 @@ class TestCli:
         p = tmp_path / "bad.cfg"
         p.write_text("experiment = large_time\nt_min = 1\nt_max = 2\n")  # no seed
         assert cli_main(["run", str(p)]) == 2
+
+    def test_bad_workers_exit_code(self, tmp_path):
+        p = self._write_cfg(tmp_path)
+        out = tmp_path / "out6"
+        assert cli_main(["run", str(p), "--workers", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unordered_domain_exit_code(self, tmp_path):
         p = self._write_cfg(tmp_path)

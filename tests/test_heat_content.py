@@ -319,8 +319,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("seed", [3, 1])
     def test_tiny_index_raises_no_warning(self, seed):
-        # at beta = 0.01 the Kanter factors and delta^(1/beta) leave the float
-        # range; a RuntimeWarning inside the package is a test error
+        # at beta = 0.01 S = D_1 and 1 / S leave the float range on some
+        # paths; a RuntimeWarning inside the package is a test error
         vals = monte_carlo_heat_content_grid(
             2.0, DOMAIN_PI, InverseTime(StableExponent(0.01)), [0.01, 1.0],
             n_paths=100_000, dt=None, n_steps=1, seed=seed,
@@ -332,6 +332,14 @@ class TestMonteCarlo:
         (a,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, workers=1, **kw)
         (b,) = monte_carlo_heat_content_grid(1.5, DOMAIN_PI, None, workers=2, **kw)
         assert a.value == b.value
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5])
+    def test_workers_validated(self, workers):
+        # a bad count raises before any path walks, rather than running serially
+        with pytest.raises(ValidationError, match="workers"):
+            monte_carlo_heat_content_grid(
+                1.5, DOMAIN_PI, None, [0.3], n_paths=10, dt=0.1, workers=workers
+            )
 
     def test_workers_capped_at_replica_count(self, monkeypatch):
         # a fork pool starts every worker at once, so the pool is never

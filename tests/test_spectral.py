@@ -188,6 +188,19 @@ class TestWeightedSeries:
         with pytest.raises(ValidationError):
             weighted_series(self.eig, w, tol=1e-60)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10])
+    def test_bad_tol_rejected(self, tol):
+        # NaN fails every comparison, so it would never stop the series and
+        # never raise its budget error
+        with pytest.raises(ValidationError, match="tol must be >= 0"):
+            weighted_series(self.eig, lambda lam: np.exp(-lam), tol=tol)
+
+    def test_zero_tol_met_by_underflowing_weights(self):
+        # exp(-n^2) is 0 from n = 28 on; at n = 29, the first odd mode there
+        # (even modes have no mass), the certificate is exactly 0
+        sv = weighted_series(self.eig, lambda lam: np.exp(-lam), tol=0.0)
+        assert sv.n_terms == 29
+
     def test_truncation_budget_error(self):
         eig = bm_interval_eigensystem(IntervalDomain(0.0, math.pi), 11)
         with pytest.raises(TruncationBudgetError):

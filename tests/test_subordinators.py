@@ -118,8 +118,9 @@ class TestPositiveStableSampler:
         assert a == b and a > 0.0
 
     def test_tiny_index_in_logs(self):
-        # sin(U)^(1/beta) underflows at beta = 0.01; redone in logs every
-        # variate is positive, and the few past the float range are inf
+        # sin(U)^(1/beta) underflows at beta = 0.01; with the power 1/beta
+        # taken last, of Kanter's ratio, every variate is positive, and the
+        # few past the float range are inf
         x = sample_positive_stable(derive_rng(18), 0.01, 100_000)
         assert np.all(x > 0.0)
         assert 0.0 < np.mean(np.isinf(x)) < 2e-3
@@ -182,8 +183,8 @@ class TestIncrementSamplers:
         [StableExponent(0.01), SumOfStablesExponent(0.01, 0.5), TemperedStableExponent(0.01, 1.0)],
     )
     def test_tiny_index_tiny_delta(self, spec):
-        # delta^(1/beta) underflows to 0 where a variate overflows to inf; the
-        # product is then taken in logs, so no increment is 0 * inf = NaN
+        # delta^(1/beta) underflows to 0 where a variate overflows to inf; delta
+        # enters Kanter's ratio before the power, so no increment is 0 * inf = NaN
         x = sample_increments(spec, 1e-4, 100_000, derive_rng(19))
         assert np.all(x >= 0.0)
 
@@ -198,6 +199,25 @@ class TestIncrementSamplers:
         with pytest.raises(RejectionBudgetError):
             sample_increments(spec, np.array([0.1, 1e5]), 2, rng)
         assert rng.bit_generator.state == state
+
+    def test_tempered_rejection_cap_is_per_path(self, monkeypatch):
+        # the cap bounds the rejections of one path on one piece, not the sum
+        # over paths: 10,000 paths at acceptance about 0.65 reject about 5,000
+        # candidates in all, but no path is rejected 100 times
+        import shc_lab.subordinators as sub
+
+        spec = TemperedStableExponent(0.5, 2.0)
+        expected = sample_increments(spec, 0.3, 10_000, derive_rng(22))
+        monkeypatch.setattr(sub, "_REJECTION_CAP", 100)
+        assert np.array_equal(sample_increments(spec, 0.3, 10_000, derive_rng(22)), expected)
+
+    def test_tempered_rejection_cap_raises(self, monkeypatch):
+        # with no rejection allowed, the first rejected path fails the call
+        import shc_lab.subordinators as sub
+
+        monkeypatch.setattr(sub, "_REJECTION_CAP", 0)
+        with pytest.raises(RejectionBudgetError, match="rejection cap exceeded"):
+            sample_increments(TemperedStableExponent(0.5, 2.0), 0.3, 2_000, derive_rng(23))
 
     def test_array_deltas_chop_per_path(self):
         # the tempered pieces follow each path's own delta: E[D_delta] =
@@ -227,9 +247,7 @@ class TestIncrementSamplers:
         for k in range(int(n_chunks.max())):
             pending = np.flatnonzero(n_chunks > k)
             while pending.size:
-                cand = sub._scaled_stable(
-                    rng, 0.5, piece[pending], sub._root(piece[pending], 0.5), pending.size
-                )
+                cand = sub._scaled_stable(rng, 0.5, piece[pending], pending.size)
                 accept = rng.uniform(size=pending.size) <= np.exp(-2.0 * cand)
                 expected[pending[accept]] += cand[accept]
                 pending = pending[~accept]
@@ -405,16 +423,19 @@ class TestInverseExceedances:
 
     @pytest.mark.parametrize("beta", [0.001, 0.003])
     def test_counts_match_where_one_over_s_overflows(self, beta):
-        # below beta of about 0.004, 1 / S overflows and inverse_times gives
-        # E_1 = inf on draws whose W^(1-beta) / k0 is far below the levels
-        # here; the cap on the least level keeps those draws candidates
+        # at these beta S leaves the float range on many draws, and 1 / S
+        # with it; E_1 = W^(1-beta) / K(U) stays finite and positive, with
+        # no RuntimeWarning, and no draw reaches 1e3
         spec, n = StableExponent(beta), 200_000
-        with np.errstate(divide="ignore", over="ignore"):
-            e = spec.inverse_times([1.0], n, derive_rng(3))[0]
-            assert np.isinf(e).any() and e[np.isfinite(e)].max() < 1e3
-            for levels in ([1e3, 1e300], [1e3, float(np.median(e))]):
-                counts = spec.inverse_exceedances(levels, n, derive_rng(3))
-                assert counts.tolist() == [np.count_nonzero(e > v) for v in levels]
+        e = spec.inverse_times([1.0], n, derive_rng(3))[0]
+        rng = derive_rng(3)
+        u, w = rng.uniform(0.0, math.pi, n), rng.exponential(1.0, n)
+        k = np.sin(beta * u) ** beta * np.sin((1.0 - beta) * u) ** (1.0 - beta) / np.sin(u)
+        assert np.all(np.isfinite(e) & (e > 0.0))
+        assert np.max(np.abs(e * k / w ** (1.0 - beta) - 1.0)) <= 1e-12
+        for levels in ([1e3, 1e300], [1e3, float(np.median(e))]):
+            counts = spec.inverse_exceedances(levels, n, derive_rng(3))
+            assert counts.tolist() == [np.count_nonzero(e > v) for v in levels]
 
     def test_only_candidates_are_evaluated(self, monkeypatch):
         # at the shipped tail_probe levels about 0.3% of the draws reach
@@ -423,9 +444,9 @@ class TestInverseExceedances:
 
         seen, kanter = [], sub._kanter
 
-        def counted(u, w, beta, delta, root):
+        def counted(u, w, beta, delta):
             seen.append(u.size)
-            return kanter(u, w, beta, delta, root)
+            return kanter(u, w, beta, delta)
 
         spec, n = StableExponent(0.5), 200_000
         ts = np.logspace(math.log10(0.023), math.log10(0.0434), 7)
@@ -446,7 +467,7 @@ class TestInverseExceedances:
             rng = derive_rng(5)
             u = sub._angles(rng, 50_000)
             w = rng.standard_exponential(50_000)
-            e1 = (1.0 / sub._kanter(u, w, beta, 1.0, 1.0)) ** beta
+            e1 = sub._inverse_stable(u, w, beta, [1.0])[0]
             k0 = beta ** beta * (1.0 - beta) ** (1.0 - beta)
             ratio = e1 * k0 / w ** (1.0 - beta)
             assert ratio.max() <= 1.0 + 1e-12, beta

@@ -8,7 +8,9 @@ draws, evaluated in extended precision from the same float64 angles and
 exponents, so only the kernels' own rounding separates the two.  A second
 oracle draws through ``rng.uniform`` and ``rng.exponential`` and evaluates
 the same formulas on whole arrays with numpy's allocating operators: the
-in-place samplers must give every variate the same bits.
+in-place samplers must give every variate the same bits.  The scaled
+kernel delta^(1/beta) S of the increments is checked the same way, at
+scales whose factor delta^(1/beta) alone leaves the float range.
 """
 
 import math
@@ -20,7 +22,7 @@ from shc_lab import ValidationError, sample_positive_stable, sample_symmetric_st
 from shc_lab.seeding import derive_rng
 from shc_lab.special import _VARIATE_BLOCK
 from shc_lab.stable_motion import _cms
-from shc_lab.subordinators import _kanter
+from shc_lab.subordinators import _kanter, _scaled_stable
 
 LD = np.longdouble
 TOL = 1e-13
@@ -34,6 +36,7 @@ pytestmark = pytest.mark.skipif(
 
 ALPHAS = [0.3, 0.7, 1.2, 1.5, 1.9]
 BETAS = [0.01, 0.3, 0.5, 0.9]
+DELTAS = [1e-300, 1e-30, 1e-3, 1e30, 1e300]
 SIZES = [None, 2 * _VARIATE_BLOCK + 123, (3, 5_000)]
 
 
@@ -45,6 +48,21 @@ def kanter_oracle(u, w, beta):
         / np.sin(u.astype(LD)) ** LD(1.0 / beta)
         * (np.sin(((1.0 - beta) * u).astype(LD)) / w.astype(LD)) ** LD((1.0 - beta) / beta)
     )
+
+
+def scaled_oracle(u, w, beta, delta):
+    """(delta K(U) / W^(1-beta))^(1/beta), with K(u) = sin(beta u)^beta
+    sin((1-beta) u)^(1-beta) / sin(u)."""
+    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+    k = (
+        np.sin((beta * u).astype(LD)) ** LD(beta)
+        * np.sin(((1.0 - beta) * u).astype(LD)) ** LD(1.0 - beta)
+        / np.sin(u.astype(LD))
+    )
+    # past the long double range at beta = 0.01, delta = 1e300 or 1e-300,
+    # where the variate lies past the float range as well
+    with np.errstate(over="ignore", under="ignore"):
+        return (LD(delta) * k / w.astype(LD) ** LD(1.0 - beta)) ** LD(1.0 / beta)
 
 
 def cms_oracle(u, w, alpha):
@@ -88,6 +106,18 @@ def test_kanter_matches_textbook(beta, size):
     assert_matches(x, kanter_oracle(u, w, beta))
 
 
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("beta", BETAS)
+def test_scaled_matches_textbook(beta, delta):
+    # delta enters Kanter's ratio before the power 1/beta, so only the
+    # variate itself can leave the float range
+    rng = derive_rng(7006)
+    x = _scaled_stable(rng, beta, delta, 20_000)
+    u, w, state = draws(7006, 0.0, math.pi, 20_000)
+    assert rng.bit_generator.state == state
+    assert_matches(x, scaled_oracle(u, w, beta, delta))
+
+
 @pytest.mark.parametrize("size", SIZES, ids=["none", "ragged", "2d"])
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_cms_matches_textbook(alpha, size):
@@ -118,6 +148,13 @@ def edge_grid(edges):
     return u.ravel(), w.ravel()
 
 
+def scaled_in_place(u, w, beta, delta):
+    """The arithmetic _scaled_stable runs, fed the given angles and
+    exponentials directly: Kanter's ratio, then its power 1/beta."""
+    with np.errstate(over="ignore", under="ignore"):
+        return _kanter(np.asarray(u), np.asarray(w), beta, delta) ** (1.0 / beta)
+
+
 def cms_in_place(u, w, alpha):
     """The arithmetic sample_symmetric_stable runs on one block, fed the
     given angles and exponentials directly (uniform draws cannot reach
@@ -130,7 +167,7 @@ def cms_in_place(u, w, alpha):
 @pytest.mark.parametrize("beta", BETAS)
 def test_kanter_edge_angles(beta):
     u, w = edge_grid(KANTER_EDGES)
-    x = _kanter(u, w, beta, 1.0, 1.0)
+    x = scaled_in_place(u, w, beta, 1.0)
     assert not np.any(np.isnan(x))
     assert np.all(x > 0.0)
     assert_matches(x, kanter_oracle(u, w, beta))
@@ -151,8 +188,18 @@ def test_kanter_zero_angle(beta):
     # uniform(0, pi) returns 0.0 with probability 2^-53; the variate is the
     # limit U -> 0, which the textbook formula at U = 1e-9 matches to O(U^2)
     w = np.array(EDGE_W)
-    x = _kanter(np.zeros_like(w), w, beta, 1.0, 1.0)
+    x = scaled_in_place(np.zeros_like(w), w, beta, 1.0)
     assert_matches(x, kanter_oracle(np.full_like(w, 1e-9), w, beta))
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_scaled_zero_angle(beta):
+    # U = 0 takes the limit delta k0 / W^(1-beta) of the ratio, and the
+    # scale still enters before the power
+    w = np.array(EDGE_W)
+    for delta in DELTAS:
+        x = scaled_in_place(np.zeros_like(w), w, beta, delta)
+        assert_matches(x, scaled_oracle(np.full_like(w, 1e-9), w, beta, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +260,7 @@ def assert_same_bits(sampler, oracle, param, size, seed):
 @pytest.mark.parametrize("size", SIZES, ids=["none", "ragged", "2d"])
 @pytest.mark.parametrize("beta", BETAS)
 def test_kanter_same_bits(beta, size):
-    # at beta = 0.01 some variates lie past the float range: the log path
+    # at beta = 0.01 some variates lie past the float range: the power
     # gives inf there, as the whole-array formula does
     assert_same_bits(sample_positive_stable, kanter_whole_array, beta, size, 7003)
 
