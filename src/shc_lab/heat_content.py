@@ -83,13 +83,18 @@ class HeatContentValue:
     scale and R the unit walk's range, for ``monte_carlo_range`` (fixed
     dt, and adaptive wherever the clock draws h(t) exactly); the loss
     indicator for ``monte_carlo`` (adaptive under the inverse tempered and
-    sum-of-stables clocks).  Neither includes the walk's step bias.  A row
-    where every path is lost (or none) has error 0.  For ``transform``
-    it is the series tail alone: the Talbot node gap of each weight (at
-    most 1e-9, ``expected_laplace``'s tolerance) is not included.  Nor, on
-    eigen data from ``stable_interval_eigensystem``, is the measured gap
-    between its N and 2N Galerkin builds, at most (kept modes * L/2 + L)
-    * 1e-12 for weights in [0, 1] with |lambda w'| <= 1.
+    sum-of-stables clocks).  Neither includes the walk's step bias, nor
+    the rounding of its float32 sums (alpha in [0.42, 2), see
+    ``stable_motion``): each path's range moves by a few float32 ulps
+    (1.2e-7 each) of the sum of its steps' sizes, and the shipped
+    ``small_time_mc`` rows moved by at most 2.7e-9, under 2e-6 of their
+    error, against the float64 walk.  A row where every path is lost (or
+    none) has error 0.  For ``transform`` it is the series tail alone:
+    the Talbot node gap of each weight (at most 1e-9,
+    ``expected_laplace``'s tolerance) is not included.  Nor, on eigen data
+    from ``stable_interval_eigensystem``, is the measured gap between its
+    N and 2N Galerkin builds, at most (kept modes * L/2 + L) * 1e-12 for
+    weights in [0, 1] with |lambda w'| <= 1.
     """
 
     t: float

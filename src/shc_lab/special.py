@@ -243,19 +243,20 @@ def laplace_invert(transform: Callable, t: float, tol: float = 1.0e-9):
 # Block evaluation of the stable variate formulas
 # ---------------------------------------------------------------------------
 
-# Both stable samplers take every trigonometric factor from np.tan, which
-# numpy vectorizes for float64 where sin and cos go to the scalar C library.
-# They evaluate their formulas in place, block by block, in scratch vectors
-# of 8,192 entries (64 KB each) allocated once per call: the working set
-# stays in a core's L2 cache and no call faults in fresh pages per block.
+# Both stable samplers take every trigonometric factor from np.tan (and, in
+# float32, np.arctan), which numpy vectorizes for float64 where sin and cos
+# go to the scalar C library.  They evaluate their formulas in place, block
+# by block, in scratch vectors of 8,192 entries (64 KB each in float64)
+# allocated once per call: the working set stays in a core's L2 cache and no
+# call faults in fresh pages per block.
 _VARIATE_BLOCK = 1 << 13
 
 
-def _blocks(n: int, rows: int):
+def _blocks(n: int, rows: int, dtype=np.float64):
     """Slices of at most ``_VARIATE_BLOCK`` entries covering range(n), in
-    order, each with ``rows`` scratch vectors of its length; the scratch is
-    one array, allocated once and shared by all blocks."""
-    scratch = np.empty((rows, min(n, _VARIATE_BLOCK)))
+    order, each with ``rows`` scratch vectors of its length and ``dtype``;
+    the scratch is one array, allocated once and shared by all blocks."""
+    scratch = np.empty((rows, min(n, _VARIATE_BLOCK)), dtype)
     for start in range(0, n, _VARIATE_BLOCK):
         block = slice(start, min(start + _VARIATE_BLOCK, n))
         yield block, scratch[:, : block.stop - start]

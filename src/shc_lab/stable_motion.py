@@ -20,12 +20,23 @@ correction is applied; tests carry a bias band calibrated by
 step-halving instead.  The mean of the continuum supremum needs no walk:
 it is ``asymptotics.expected_supremum``, from Spitzer's identity.
 
+Precision: from alpha = ``_SINGLE_ALPHA`` (0.42) up to, not including,
+2 the walk runs in float32.  The generator's draws stay float64, so a
+walk sees the variates of the float64 walk, each within a few float32
+ulps (``sample_symmetric_stable`` with a float32 ``out``), and forms its
+partial sums, extremes and carried totals in float32; it returns float64
+extremes.  On the shipped ``small_time_mc`` setting this moves each row
+by at most 2.7e-9, under 2e-6 of its CI.  Below 0.42 float32 can overflow
+(``_SINGLE_ALPHA``), and at alpha = 2, where no formula runs, a float32
+walk measured no faster, so both stay float64.
+
 Memory: the walk draws each block of steps into one buffer allocated once
-per call (``sample_symmetric_stable(..., out=)``) and forms its partial
-sums in place.  The sampler itself evaluates its formula in place, in
-scratch vectors of ``special._VARIATE_BLOCK`` entries, so no block
-allocates its variates and they are bit for bit those of the allocating
-whole-array formulas.
+per call (``sample_symmetric_stable(..., out=)``), 512 KB in float32
+(1 MB in float64), and forms its partial sums in place.  The sampler
+itself evaluates its formula in place, in scratch vectors of
+``special._VARIATE_BLOCK`` entries, so no block allocates its variates;
+in float64 they are bit for bit those of the allocating whole-array
+formulas.
 """
 
 from __future__ import annotations
@@ -65,22 +76,41 @@ def sample_symmetric_stable(
     tan(U) (standard Cauchy) and alpha = 2 to a centered normal with
     variance 2.
 
-    ``out``, a C-contiguous float64 array (of shape ``size`` when both are
-    given), receives the variates and is returned, so that a caller
-    drawing repeatedly reuses one buffer; without it a new array (a scalar
-    for ``size=None``) is returned.
+    ``out``, a C-contiguous float64 or float32 array (of shape ``size``
+    when both are given), receives the variates and is returned, so that a
+    caller drawing repeatedly reuses one buffer; without it a new float64
+    array (a scalar for ``size=None``) is returned.
+
+    A float32 ``out`` takes the same draws in the same order, R block by
+    block and then W block by block through float64 scratch of at most
+    ``special._VARIATE_BLOCK`` entries, and leaves ``rng`` in the same
+    state; the formula then runs in float32 on tan(U), arctan(tan U) and
+    W.  tan(U) is taken in float64 and rounded once, because U's own
+    float32 cell next to +-pi/2 is 1.2e-7 wide: rounding U first would put
+    a relative error of up to 6e-8 |tan U| on the variate and truncate
+    |tan U| at 2.3e7.  So nothing is truncated: |tan U| reaches 1.6e16
+    (U = -pi/2), as in float64, and each variate lies within 16 float32
+    ulps of the float64 one, times 1 + |alpha U cot(alpha U)| (the
+    conditioning of sin(alpha U), up to 19 at alpha 1.9).  alpha = 1 and 2
+    give the float64 variates rounded once.  Below alpha =
+    ``_SINGLE_ALPHA`` (0.42) that largest tangent makes cos(U)^(-1/alpha)
+    overflow float32.
     """
     _check_alpha(alpha)
     if out is None:
         x = np.empty(() if size is None else size)
-    elif out.dtype == np.float64 and out.flags.c_contiguous:
-        x = out
-    else:
+    elif out.dtype not in (np.float64, np.float32) or not out.flags.c_contiguous:
         raise ValidationError(
-            f"out must be a C-contiguous float64 array, got {out.dtype}"
+            f"out must be a C-contiguous float64 or float32 array, got {out.dtype}"
             f" (C-contiguous: {out.flags.c_contiguous})"
         )
-    if alpha == 2.0:
+    elif size is not None and (tuple(size) if np.iterable(size) else (size,)) != out.shape:
+        raise ValidationError(f"size {size} does not match out's shape {out.shape}")
+    else:
+        x = out
+    if x.dtype == np.float32:
+        _single(rng, alpha, x.reshape(-1))
+    elif alpha == 2.0:
         rng.standard_normal(size, out=x)
         x *= math.sqrt(2.0)
     else:
@@ -91,22 +121,53 @@ def sample_symmetric_stable(
             np.tan(x, out=x)
         else:
             flat = x.reshape(-1)
-            for block, (w, a, b) in _blocks(flat.size, 3):
+            for block, (t, w, a) in _blocks(flat.size, 3):
                 rng.standard_exponential(out=w)
-                _cms(flat[block], w, a, b, alpha)
+                u = flat[block]
+                np.tan(u, out=t)
+                _cms(u, t, w, a, alpha, out=u)
     return x if out is not None else x[()]
 
 
-def _cms(x: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray, alpha: float) -> None:
-    """The Chambers-Mallows-Stuck formula in place, for alpha not 1 or 2:
-    ``x`` holds U on entry and X on return, ``w`` holds W; ``w``, ``a`` and
-    ``b`` (of x's shape) are overwritten.  sin(alpha U) comes from its
-    half-angle tangent, and each cosine, whose angle lies in (-pi/2, pi/2),
-    as (1 + tan^2)^(-1/2), so that cos(U)^(-1/alpha) = (1 + tan^2
-    U)^(1/(2 alpha)) is one power."""
+def _single(rng: np.random.Generator, alpha: float, x: np.ndarray) -> None:
+    """The float64 sampler's draws into the flat float32 ``x``: R, then W,
+    block by block through float64 scratch vectors of at most
+    ``special._VARIATE_BLOCK`` entries; tan(U) is taken before the
+    rounding, and the formula runs in float32."""
+    if alpha == 2.0:
+        for block, (z,) in _blocks(x.size, 1):
+            rng.standard_normal(out=z)
+            z *= math.sqrt(2.0)
+            x[block] = z
+        return
+    for block, (u,) in _blocks(x.size, 1):
+        rng.random(out=u)
+        u *= math.pi
+        u += -math.pi / 2.0
+        np.tan(u, out=u)
+        x[block] = u
+    if alpha == 1.0:
+        return
+    for (block, (e,)), (_, (u, w, a)) in zip(
+        _blocks(x.size, 1), _blocks(x.size, 3, np.float32)
+    ):
+        rng.standard_exponential(out=e)
+        w[...] = e
+        t = x[block]
+        np.arctan(t, out=u)
+        _cms(u, t, w, a, alpha, out=t)
+
+
+def _cms(u, t, w, a, alpha: float, out: np.ndarray) -> None:
+    """The Chambers-Mallows-Stuck formula in place, for alpha not 1 or 2,
+    into ``out`` (``u`` or ``t``): ``u`` holds U, ``t`` tan(U) and ``w`` W;
+    ``u``, ``t``, ``w`` and ``a`` (all of one shape and dtype) are
+    overwritten.  sin(alpha U) comes from its half-angle tangent, and each
+    cosine, whose angle lies in (-pi/2, pi/2), as (1 + tan^2)^(-1/2), so
+    that cos(U)^(-1/alpha) = (1 + tan^2 U)^(1/(2 alpha)) is one power."""
     rest = 1.0 - alpha
     # (sqrt(1 + tan^2((1 - alpha) U)) W)^(-(1 - alpha)/alpha)
-    np.multiply(x, rest, out=a)
+    np.multiply(u, rest, out=a)
     np.tan(a, out=a)
     a *= a
     a += 1.0
@@ -114,16 +175,27 @@ def _cms(x: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray, alpha: floa
     a *= w
     a **= -rest / alpha
     # cos(U)^(-1/alpha)
-    np.tan(x, out=w)
-    w *= w
-    w += 1.0
-    w **= 0.5 / alpha
+    t *= t
+    t += 1.0
+    t **= 0.5 / alpha
     # sin(alpha U), then the product
-    np.multiply(x, 0.5 * alpha, out=b)
-    np.tan(b, out=b)
-    _half_angle_sine(b, x)
-    b *= w
-    np.multiply(b, a, out=x)
+    np.multiply(u, 0.5 * alpha, out=w)
+    np.tan(w, out=w)
+    _half_angle_sine(w, u)
+    w *= t
+    np.multiply(w, a, out=out)
+
+
+# Least alpha of the float32 walk, 0.4208: the largest |tan U| a float64
+# angle gives, tan(pi/2) = 1.6e16 (at U = -pi/2, chance 2^-53), keeps
+# cos(U)^(-1/alpha) = (1 + tan^2 U)^(1/(2 alpha)) below float32's largest
+# value 3.4e38 from this alpha on.  Above it a float32 variate overflows only
+# where |X| > 3.4e38 (small W), with chance about
+# (2/pi) Gamma(alpha) sin(pi alpha / 2) 3.4e38^(-alpha), at most 5e-17 per
+# variate: under 2^-53, the resolution of the draws themselves.
+_SINGLE_ALPHA = math.log1p(math.tan(math.pi / 2.0) ** 2) / (
+    2.0 * math.log(math.ldexp(2.0 - 2.0 ** -23, 127))
+)
 
 
 # variates per block of the unit walk: bounds its memory whatever the budgets
@@ -165,12 +237,13 @@ def _unit_extremes(
     steps, paths = flat[events], events % max(n, 1)
     events += order[paths] - paths
     top_at, bottom_at = np.zeros(n_t * n), np.zeros(n_t * n)
-    top, bottom, total, scratch = np.zeros(n), np.zeros(n), np.zeros(n), np.empty(n)
+    dtype = np.float32 if _SINGLE_ALPHA <= alpha < 2.0 else np.float64
+    top, bottom, total, scratch = (np.zeros(n, dtype) for _ in range(4))
     # budgets can be huge (heavy-tailed time changes), so the walking prefix
     # m = #{largest budget > done} is advanced block by block, never tabulated
     largest_list = largest[order].tolist()
     n_max = largest_list[0] if n else 0
-    block = np.empty(min(max(_UNIT_BLOCK, n), n_max * n))  # reused by every block
+    block = np.empty(min(max(_UNIT_BLOCK, n), n_max * n), dtype)  # reused by every block
     done, m = 0, n
     read = int(np.searchsorted(steps, 0, side="right"))
     while done < n_max:

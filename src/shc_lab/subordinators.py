@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InversionError, RejectionBudgetError, ValidationError
-from .special import _blocks, _half_angle_sine, _tanh_sinh_nodes, laplace_invert
+from .special import _VARIATE_BLOCK, _blocks, _half_angle_sine, _tanh_sinh_nodes, laplace_invert
 
 __all__ = [
     "StableExponent",
@@ -175,21 +175,21 @@ class StableExponent(LaplaceExponent):
         1975), so E_1 <= W^(1-beta) / k0, which the evaluated E_1 keeps to
         1e-12 relative.  A draw with W^(1-beta) <= k0 m (1 - 1e-9) cannot
         pass the least level m.  U is drawn whole, then W block by block,
-        which consumes the generator as one call does.
+        which consumes the generator as one call does.  The candidates of
+        successive blocks are gathered into batches of
+        ``special._VARIATE_BLOCK`` pairs, each evaluated in one call as it
+        fills, and the rest once at the end.
         """
         beta = self.beta
         levels = np.asarray(levels, dtype=float)
         counts = np.zeros(levels.shape, dtype=np.int64)
-        u = _angles(rng, size)
         k0 = beta ** beta * (1.0 - beta) ** (1.0 - beta)
         # a NaN level is passed by no draw and leaves every draw a candidate
         reach = k0 * levels.min(initial=math.inf) * (1.0 - 1e-9)
         with np.errstate(over="ignore"):
             w_min = np.power(reach, 1.0 / (1.0 - beta)) if reach > 0.0 else -math.inf
-        for block, (w,) in _blocks(size, 1):
-            rng.standard_exponential(out=w)
-            keep = w > w_min
-            e1 = _inverse_stable(u[block][keep], w[keep], beta, [1.0])[0]
+        for cand_u, cand_w in _candidates(_angles(rng, size), w_min, rng):
+            e1 = _inverse_stable(cand_u, cand_w, beta, [1.0])[0]
             counts += np.count_nonzero(e1 > levels[..., None], axis=-1)
         return counts
 
@@ -439,6 +439,30 @@ def _inverse_stable(u: np.ndarray, w: np.ndarray, beta: float, ts) -> np.ndarray
     if odd.any():
         e[odd] = np.broadcast_to(ts, e.shape)[odd] ** beta / np.broadcast_to(r, e.shape)[odd]
     return e
+
+
+def _candidates(u: np.ndarray, w_min, rng: np.random.Generator):
+    """The pairs (U, W) with W > ``w_min``, in draw order, one W drawn per
+    U block by block as one ``rng.standard_exponential(u.size)`` call
+    draws them: in batches of ``special._VARIATE_BLOCK`` pairs, the last
+    one shorter.  Until a batch fills, the pairs are kept as each block's
+    few; ``u`` is released before the last batch, which is formed and
+    evaluated in its place, so that a batch adds little to the caller's
+    peak memory."""
+    kept, filled = [], 0
+    for block, (w,) in _blocks(u.size, 1):
+        rng.standard_exponential(out=w)
+        keep = w > w_min
+        kept.append(np.stack([u[block][keep], w[keep]]))
+        filled += kept[-1].shape[1]
+        # a block adds at most one batch's worth, so one batch at most fills
+        if filled >= _VARIATE_BLOCK:
+            pairs = np.concatenate(kept, axis=1)
+            yield pairs[:, :_VARIATE_BLOCK]
+            kept, filled = [pairs[:, _VARIATE_BLOCK:]], filled - _VARIATE_BLOCK
+    del u
+    if filled:
+        yield np.concatenate(kept, axis=1)
 
 
 def sample_increments(

@@ -13,7 +13,7 @@ from shc_lab import (
     sample_symmetric_stable,
 )
 from shc_lab.seeding import derive_rng
-from shc_lab.stable_motion import _UNIT_BLOCK, _unit_extremes
+from shc_lab.stable_motion import _SINGLE_ALPHA, _UNIT_BLOCK, _unit_extremes
 
 # P(|X| > 10) for the standard Cauchy (scale 1)
 CAUCHY_TAIL_AT_10 = 0.06345103486110704
@@ -369,10 +369,14 @@ class TestCriticalScales:
         assert all(math.prod(size) <= sm._UNIT_BLOCK for size in sizes)
         assert sum(math.prod(size) for size in sizes) == 3 * 10 ** 5
         # the running sum, max and min carry across blocks: redraw the same
-        # blocks and take the extremes of the whole walk at once
-        rng = derive_rng(102)
-        z = np.concatenate([original(rng, 1.5, size) for size in sizes])
-        sums = np.cumsum(z, axis=0)
+        # blocks into float32, as the walk does, carry the total from block
+        # to block and take the extremes of the whole walk at once
+        rng, total, blocks = derive_rng(102), np.zeros(3, np.float32), []
+        for size in sizes:
+            z = original(rng, 1.5, size, out=np.empty(size, np.float32))
+            blocks.append(np.cumsum(z, axis=0) + total)
+            total = blocks[-1][-1]
+        sums = np.concatenate(blocks)
         want_top, want_bottom = sums.max(axis=0), sums.min(axis=0)
         assert np.all((want_top > 0.0) & (want_bottom < 0.0))
         np.testing.assert_allclose(top, want_top, rtol=1e-9)
@@ -382,21 +386,78 @@ class TestCriticalScales:
 @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
 def test_unit_extremes_same_bits_as_cumsum(alpha):
     # 1,000 paths make blocks of 131 steps, so 300 steps end in a partial
-    # block; the in-place partial sums are the ones np.cumsum forms
+    # block; the in-place partial sums are the ones np.cumsum forms, over
+    # float32 variates below alpha = 2
     n_paths, n_steps = 1_000, 300
     rows = _UNIT_BLOCK // n_paths
     assert n_steps % rows
     top, bottom = _extremes(alpha, n_paths, n_steps, derive_rng(103))
-    rng, total = derive_rng(103), np.zeros(n_paths)
-    want_top, want_bottom = np.zeros(n_paths), np.zeros(n_paths)
+    dtype = np.float64 if alpha == 2.0 else np.float32
+    rng, total = derive_rng(103), np.zeros(n_paths, dtype)
+    want_top, want_bottom = np.zeros(n_paths, dtype), np.zeros(n_paths, dtype)
     for done in range(0, n_steps, rows):
-        z = sample_symmetric_stable(rng, alpha, (min(rows, n_steps - done), n_paths))
+        size = (min(rows, n_steps - done), n_paths)
+        z = sample_symmetric_stable(rng, alpha, size, out=np.empty(size, dtype))
         sums = np.cumsum(z, axis=0) + total
         want_top = np.maximum(want_top, sums.max(axis=0))
         want_bottom = np.minimum(want_bottom, sums.min(axis=0))
         total = sums[-1]
     assert np.array_equal(top, want_top)
     assert np.array_equal(bottom, want_bottom)
+
+
+class TestSingleWalk:
+    """Below alpha = 2 and from _SINGLE_ALPHA on, the walk draws float32
+    variates and forms its sums and extremes in float32; its results are
+    float64."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_extremes_round_the_double_walk(self, alpha, monkeypatch):
+        # same seed: each extreme within 64 float32 ulps of the path's
+        # total variation sum |X_j| of the float64 walk's
+        import shc_lab.stable_motion as sm
+
+        n_paths, n_steps = 2_000, 300
+        top, bottom = _extremes(alpha, n_paths, n_steps, derive_rng(104))
+        assert top.dtype == bottom.dtype == np.float64
+        monkeypatch.setattr(sm, "_SINGLE_ALPHA", math.inf)
+        want_top, want_bottom = _extremes(alpha, n_paths, n_steps, derive_rng(104))
+        rng, rows, variation = derive_rng(104), _UNIT_BLOCK // n_paths, np.zeros(n_paths)
+        for done in range(0, n_steps, rows):
+            z = sample_symmetric_stable(rng, alpha, (min(rows, n_steps - done), n_paths))
+            variation += np.abs(z).sum(axis=0)
+        bound = 64 * np.finfo(np.float32).eps * variation
+        assert np.all(np.abs(top - want_top) <= bound)
+        assert np.all(np.abs(bottom - want_bottom) <= bound)
+        assert not np.array_equal(top, want_top)
+
+    def test_precision_from_alpha(self, monkeypatch):
+        import shc_lab.stable_motion as sm
+
+        dtypes, original = [], sm.sample_symmetric_stable
+
+        def recording(rng, alpha, size, out=None):
+            dtypes.append(out.dtype)
+            return original(rng, alpha, size, out=out)
+
+        monkeypatch.setattr(sm, "sample_symmetric_stable", recording)
+        below = float(np.nextafter(_SINGLE_ALPHA, 0.0))
+        for alpha, dtype in [(below, np.float64), (_SINGLE_ALPHA, np.float32), (1.99, np.float32), (2.0, np.float64)]:
+            dtypes.clear()
+            top, bottom = _extremes(alpha, 10, 5, derive_rng(105))
+            assert set(dtypes) == {np.dtype(dtype)}
+            assert top.dtype == bottom.dtype == np.float64
+
+    def test_no_overflow_just_above_threshold(self):
+        # 1.2M float32 variates at alpha 0.43: none overflows, and no
+        # RuntimeWarning is raised
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top, bottom = _extremes(0.43, 8192, 150, derive_rng(106))
+        assert np.all(np.isfinite(top) & np.isfinite(bottom))
+        assert top.max() > 1e10
 
 
 def _grid_sup_mean(alpha, n_paths, n_steps, seed):

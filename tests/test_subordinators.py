@@ -23,6 +23,7 @@ from shc_lab import (
 )
 from shc_lab.heat_content import InverseTime, _step_budgets
 from shc_lab.seeding import derive_rng
+from shc_lab.special import _VARIATE_BLOCK
 
 # P(D_1 > 4) for the 1/2-stable subordinator (Levy distribution
 # with LT e^{-sqrt(lam)}): 1 - erfc(1/(2 sqrt 4)) = erf(0.25)
@@ -456,6 +457,29 @@ class TestInverseExceedances:
         seen.clear()
         spec.inverse_exceedances([1e-300], n, derive_rng(4))
         assert sum(seen) == n
+
+    def test_candidates_evaluated_in_full_batches(self, monkeypatch):
+        # the candidates of many blocks share one call, and no call takes
+        # more than one block's worth, however many draws are candidates
+        import shc_lab.subordinators as sub
+
+        sizes, inverse = [], sub._inverse_stable
+
+        def counted(u, w, beta, ts):
+            sizes.append(u.size)
+            return inverse(u, w, beta, ts)
+
+        spec, n = StableExponent(0.5), 200_000
+        ts = np.logspace(math.log10(0.023), math.log10(0.0434), 7)
+        e = spec.inverse_times([1.0], n, derive_rng(4))[0]
+        monkeypatch.setattr(sub, "_inverse_stable", counted)
+        for levels in (ts ** -0.5, [1e-300], [math.nan]):
+            sizes.clear()
+            counts = spec.inverse_exceedances(levels, n, derive_rng(4))
+            assert counts.tolist() == [np.count_nonzero(e > v) for v in levels]
+            assert len(sizes) <= math.ceil(sum(sizes) / _VARIATE_BLOCK)
+            assert max(sizes) <= _VARIATE_BLOCK
+        assert sum(sizes) == n and len(sizes) == math.ceil(n / _VARIATE_BLOCK)
 
     def test_kanter_bound_holds_as_computed(self):
         # E_1 = W^(1-beta) / K(U) with K increasing from K(0+) = k0: the

@@ -160,7 +160,7 @@ def cms_in_place(u, w, alpha):
     given angles and exponentials directly (uniform draws cannot reach
     every float next to -pi/2 and pi/2)."""
     x = np.array(u, dtype=float)
-    _cms(x, np.array(w, dtype=float), np.empty_like(x), np.empty_like(x), alpha)
+    _cms(x, np.tan(x), np.array(w, dtype=float), np.empty_like(x), alpha, out=x)
     return x
 
 
@@ -287,8 +287,105 @@ def test_cms_fills_out(alpha):
 
 
 @pytest.mark.parametrize(
-    "out", [np.empty((5_000, 3)).T, np.empty(5, dtype=np.float32)], ids=["strided", "float32"]
+    "out",
+    [np.empty((5_000, 3)).T, np.empty(5, dtype=np.float16), np.empty(10, dtype=np.float32)[::2]],
+    ids=["strided", "float16", "strided-float32"],
 )
 def test_cms_rejects_bad_out(out):
-    with pytest.raises(ValidationError, match="C-contiguous float64"):
+    with pytest.raises(ValidationError, match="C-contiguous float64 or float32"):
         sample_symmetric_stable(derive_rng(0), 1.5, out=out)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_cms_rejects_size_unlike_out(alpha, dtype):
+    # checked before any draw: the generator is left as it was
+    rng, twin = derive_rng(7007), derive_rng(7007)
+    for size in [4, (5, 3), (3,)]:
+        with pytest.raises(ValidationError, match=r"size .* does not match out's shape \(3, 5\)"):
+            sample_symmetric_stable(rng, alpha, size, out=np.empty((3, 5), dtype))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    out = np.empty((3, 5), dtype)
+    assert sample_symmetric_stable(rng, alpha, (3, 5), out=out) is out
+
+
+# ---------------------------------------------------------------------------
+# Single precision: the float64 draws, the formula in float32
+# ---------------------------------------------------------------------------
+
+EPS32 = float(np.finfo(np.float32).eps)
+SINGLE_ALPHAS = [0.5, 1.0, 1.5, 1.9]
+
+
+def single_bound(u, alpha):
+    """Relative error allowed for a float32 variate: 16 float32 ulps, times
+    1 + the condition number |alpha U cot(alpha U)| of sin(alpha U) in U,
+    which grows near U = +-pi/2 as alpha nears 2."""
+    au = alpha * np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(au == 0.0, 1.0, np.abs(au / np.tan(au)))
+    return 16.0 * EPS32 * (1.0 + cond)
+
+
+def single_in_place(u, w, alpha):
+    """The arithmetic of a float32 ``out``, fed the given angles and
+    exponentials: tan(U) in float64, rounded once, then the formula on
+    tan(U), arctan(tan U) and W in float32."""
+    t = np.tan(np.asarray(u, dtype=float)).astype(np.float32)
+    _cms(np.arctan(t), t, np.asarray(w, dtype=np.float32), np.empty_like(t), alpha, out=t)
+    return t
+
+
+@pytest.mark.parametrize("size", SIZES[1:], ids=["ragged", "2d"])
+@pytest.mark.parametrize("alpha", SINGLE_ALPHAS + [0.7, 2.0])
+def test_single_rounds_the_double_sample(alpha, size):
+    # the same draws, leaving the generator in the same state, and each
+    # variate within rounding of the float64 one
+    rng, twin = derive_rng(7009), derive_rng(7009)
+    out = np.full(size, np.nan, dtype=np.float32)
+    assert sample_symmetric_stable(rng, alpha, size, out=out) is out
+    x = sample_symmetric_stable(twin, alpha, size)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    u = derive_rng(7009).uniform(-math.pi / 2.0, math.pi / 2.0, size)
+    rel = np.abs(out / x - 1.0)
+    assert np.all(rel <= single_bound(u, alpha if alpha < 2.0 else 0.0))
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.2, 1.5, 1.9])
+def test_single_edge_angles(alpha):
+    # tan(U) is rounded after it is taken, so U in float32's last cells
+    # below pi/2 (where |tan U| passes 1.3e7) is not truncated: |X| reaches
+    # the float64 values, to 1e25 at alpha = 0.7
+    last = np.linspace(float(np.nextafter(np.float32(math.pi / 2), 0)) - 6e-8, math.pi / 2, 9)
+    u, w = edge_grid(CMS_EDGES + [-v for v in last[:-1]] + list(last[:-1]))
+    x32, x64 = single_in_place(u, w, alpha), cms_in_place(u, w, alpha)
+    assert np.all(np.isfinite(x32)) and np.array_equal(np.sign(x32), np.sign(x64))
+    nonzero = x64 != 0.0
+    rel = np.abs(x32[nonzero] / x64[nonzero] - 1.0)
+    assert np.all(rel <= single_bound(u[nonzero], alpha))
+    assert np.abs(x32).max() > 1e8
+
+
+@pytest.mark.parametrize("alpha", SINGLE_ALPHAS)
+def test_single_same_law(alpha):
+    # an independent float64 sample: the two-sample KS test finds no
+    # difference in law
+    from scipy.stats import ks_2samp
+
+    out = np.empty(40_000, dtype=np.float32)
+    sample_symmetric_stable(derive_rng(7010), alpha, out=out)
+    x = sample_symmetric_stable(derive_rng(7011), alpha, 40_000)
+    assert ks_2samp(out, x).pvalue > 1e-3
+
+
+def test_single_overflow_threshold():
+    # the largest tangent of a float64 angle, tan(-pi/2) = -1.6e16, keeps
+    # cos(U)^(-1/alpha) inside float32 just above _SINGLE_ALPHA and not
+    # just below it
+    from shc_lab.stable_motion import _SINGLE_ALPHA
+
+    assert 0.420 < _SINGLE_ALPHA < 0.421
+    u, w = np.array([-math.pi / 2.0]), np.array([1.0])
+    assert np.isfinite(single_in_place(u, w, _SINGLE_ALPHA + 1e-3)).all()
+    with np.errstate(over="ignore"):
+        assert np.isinf(single_in_place(u, w, _SINGLE_ALPHA - 1e-3)).all()
